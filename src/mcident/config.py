@@ -26,6 +26,7 @@ Calibration provenance (scripts/calibrate_constants.py):
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from math import isfinite
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,15 @@ class Constants:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Constants":
+        if not isinstance(d, dict):
+            raise ValueError("constants must be a JSON object")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown constant names: {sorted(unknown)}")
+        for name, value in d.items():
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not isfinite(value) or value <= 0):
+                raise ValueError(f"constant {name}={value!r} is not a finite positive number")
         return cls(**d)
 
 

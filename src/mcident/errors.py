@@ -79,7 +79,7 @@ class Infeasible(ChainTestError):
 
 
 class SolverStall(ChainTestError):
-    """LP solver hit its iteration cap."""
+    """LP solver stopped without an optimum (unbounded, a limit or numerics)."""
 
 
 class DegenerateEmbedding(ChainTestError):

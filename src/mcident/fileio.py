@@ -22,14 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from .chain_core import ProbVector, TransitionMatrix
-from .errors import MalformedDistribution, MalformedMatrix
+from .errors import ChainTestError, MalformedDistribution, MalformedMatrix
 from .sampling import Trajectory
 
 _FILE_TOL = 1e-8
 
 
 def load_matrix(path) -> TransitionMatrix:
-    doc = _read(path)
+    doc = _read(path, MalformedMatrix)
     rows = np.asarray(doc.get("rows"), dtype=float)
     d = int(doc.get("d", -1))
     if rows.ndim != 2 or rows.shape != (d, d):
@@ -46,7 +46,7 @@ def save_matrix(P: TransitionMatrix, path) -> None:
 
 
 def load_probvector(path) -> ProbVector:
-    doc = _read(path)
+    doc = _read(path, MalformedDistribution)
     p = np.asarray(doc.get("p"), dtype=float)
     d = int(doc.get("d", -1))
     if p.ndim != 1 or p.shape[0] != d:
@@ -112,9 +112,13 @@ def write_report(doc: dict, path=None) -> str:
     return text
 
 
-def _read(path) -> dict:
+def _read(path, error: type[ChainTestError] = ChainTestError) -> dict:
+    """Parse a JSON input file; raise `error` unless it holds an object."""
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _write(path, doc) -> None:

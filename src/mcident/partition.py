@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, log
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ._rng import derive_rng
 from .chain_core import (
@@ -38,24 +39,12 @@ from .errors import (
     DegenerateEmbedding,
     NotIrreducible,
     NotReversible,
-    SolverStall,
 )
 from .metrics import _masks
 from .sampling import simulate
 from .simplex import solve_lp
 
 CERTIFICATION_LIMIT = 12
-_MATERIALIZE_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class CutMetric:
-    """0/1 metric of a two-sided cut: distance 0 within a side, 1 across."""
-
-    S: tuple
-
-    def distance(self, i: int, j: int) -> float:
-        return float((i in self.S) != (j in self.S))
 
 
 @dataclass(frozen=True)
@@ -73,22 +62,34 @@ class MetricLP:
     objective: float
 
 
-def _quotient(I: np.ndarray, T: np.ndarray) -> list[np.ndarray]:
-    """Quotient node groups: T contracted to one node, singletons elsewhere."""
-    groups = []
-    if len(T):
-        groups.append(T)
-    for i in I:
-        if i not in set(T.tolist()):
-            groups.append(np.array([i], dtype=int))
-    return groups
+def _quotient_nodes(I: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Quotient node of each state of sorted I: T contracted to node 0, the
+    other states singletons numbered in I order after it."""
+    in_T = np.isin(I, T)
+    node = np.cumsum(~in_T) - (0 if len(T) else 1)
+    node[in_T] = 0
+    return node
 
 
-def solve_spccc_lp(P, I, T, max_rounds: int = 60) -> MetricLP:
+def _triangle_rows(n: int) -> csr_matrix:
+    """Rows x_ab - x_aw - x_wb <= 0 for every pair a < b and third node w, in
+    (a, b, w) order, over the pair variables of np.triu_indices(n, 1)."""
+    a, b = np.triu_indices(n, 1)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[a, b] = pair[b, a] = np.arange(len(a))
+    w_all = np.arange(n)
+    k, w = np.nonzero((w_all != a[:, None]) & (w_all != b[:, None]))
+    cols = np.stack([k, pair[a[k], w], pair[w, b[k]]], axis=1).ravel()
+    rows = np.repeat(np.arange(len(k)), 3)
+    vals = np.tile([1.0, -1.0, -1.0], len(k))
+    return csr_matrix((vals, (rows, cols)), shape=(len(k), len(a)))
+
+
+def solve_spccc_lp(P, I, T) -> MetricLP:
     """Minimum of sum Q(i,j) delta_ij over metrics delta on I normalized by
     sum pi_i pi_j delta_ij = 1, with delta = 0 inside T and distances from T
-    shared. Triangle inequalities are materialized up to 12 quotient nodes
-    and generated lazily above that.
+    shared. Every triangle inequality of the quotient (T contracted to one
+    node) is written out, and the LP is solved by HiGHS.
     """
     P = as_transition_matrix(P)
     I_idx = _as_subset(I, P.d)
@@ -102,69 +103,22 @@ def solve_spccc_lp(P, I, T, max_rounds: int = 60) -> MetricLP:
     if np.abs(Q - Q.T).max() > DETAILED_BALANCE_TOL:
         raise NotReversible("detailed balance violated")
 
-    groups = _quotient(I_idx, T_idx)
-    n = len(groups)
-    gmass = np.array([pi[g].sum() for g in groups])
-    Qsym = Q + Q.T
-    gq = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            gq[a, b] = Qsym[np.ix_(groups[a], groups[b])].sum()
+    node = _quotient_nodes(I_idx, T_idx)
+    n = int(node.max()) + 1
+    member = (node == np.arange(n)[:, None]).astype(float)  # n x |I| incidence
+    gmass = member @ pi[I_idx]
+    gq = member @ (Q + Q.T)[np.ix_(I_idx, I_idx)] @ member.T
+    a, b = np.triu_indices(n, 1)
+    A_ub = _triangle_rows(n)
+    norm_row = 2.0 * gmass[a] * gmass[b]
+    x, obj = solve_lp(gq[a, b], A_ub, np.zeros(A_ub.shape[0]), norm_row[None, :], np.array([1.0]))
 
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    pair_index = {e: k for k, e in enumerate(pairs)}
-    nv = len(pairs)
-    c = np.array([gq[a, b] for a, b in pairs])
-    norm_row = np.array([2.0 * gmass[a] * gmass[b] for a, b in pairs])
-
-    def pvar(a, b):
-        return pair_index[(a, b) if a < b else (b, a)]
-
-    def triangle_rows(triples):
-        A = np.zeros((len(triples), nv))
-        for r, (a, b, w) in enumerate(triples):
-            A[r, pvar(a, b)] = 1.0
-            A[r, pvar(a, w)] = -1.0
-            A[r, pvar(w, b)] = -1.0
-        return A
-
-    all_triples = [
-        (a, b, w) for a in range(n) for b in range(a + 1, n) for w in range(n) if w != a and w != b
-    ]
-    if n <= _MATERIALIZE_LIMIT:
-        A_ub = triangle_rows(all_triples)
-        x, obj = solve_lp(c, A_ub, np.zeros(len(all_triples)), norm_row[None, :], np.array([1.0]))
-    else:
-        active: list = []
-        x, obj = solve_lp(c, None, None, norm_row[None, :], np.array([1.0]))
-        for _ in range(max_rounds):
-            viol = [
-                t
-                for t in all_triples
-                if x[pvar(t[0], t[1])] - x[pvar(t[0], t[2])] - x[pvar(t[2], t[1])] > 1e-10
-            ]
-            if not viol:
-                break
-            viol.sort(
-                key=lambda t: -(x[pvar(t[0], t[1])] - x[pvar(t[0], t[2])] - x[pvar(t[2], t[1])])
-            )
-            active.extend(viol[:max(50, nv)])
-            A_ub = triangle_rows(active)
-            x, obj = solve_lp(c, A_ub, np.zeros(len(active)), norm_row[None, :], np.array([1.0]))
-        else:
-            raise SolverStall("triangle generation did not converge")
-
-    pos = {int(v): k for k, v in enumerate(I_idx)}
-    delta = np.zeros((len(I_idx), len(I_idx)))
-    for (a, b), k in pair_index.items():
-        for i in groups[a]:
-            for j in groups[b]:
-                delta[pos[int(i)], pos[int(j)]] = x[k]
-                delta[pos[int(j)], pos[int(i)]] = x[k]
+    dq = np.zeros((n, n))
+    dq[a, b] = dq[b, a] = x
     return MetricLP(
         I=tuple(int(i) for i in I_idx),
         T=tuple(int(i) for i in T_idx),
-        delta=delta,
+        delta=dq[np.ix_(node, node)],
         objective=float(obj),
     )
 
@@ -194,16 +148,13 @@ def bourgain_embed(lp: MetricLP, seed: int, constants: Constants = DEFAULT_CONST
     the embedding is 1-Lipschitz into l1. Nodes of T share all coordinates
     exactly (they are one quotient node). Rows follow sorted(I) order.
     """
-    I_arr = np.asarray(lp.I, dtype=int)
-    T_arr = np.asarray(lp.T, dtype=int)
-    groups = _quotient(I_arr, T_arr)
-    n = len(groups)
-    pos = {int(v): k for k, v in enumerate(I_arr)}
-    reps_idx = [pos[int(g[0])] for g in groups]
-    dq = lp.delta[np.ix_(reps_idx, reps_idx)]
+    node = _quotient_nodes(np.asarray(lp.I, dtype=int), np.asarray(lp.T, dtype=int))
+    first = np.unique(node, return_index=True)[1]  # one representative per node
+    dq = lp.delta[np.ix_(first, first)]
+    n = len(first)
 
     if n == 1:
-        return np.zeros((len(I_arr), 1))
+        return np.zeros((len(node), 1))
     scales = max(1, ceil(np.log2(n)))
     reps = max(1, ceil(constants.bourgain_reps * log(n)))
     total = scales * reps
@@ -218,12 +169,7 @@ def bourgain_embed(lp: MetricLP, seed: int, constants: Constants = DEFAULT_CONST
                 coords_q[:, col] = dq[:, A].min(axis=1)
             col += 1
     coords_q /= total
-
-    out = np.zeros((len(I_arr), total))
-    for a, g in enumerate(groups):
-        for i in g:
-            out[pos[int(i)]] = coords_q[a]
-    return out
+    return coords_q[node]
 
 
 def round_to_cut(embedding: np.ndarray, P, I, T) -> tuple:
@@ -402,7 +348,10 @@ def partition_states(
             work.append(np.setdiff1d(I_idx, np.asarray(S1, dtype=int)))
         round_no += 1
 
-    components.sort(key=lambda S: (-pi[list(S)].sum(), S))
+    # Sort components and their certificates together, heaviest first.
+    ranked = sorted(zip(components, comp_certs), key=lambda sc: (-pi[list(sc[0])].sum(), sc[0]))
+    components = [S for S, _ in ranked]
+    comp_certs = [cert for _, cert in ranked]
     tail_t = tuple(sorted(tail))
     certificates = {
         "beta": beta,

@@ -1,9 +1,8 @@
-"""Small dense two-phase primal simplex.
+"""Linear programs of the cut relaxation, solved by HiGHS.
 
-Desk-scale LP solver used by the sparsest-cut relaxation. Dense tableau,
-Bland's rule (anti-cycling), explicit tolerances. Problem sizes here are a
-few hundred rows by a few hundred columns, where a dense tableau is simpler
-and more debuggable than a revised implementation.
+A thin wrapper over scipy's HiGHS dual simplex (Huangfu & Hall 2018) that
+maps the solver's status onto the package's errors, so the CLI reports a
+failed solve as an input error rather than a traceback.
 """
 
 from __future__ import annotations
@@ -12,136 +11,20 @@ import numpy as np
 
 from .errors import Infeasible, SolverStall
 
-_TOL = 1e-9
 
-
-def solve_lp(
-    c,
-    A_ub=None,
-    b_ub=None,
-    A_eq=None,
-    b_eq=None,
-    max_iter: int = 200_000,
-) -> tuple[np.ndarray, float]:
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> tuple[np.ndarray, float]:
     """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
-    Returns (x, objective). Raises Infeasible when phase 1 cannot reach 0
-    and SolverStall when the pivot cap is hit. Unbounded problems raise
-    SolverStall as well; the cut LPs solved here are always bounded.
+    Returns (x, objective). A_ub and A_eq may be dense or scipy.sparse.
+    Raises Infeasible when HiGHS proves the problem infeasible and
+    SolverStall on any other failed solve (unbounded, limits, numerics).
     """
-    c = np.asarray(c, dtype=float)
-    n = c.shape[0]
-    rows = []
-    rhs = []
-    slack_of_row = []
-    if A_ub is not None and len(A_ub):
-        A_ub = np.asarray(A_ub, dtype=float)
-        b_ub = np.asarray(b_ub, dtype=float)
-        for i in range(A_ub.shape[0]):
-            rows.append(A_ub[i])
-            rhs.append(float(b_ub[i]))
-            slack_of_row.append(True)
-    if A_eq is not None and len(A_eq):
-        A_eq = np.asarray(A_eq, dtype=float)
-        b_eq = np.asarray(b_eq, dtype=float)
-        for i in range(A_eq.shape[0]):
-            rows.append(A_eq[i])
-            rhs.append(float(b_eq[i]))
-            slack_of_row.append(False)
-    m = len(rows)
-    if m == 0:
-        if np.all(c >= -_TOL):
-            return np.zeros(n), 0.0
-        raise SolverStall("unbounded: no constraints and negative cost")
+    # Deferred: scipy.optimize adds ~0.2 s and ~16 MB to the package import.
+    from scipy.optimize import linprog
 
-    n_slack = sum(slack_of_row)
-    A = np.zeros((m, n + n_slack + m))
-    b = np.array(rhs)
-    basis = np.empty(m, dtype=int)
-    s = 0
-    art_cols = []
-    for i in range(m):
-        A[i, :n] = rows[i]
-        slack_col = -1
-        if slack_of_row[i]:
-            slack_col = n + s
-            A[i, slack_col] = 1.0
-            s += 1
-        if b[i] < 0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-        if slack_col >= 0 and A[i, slack_col] > 0:
-            basis[i] = slack_col
-        else:
-            art = n + n_slack + i
-            A[i, art] = 1.0
-            basis[i] = art
-            art_cols.append(art)
-    art_cols = np.array(art_cols, dtype=int)
-
-    used = n + n_slack + m
-    A = A[:, :used]
-    T = np.hstack([A, b[:, None]])
-
-    def run_phase(cost: np.ndarray, allowed: np.ndarray) -> None:
-        # Objective row in terms of nonbasic variables.
-        z = cost.copy()
-        for i in range(m):
-            if cost[basis[i]] != 0.0:
-                z -= cost[basis[i]] * T[i, :-1]
-        obj = -sum(cost[basis[i]] * T[i, -1] for i in range(m))
-        for _ in range(max_iter):
-            candidates = np.flatnonzero((z < -_TOL) & allowed)
-            if len(candidates) == 0:
-                return
-            j = int(candidates[0])  # Bland: smallest index enters
-            col = T[:, j]
-            pos = col > _TOL
-            if not pos.any():
-                raise SolverStall("unbounded direction in simplex")
-            ratios = np.where(pos, T[:, -1] / np.where(pos, col, 1.0), np.inf)
-            rmin = ratios.min()
-            tie = np.flatnonzero(ratios <= rmin + 1e-12)
-            i = int(tie[np.argmin(basis[tie])])  # Bland: smallest basic leaves
-            piv = T[i, j]
-            T[i] /= piv
-            for r in range(m):
-                if r != i and T[r, j] != 0.0:
-                    T[r] -= T[r, j] * T[i]
-            z_j = z[j]
-            z -= z_j * T[i, :-1]
-            obj -= z_j * T[i, -1]
-            basis[i] = j
-        raise SolverStall(f"pivot cap {max_iter} reached")
-
-    allowed = np.ones(used, dtype=bool)
-    if len(art_cols):
-        phase1_cost = np.zeros(used)
-        phase1_cost[art_cols] = 1.0
-        run_phase(phase1_cost, allowed)
-        infeas = sum(T[i, -1] for i in range(m) if basis[i] in art_cols)
-        if infeas > 1e-7:
-            raise Infeasible(f"phase 1 residual {infeas:.3e}")
-        # Pivot artificials out of the basis where possible.
-        for i in range(m):
-            if basis[i] in art_cols:
-                row = T[i, : n + n_slack]
-                j = next((int(k) for k in np.flatnonzero(np.abs(row) > _TOL)), -1)
-                if j >= 0:
-                    piv = T[i, j]
-                    T[i] /= piv
-                    for r in range(m):
-                        if r != i and T[r, j] != 0.0:
-                            T[r] -= T[r, j] * T[i]
-                    basis[i] = j
-        allowed[art_cols] = False
-
-    full_cost = np.zeros(used)
-    full_cost[:n] = c
-    run_phase(full_cost, allowed)
-
-    x = np.zeros(used)
-    for i in range(m):
-        x[basis[i]] = T[i, -1]
-    sol = np.clip(x[:n], 0.0, None)
-    return sol, float(c @ sol)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status == 2:
+        raise Infeasible(res.message)
+    if res.status != 0:
+        raise SolverStall(res.message)
+    return res.x, float(res.fun)

@@ -138,6 +138,19 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0 and doc["constants"]["c_iid"] == 8.0
 
+    @pytest.mark.parametrize("cfg", [{"c2": "2"}, {"c2": -1}])
+    def test_bad_constant_exit_code(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--constants"]) == 2
+        assert capsys.readouterr().err.startswith("bad constants config")
+
+    def test_non_object_matrix_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([[0.5, 0.5], [0.5, 0.5]]))
+        assert main(["distance", "--a", str(path), "--b", str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_usage_error_exit_code(self, capsys):
         assert main([]) == 2
 

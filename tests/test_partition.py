@@ -6,6 +6,7 @@ import pytest
 
 from mcident import chain_core as cc
 from mcident import corpus as cp
+from mcident import metrics as mt
 from mcident import partition as pt
 from mcident.errors import BadArgs, BadSubset, DegenerateEmbedding, NotReversible
 
@@ -202,6 +203,28 @@ class TestPartitionStates:
             pt.partition_states(P, beta=0.0, seed=1)
         with pytest.raises(BadArgs):
             pt.partition_states(P, beta=1.0, seed=1)
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_certificates_follow_component_order(self, seed):
+        P = cp.planted_two_block((4, 4), np.random.default_rng(0))
+        part = pt.partition_states(P, beta=0.1, seed=seed)
+        certs = part.certificates["components"]
+        assert len(certs) == len(part.components) == 2
+        for S, cert in zip(part.components, certs):
+            assert cert["states"] == list(S)
+            assert cert["internal_mass"] == pytest.approx(mt.internal_mass(P, S), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [13, 24])
+    def test_reach_beyond_certification_limit(self, d):
+        P = cp.random_reversible(d, np.random.default_rng(d))
+        beta = 0.1
+        part = pt.partition_states(P, beta=beta, seed=0)
+        assert not part.certificates["certified"]
+        states = sorted(part.tail + tuple(s for S in part.components for s in S))
+        assert states == list(range(d))
+        for S in part.components:
+            rows = P.entries[np.ix_(S, S)].sum(axis=1)
+            assert rows.min() >= 1.0 - beta
 
     def test_seed_determinism(self, rng):
         P = cp.hub_and_leaves(2, 3, rng)
