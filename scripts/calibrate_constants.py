@@ -34,10 +34,9 @@ def tester_characteristics(seed, trials, c_iid_grid=(1.0, 2.0, 4.0, 8.0)):
         rows = []
         for K in (4, 16, 50):
             pv = np.ones(K) / K
-            pbar = {i: 1.0 / K for i in range(K)}
             m = iid_sample_size(K, 0.25, 0.1, constants)
             fr = sum(
-                iid_test(list(rng.choice(K, size=m, p=pv)), pbar, 0.25, 0.1,
+                iid_test(rng.choice(K, size=m, p=pv), pv, 0.25, 0.1,
                          seed=seed + t, constants=constants).decision
                 for t in range(trials)
             )
@@ -53,7 +52,7 @@ def tester_characteristics(seed, trials, c_iid_grid=(1.0, 2.0, 4.0, 8.0)):
             far = pv * (1 + sign * hi)
             far /= far.sum()
             fa = sum(
-                1 - iid_test(list(rng.choice(K, size=m, p=far)), pbar, 0.25, 0.1,
+                1 - iid_test(rng.choice(K, size=m, p=far), pv, 0.25, 0.1,
                              seed=seed + t, constants=constants).decision
                 for t in range(trials)
             )

@@ -38,7 +38,6 @@ from .identity import (
 )
 from .iid_test import TestVerdict, iid_sample_size, iid_test
 from .metrics import (
-    INFINITY,
     CutRatio,
     InducedDistribution,
     bottleneck_ratio,
@@ -62,9 +61,7 @@ from .partition import (
     tail_occupancy_check,
 )
 from .sampling import (
-    HittingSchedule,
     Trajectory,
-    hitting_schedule,
     histogram_cap_check,
     histogram_cap_sample_size,
     iid_generate,
@@ -79,8 +76,6 @@ __all__ = [
     "CutRatio",
     "DEFAULT_CONSTANTS",
     "EdgeMeasure",
-    "HittingSchedule",
-    "INFINITY",
     "InducedDistribution",
     "MetricLP",
     "ProbVector",
@@ -101,7 +96,6 @@ __all__ = [
     "hellinger",
     "histogram_cap_check",
     "histogram_cap_sample_size",
-    "hitting_schedule",
     "identity_test",
     "iid_generate",
     "iid_sample_size",

@@ -171,8 +171,7 @@ def _cmd_iidtest(args, constants) -> int:
     if d != pbar.d:
         print(f"samples alphabet {d} != reference alphabet {pbar.d}", file=sys.stderr)
         return 2
-    ref = {i: float(pbar.entries[i]) for i in range(pbar.d)}
-    verdict = iid_test(samples, ref, args.eps, args.delta, args.seed, constants)
+    verdict = iid_test(samples, pbar.entries, args.eps, args.delta, args.seed, constants)
     doc = {
         "manifest": _manifest(args, constants, {"pbar": args.pbar, "samples": args.samples}),
         "decision": verdict.decision,

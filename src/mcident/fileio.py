@@ -4,12 +4,14 @@ Formats (all JSON):
   matrix      {"d": n, "rows": [[...], ...]}         row-stochastic, 1e-8
   probvector  {"d": n, "p": [...]}
   trajectory  {"d": n, "states": [...]}              states are 1-based
-  samples     {"d": K, "samples": [...]}             symbols are 1-based
+  samples     {"d": K, "samples": [...]}             codes are 1-based
 
-Rows are validated at 1e-8 and then renormalized exactly, so files produced
-by other tools with print-rounded floats still load. All numbers in emitted
-reports are rounded to 12 significant digits, which keeps reports
-byte-identical across runs with the same manifest.
+d is a JSON integer, and states and samples are lists of JSON integers;
+anything else is a ChainTestError. Rows are validated at 1e-8 and then
+renormalized exactly, so files produced by other tools with print-rounded
+floats still load. All numbers in emitted reports are rounded to 12
+significant digits, which keeps reports byte-identical across runs with the
+same manifest.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ _FILE_TOL = 1e-8
 
 def load_matrix(path) -> TransitionMatrix:
     doc = _read(path, MalformedMatrix)
-    rows = np.asarray(doc.get("rows"), dtype=float)
-    d = int(doc.get("d", -1))
+    d = _dimension(doc, path, MalformedMatrix)
+    try:
+        rows = np.asarray(doc.get("rows"), dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise MalformedMatrix(f"{path}: rows are not numeric: {exc}") from None
     if rows.ndim != 2 or rows.shape != (d, d):
         raise MalformedMatrix(f"{path}: rows shape {rows.shape} does not match d={d}")
     sums = rows.sum(axis=1)
@@ -42,13 +47,17 @@ def load_matrix(path) -> TransitionMatrix:
 
 
 def save_matrix(P: TransitionMatrix, path) -> None:
-    _write(path, {"d": P.d, "rows": [[float(x) for x in row] for row in P.entries]})
+    rows = [[float(x) for x in row] for row in P.entries]
+    _write(path, round12({"d": P.d, "rows": rows}))
 
 
 def load_probvector(path) -> ProbVector:
     doc = _read(path, MalformedDistribution)
-    p = np.asarray(doc.get("p"), dtype=float)
-    d = int(doc.get("d", -1))
+    d = _dimension(doc, path, MalformedDistribution)
+    try:
+        p = np.asarray(doc.get("p"), dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise MalformedDistribution(f"{path}: p is not numeric: {exc}") from None
     if p.ndim != 1 or p.shape[0] != d:
         raise MalformedDistribution(f"{path}: p shape {p.shape} does not match d={d}")
     if abs(p.sum() - 1.0) > _FILE_TOL or p.min() < -_FILE_TOL:
@@ -58,29 +67,29 @@ def load_probvector(path) -> ProbVector:
 
 
 def save_probvector(p: ProbVector, path) -> None:
-    _write(path, {"d": p.d, "p": [float(x) for x in p.entries]})
+    _write(path, round12({"d": p.d, "p": [float(x) for x in p.entries]}))
 
 
 def load_trajectory(path) -> Trajectory:
     doc = _read(path)
-    states = np.asarray(doc.get("states"), dtype=np.int64)
-    d = int(doc.get("d", -1))
-    return Trajectory(d=d, states=states - 1)
+    d = _dimension(doc, path)
+    return Trajectory(d=d, states=_integers(doc, "states", path) - 1)
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    _write(path, {"d": traj.d, "states": [int(s) + 1 for s in traj.states]})
+    _write(path, {"d": int(traj.d), "states": (traj.states + 1).tolist()})
 
 
-def load_samples(path) -> tuple[int, list]:
-    """Integer-alphabet samples; returns (alphabet size, 0-based symbols)."""
+def load_samples(path) -> tuple[int, np.ndarray]:
+    """Integer-alphabet samples; returns (alphabet size, 0-based int64 codes)."""
     doc = _read(path)
-    d = int(doc.get("d", -1))
-    return d, [int(s) - 1 for s in doc.get("samples", [])]
+    d = _dimension(doc, path)
+    return d, _integers(doc, "samples", path) - 1
 
 
 def save_samples(d: int, samples, path) -> None:
-    _write(path, {"d": d, "samples": [int(s) + 1 for s in samples]})
+    codes = np.asarray(samples, dtype=np.int64)
+    _write(path, {"d": int(d), "samples": (codes + 1).tolist()})
 
 
 def file_digest(path) -> str:
@@ -121,5 +130,25 @@ def _read(path, error: type[ChainTestError] = ChainTestError) -> dict:
     return doc
 
 
+def _dimension(doc: dict, path, error: type[ChainTestError] = ChainTestError) -> int:
+    d = doc.get("d")
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise error(f"{path}: d must be an integer, got {d!r}")
+    return d
+
+
+def _integers(doc: dict, key: str, path) -> np.ndarray:
+    """The list doc[key] as an int64 array; anything but a flat list of
+    integers is an error (floats would otherwise be truncated silently)."""
+    error = ChainTestError(f"{path}: {key} must be a list of integers")
+    try:
+        arr = np.asarray(doc.get(key, []))
+    except ValueError:  # ragged nesting
+        raise error from None
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise error
+    return arr.astype(np.int64)
+
+
 def _write(path, doc) -> None:
-    Path(path).write_text(json.dumps(round12(doc), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

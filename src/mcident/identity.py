@@ -24,6 +24,7 @@ from ._rng import derive_rng
 from .chain_core import (
     TransitionMatrix,
     as_transition_matrix,
+    convex_combination,
     lazy_version,
     matrix_power,
     multiplicative_reversibilization,
@@ -201,10 +202,9 @@ def identity_test(
                 )
             )
             continue
-        ref = induced_distribution(P_ref, pibar, S).as_mapping()
         verdict = iid_test(
             samples,
-            ref,
+            induced_distribution(P_ref, pibar, S).p,
             eps_hel,
             delta_iid,
             seed=int(derive_rng(cfg.seed, "tester", idx).integers(2**63)),
@@ -322,7 +322,7 @@ def property_suite(seed: int, pairs: int = 1000) -> PropertyReport:
             rd = ratio_distance(pi, pibar)
             eps_c = min(max(rd * 1.01, 1e-6) + 1e-9, 0.999)
             for al in (0.1, 0.5, 0.9):
-                mix = TransitionMatrix(al * P.entries + (1.0 - al) * Pbar.entries)
+                mix = convex_combination(P, Pbar, al)
                 lhs = chain_distance(P, mix)
                 scale = 2.0 * sqrt((1.0 - al) / (1.0 - eps_c))
                 rhs = 1.0 - sqrt(al) - scale + scale * D

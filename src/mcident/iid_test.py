@@ -1,9 +1,9 @@
 """Identity tester for iid samples against a known finite distribution.
 
 Contract: given m >= iid_sample_size(K, eps, delta) iid samples from p over
-the reference's alphabet, the verdict is 0 when p equals the reference and
-1 when the Hellinger distance is at least eps, each with probability at
-least 1 - delta.
+the reference's alphabet of integer codes 0..K-1, the verdict is 0 when p
+equals the reference and 1 when the Hellinger distance is at least eps, each
+with probability at least 1 - delta.
 
 The statistic is a centered collision (chi-squared family) statistic over
 the histogram, with the rejection threshold calibrated by parametric
@@ -79,7 +79,7 @@ def _statistic(hist: np.ndarray, p: np.ndarray, denom: np.ndarray) -> np.ndarray
 
 def iid_test(
     samples,
-    pbar: dict,
+    pbar,
     eps: float,
     delta: float,
     seed: int,
@@ -87,40 +87,33 @@ def iid_test(
 ) -> TestVerdict:
     """Test iid samples against the reference distribution pbar.
 
-    pbar maps every alphabet symbol to its probability. Observing any symbol
-    of reference probability zero (including symbols outside the alphabet)
-    is an impossible event under the null and forces decision 1. The
-    bootstrap draws ceil(20/delta) null histograms from pbar at the same
-    sample size and thresholds at the (1 - delta/2) quantile.
+    samples are integer codes and pbar is a 1-D array: pbar[k] is the
+    reference probability of code k. Observing a code of reference
+    probability zero (including codes outside [0, K)) is an impossible event
+    under the null and forces decision 1. The bootstrap draws ceil(20/delta)
+    null histograms from pbar at the same sample size and thresholds at the
+    (1 - delta/2) quantile.
     """
-    if not isinstance(pbar, dict) or len(pbar) == 0:
-        raise AlphabetMismatch("reference must be a nonempty symbol -> probability map")
-    order = sorted(pbar.keys(), key=repr)
-    p = np.array([float(pbar[a]) for a in order])
+    p = np.asarray(pbar, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise AlphabetMismatch("reference must be a nonempty 1-D probability array")
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-8:
         raise AlphabetMismatch(f"reference probabilities sum to {p.sum()!r}")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
-    K = len(order)
+    K = len(p)
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
         raise BadArgs(f"eps={eps}, delta={delta}")
 
-    m = len(samples)
+    codes = np.asarray(samples, dtype=np.int64)
+    m = len(codes)
     needed = iid_sample_size(K, eps, delta, constants)
     if m < needed:
         raise TooFewSamples(f"{m} samples, need {needed}")
 
-    index = {a: k for k, a in enumerate(order)}
-    hist = np.zeros(K, dtype=np.int64)
-    impossible = 0
-    for s in samples:
-        k = index.get(s)
-        if k is None:
-            impossible += 1
-        else:
-            hist[k] += 1
-    if impossible == 0 and np.any(hist[p == 0.0] > 0):
-        impossible = int(hist[p == 0.0].sum())
+    in_range = (codes >= 0) & (codes < K)
+    hist = np.bincount(codes[in_range], minlength=K)
+    impossible = not in_range.all() or bool(np.any(hist[p == 0.0] > 0))
 
     denom = np.maximum(p, 1.0 / K)
     rng = np.random.default_rng(seed)

@@ -29,9 +29,6 @@ from .errors import (
     ZeroMassSubset,
 )
 
-#: Alphabet symbol collecting all transitions that leave a component.
-INFINITY = "inf"
-
 ENUMERATION_LIMIT = 20
 
 
@@ -61,8 +58,8 @@ def chain_distance(P, Pbar) -> float:
     """Spectral geometric-mean distance 1 - rho(sqrt(P o Pbar)).
 
     The Hadamard square-root matrix can be reducible even when both factors
-    are irreducible, so the spectral radius routine's eigendecomposition
-    fallback is load-bearing here.
+    are irreducible, which is why spectral_radius_nonneg reads the full
+    spectrum.
     """
     P = as_transition_matrix(P)
     Pbar = as_transition_matrix(Pbar)
@@ -86,40 +83,28 @@ def ratio_distance(pi, pibar) -> float:
 
 @dataclass(frozen=True)
 class InducedDistribution:
-    """Distribution over S x S plus the symbol INFINITY.
+    """Law of one transition anchored in S, as a probability array in code order.
 
-    mass[(i, j)] = nu(i) P(i, j) / nu(S) for i, j in S; infinity_mass picks
-    up everything that leaves S. Stored as a dict keyed by pairs because
-    components are typically small subsets of a larger chain.
+    With S = (S[0], ..., S[n-1]), code a*n + b is the pair (S[a], S[b]) and
+    carries nu(S[a]) P(S[a], S[b]) / nu(S); the last code, n*n, collects
+    every transition that leaves S. iid_generate emits the same codes.
     """
 
     S: tuple
-    mass: dict
-    infinity_mass: float
+    p: np.ndarray
 
     def __post_init__(self):
-        total = sum(self.mass.values()) + self.infinity_mass
+        total = float(self.p.sum())
         if abs(total - 1.0) > 1e-10:
             raise ZeroMassSubset(f"total mass {total!r} != 1")
 
-    def alphabet(self) -> list:
-        """Canonical symbol order: row-major pairs of S, then INFINITY."""
-        return [(i, j) for i in self.S for j in self.S] + [INFINITY]
-
-    def as_mapping(self) -> dict:
-        """Full symbol -> probability mapping over the alphabet."""
-        out = {(i, j): self.mass.get((i, j), 0.0) for i in self.S for j in self.S}
-        out[INFINITY] = self.infinity_mass
-        return out
-
-    def as_array(self) -> np.ndarray:
-        """Probabilities in alphabet() order."""
-        m = self.as_mapping()
-        return np.array([m[a] for a in self.alphabet()])
+    @property
+    def infinity_mass(self) -> float:
+        return float(self.p[-1])
 
 
 def induced_distribution(P, nu, S) -> InducedDistribution:
-    """Law of one transition anchored in S: pairs within S, else INFINITY."""
+    """Law of one transition anchored in S: pairs within S, then leaving S."""
     P = as_transition_matrix(P)
     nu = as_prob_vector(nu)
     if nu.d != P.d:
@@ -131,10 +116,10 @@ def induced_distribution(P, nu, S) -> InducedDistribution:
     if nu_S <= 0.0:
         raise ZeroMassSubset("nu(S) = 0")
     block = nu.entries[idx, None] * P.entries[np.ix_(idx, idx)] / nu_S
-    S_t = tuple(int(i) for i in idx)
-    mass = {(S_t[a], S_t[b]): float(block[a, b]) for a in range(len(idx)) for b in range(len(idx))}
-    inf_mass = max(1.0 - block.sum(), 0.0)
-    return InducedDistribution(S=S_t, mass=mass, infinity_mass=float(inf_mass))
+    leave_mass = max(1.0 - block.sum(), 0.0)
+    return InducedDistribution(
+        S=tuple(int(i) for i in idx), p=np.append(block.ravel(), leave_mass)
+    )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 The converter draws anchor states from a distribution nu supported on a
 component S, then harvests the successor of each anchored visit from the
-trajectory, mapping successors that leave S to the INFINITY symbol. Running
-out of usable visits is a legitimate outcome (None), not an exception.
+trajectory. Each draw is an int64 code: the pair (S[a], S[b]) has code
+a*|S| + b and a successor that leaves S has code |S|^2, the order of
+InducedDistribution.p. Running out of usable visits is a legitimate outcome
+(None), not an exception.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 from .chain_core import ProbVector, as_prob_vector, as_transition_matrix, _as_subset
 from .config import Constants, DEFAULT_CONSTANTS
 from .errors import BadArgs, BadNu, TrajectoryAlphabetMismatch
-from .metrics import INFINITY
 
 
 @dataclass(frozen=True)
@@ -46,20 +47,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return int(self.states.shape[0])
-
-
-@dataclass(frozen=True)
-class HittingSchedule:
-    """Per-state visit positions (0-based indices into the trajectory),
-    strictly increasing by construction."""
-
-    times: dict
-
-
-def hitting_schedule(traj: Trajectory, states=None) -> HittingSchedule:
-    X = traj.states
-    which = range(traj.d) if states is None else states
-    return HittingSchedule(times={int(i): np.flatnonzero(X == i) for i in which})
 
 
 def simulate(P, mu, m: int, seed: int) -> Trajectory:
@@ -95,17 +82,17 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
     return Trajectory(d=d, states=np.asarray(out, dtype=np.int64), seed=seed, initial=mu)
 
 
-def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> list | None:
+def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | None:
     """Turn a trajectory into l iid draws from the induced law on S.
 
     Stage 1 draws anchors Z_1..Z_l iid from nu (its own RNG stream, so one
     trajectory can be reused across components). Stage 2 pairs the k-th
-    anchored visit to each state with its successor in the trajectory;
-    successors outside S become the INFINITY symbol. Returns None when some
-    state has fewer usable visits (visits with a recorded successor) than
-    its anchor count demands; extending the trajectory can only add usable
-    visits, so None never appears for an extension where the same draws
-    succeeded.
+    anchored visit to each state with its successor in the trajectory. Draws
+    are int64 codes a*|S| + b for the pair (S[a], S[b]) of sorted S, and
+    |S|^2 for a successor outside S. Returns None when some state has fewer
+    usable visits (visits with a recorded successor) than its anchor count
+    demands; extending the trajectory can only add usable visits, so None
+    never appears for an extension where the same draws succeeded.
 
     Conditioned on success the output law is the induced distribution of
     the generating chain up to a bias of the order of the failure
@@ -114,7 +101,8 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> list | None:
     if not isinstance(traj, Trajectory):
         raise BadArgs("expected a Trajectory")
     S_idx = _as_subset(S, traj.d)
-    if len(S_idx) == 0:
+    n = len(S_idx)
+    if n == 0:
         raise BadNu("S must be nonempty")
     nu = as_prob_vector(nu)
     if nu.d != traj.d:
@@ -128,14 +116,14 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> list | None:
     if l < 0:
         raise BadArgs(f"l={l}")
     if l == 0:
-        return []
+        return np.empty(0, dtype=np.int64)
 
     rng = np.random.default_rng(seed)
-    anchors = rng.choice(len(S_idx), size=l, p=weights / weights.sum())
-    counts = np.bincount(anchors, minlength=len(S_idx))
+    anchors = rng.choice(n, size=l, p=weights / weights.sum())
+    counts = np.bincount(anchors, minlength=n)
 
     X = traj.states
-    successors = {}
+    successors = np.empty(l, dtype=np.int64)
     for a, i in enumerate(S_idx):
         need = int(counts[a])
         if need == 0:
@@ -143,17 +131,12 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> list | None:
         pos = np.flatnonzero(X[:-1] == i)
         if len(pos) < need:
             return None
-        successors[a] = X[pos[:need] + 1]
+        successors[anchors == a] = X[pos[:need] + 1]
 
-    out = np.empty(l, dtype=np.int64)
-    for a, succ in successors.items():
-        out[np.flatnonzero(anchors == a)] = succ
-    in_S = np.isin(out, S_idx)
-    Z = S_idx[anchors]
-    return [
-        (int(Z[k]), int(out[k])) if in_S[k] else INFINITY
-        for k in range(l)
-    ]
+    local = np.full(traj.d, n, dtype=np.int64)
+    local[S_idx] = np.arange(n)
+    b = local[successors]
+    return np.where(b < n, anchors * n + b, n * n)
 
 
 def required_visits(
@@ -181,13 +164,6 @@ def histogram_cap_check(samples, p, delta: float = 0.1) -> bool:
     m = len(samples)
     if m == 0:
         return True
-    if isinstance(p, dict):
-        counts = {}
-        for s in samples:
-            counts[s] = counts.get(s, 0) + 1
-        if any(s not in p for s in counts):
-            return False
-        return all(counts.get(a, 0) <= 2.0 * m * p[a] for a in p)
     p = np.asarray(p, dtype=float)
     arr = np.asarray(samples, dtype=np.int64)
     if arr.min() < 0 or arr.max() >= len(p):

@@ -58,7 +58,14 @@ class TestFileFormats:
         path = tmp_path / "s.json"
         fio.save_samples(4, [0, 3, 1], path)
         d, samples = fio.load_samples(path)
-        assert d == 4 and samples == [0, 3, 1]
+        assert d == 4 and samples.dtype == np.int64 and samples.tolist() == [0, 3, 1]
+
+    def test_integer_file_layout(self, tmp_path):
+        traj_path, samples_path = tmp_path / "traj.json", tmp_path / "s.json"
+        fio.save_trajectory(sp.Trajectory(d=3, states=np.array([0, 2])), traj_path)
+        fio.save_samples(5, np.array([4, 0]), samples_path)
+        assert traj_path.read_text() == '{\n  "d": 3,\n  "states": [\n    1,\n    3\n  ]\n}\n'
+        assert samples_path.read_text() == '{\n  "d": 5,\n  "samples": [\n    5,\n    1\n  ]\n}\n'
 
     def test_round12(self):
         assert fio.round12(0.12345678901234567) == 0.123456789012
@@ -149,6 +156,35 @@ class TestCli:
         path = tmp_path / "list.json"
         path.write_text(json.dumps([[0.5, 0.5], [0.5, 0.5]]))
         assert main(["distance", "--a", str(path), "--b", str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"d": 2, "rows": [["a", 0.5], [0.5, 0.5]]},
+        {"d": "x", "rows": [[0.5, 0.5], [0.5, 0.5]]},
+    ])
+    def test_non_numeric_matrix_exit_code(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["distance", "--a", str(path), "--b", str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_fractional_trajectory_exit_code(self, tmp_path, capsys):
+        ref = tmp_path / "P.json"
+        fio.save_matrix(cc.TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]])), ref)
+        traj = tmp_path / "traj.json"
+        traj.write_text(json.dumps({"d": 2, "states": [1, 2.7, 1]}))
+        rc = main(["test", "--reference", str(ref), "--trajectory", str(traj),
+                   "--eps", "0.3", "--seed", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_fractional_samples_exit_code(self, tmp_path, capsys):
+        fio.save_probvector(cc.ProbVector(np.array([0.5, 0.5])), tmp_path / "pbar.json")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"d": 2, "samples": [1, 2] * 500 + [2.5]}))
+        rc = main(["iidtest", "--pbar", str(tmp_path / "pbar.json"), "--samples", str(path),
+                   "--eps", "0.2", "--delta", "0.1", "--seed", "1"])
+        assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_usage_error_exit_code(self, capsys):

@@ -45,11 +45,10 @@ class TestVerdicts:
     def test_null_false_reject_rate(self):
         delta, eps, K = 0.1, 0.25, 8
         pv = np.ones(K) / K
-        pbar = {i: 1.0 / K for i in range(K)}
         m = iid_sample_size(K, eps, delta)
         r = np.random.default_rng(1)
         rejects = sum(
-            iid_test(list(r.choice(K, size=m, p=pv)), pbar, eps, delta, seed=t).decision
+            iid_test(r.choice(K, size=m, p=pv), pv, eps, delta, seed=t).decision
             for t in range(100)
         )
         assert rejects / 100 <= delta + 0.04
@@ -58,32 +57,32 @@ class TestVerdicts:
         delta, eps, K = 0.1, 0.25, 8
         pv = np.ones(K) / K
         far = tilted_far(pv, 0.3)
-        pbar = {i: 1.0 / K for i in range(K)}
         m = iid_sample_size(K, eps, delta)
         r = np.random.default_rng(2)
         accepts = sum(
-            1 - iid_test(list(r.choice(K, size=m, p=far)), pbar, eps, delta, seed=t).decision
+            1 - iid_test(r.choice(K, size=m, p=far), pv, eps, delta, seed=t).decision
             for t in range(100)
         )
         assert accepts / 100 <= delta + 0.04
 
     def test_impossible_symbol_forces_reject(self):
         m = iid_sample_size(1, 0.3, 0.1)
-        v = iid_test([0] * m + [1], {0: 1.0}, 0.3, 0.1, seed=5)
-        assert v.decision == 1
-        assert v.statistic == float("inf")
+        for stray in (1, -1):
+            v = iid_test(np.array([0] * m + [stray]), np.array([1.0]), 0.3, 0.1, seed=5)
+            assert v.decision == 1
+            assert v.statistic == float("inf")
 
     def test_zero_probability_cell_forces_reject(self):
         m = iid_sample_size(3, 0.3, 0.1)
-        pbar = {0: 0.5, 1: 0.5, 2: 0.0}
-        v = iid_test([0, 1] * (m // 2) + [2], pbar, 0.3, 0.1, seed=6)
+        pbar = np.array([0.5, 0.5, 0.0])
+        v = iid_test(np.array([0, 1] * (m // 2) + [2]), pbar, 0.3, 0.1, seed=6)
         assert v.decision == 1
 
     def test_decision_matches_threshold(self, rng):
         K = 5
-        pbar = {i: 1.0 / K for i in range(K)}
+        pbar = np.full(K, 1.0 / K)
         m = iid_sample_size(K, 0.25, 0.1)
-        s = list(rng.choice(K, size=m))
+        s = rng.choice(K, size=m)
         v = iid_test(s, pbar, 0.25, 0.1, seed=7)
         assert v.decision == int(v.statistic > v.threshold)
         assert v.sample_size == m
@@ -92,8 +91,8 @@ class TestVerdicts:
 class TestInvariants:
     def test_determinism(self, rng):
         K = 4
-        pbar = {i: 0.25 for i in range(K)}
-        s = list(rng.choice(K, size=iid_sample_size(K, 0.25, 0.1)))
+        pbar = np.full(K, 0.25)
+        s = rng.choice(K, size=iid_sample_size(K, 0.25, 0.1))
         assert iid_test(s, pbar, 0.25, 0.1, seed=9) == iid_test(s, pbar, 0.25, 0.1, seed=9)
 
     @settings(max_examples=25, deadline=None)
@@ -102,12 +101,11 @@ class TestInvariants:
         r = np.random.default_rng(seed)
         K = int(r.integers(2, 7))
         pv = r.dirichlet(np.ones(K))
-        pbar = {i: float(pv[i]) for i in range(K)}
         m = iid_sample_size(K, 0.3, 0.2)
-        s = list(r.choice(K, size=m, p=pv))
-        v1 = iid_test(s, pbar, 0.3, 0.2, seed=11)
+        s = r.choice(K, size=m, p=pv)
+        v1 = iid_test(s, pv, 0.3, 0.2, seed=11)
         r.shuffle(s)
-        v2 = iid_test(s, pbar, 0.3, 0.2, seed=11)
+        v2 = iid_test(s, pv, 0.3, 0.2, seed=11)
         assert v1 == v2
 
     def test_more_evidence_never_hurts_in_aggregate(self):
@@ -115,24 +113,23 @@ class TestInvariants:
         delta, eps, K = 0.1, 0.25, 6
         pv = np.ones(K) / K
         far = tilted_far(pv, 0.25)
-        pbar = {i: 1.0 / K for i in range(K)}
         m = iid_sample_size(K, eps, delta)
         r = np.random.default_rng(3)
         single = double = 0
         for t in range(80):
-            s = list(r.choice(K, size=m, p=far))
-            single += iid_test(s, pbar, eps, delta, seed=t).decision
-            double += iid_test(s + s, pbar, eps, delta, seed=t).decision
+            s = r.choice(K, size=m, p=far)
+            single += iid_test(s, pv, eps, delta, seed=t).decision
+            double += iid_test(np.concatenate([s, s]), pv, eps, delta, seed=t).decision
         assert double >= single - 5  # two-sigma slack on 80 paired trials
 
 
 class TestValidation:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
-            iid_test([0, 1], {0: 0.5, 1: 0.5}, 0.2, 0.1, seed=1)
+            iid_test(np.array([0, 1]), np.array([0.5, 0.5]), 0.2, 0.1, seed=1)
 
     def test_bad_reference(self):
         with pytest.raises(AlphabetMismatch):
-            iid_test([0], {}, 0.2, 0.1, seed=1)
+            iid_test(np.array([0]), np.array([]), 0.2, 0.1, seed=1)
         with pytest.raises(AlphabetMismatch):
-            iid_test([0], {0: 0.7, 1: 0.7}, 0.2, 0.1, seed=1)
+            iid_test(np.array([0]), np.array([0.7, 0.7]), 0.2, 0.1, seed=1)

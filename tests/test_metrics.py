@@ -124,21 +124,24 @@ class TestInducedDistribution:
         ind = mt.induced_distribution(P, pi, range(4))
         assert ind.infinity_mass == pytest.approx(0.0, abs=1e-12)
         Q = cc.edge_measure(P, pi).entries
-        for (i, j), v in ind.mass.items():
-            assert v == pytest.approx(Q[i, j], abs=1e-12)
+        assert np.abs(ind.p[:-1] - Q.ravel()).max() <= 1e-12
 
     def test_singleton(self):
         P = [[0.9, 0.1], [0.5, 0.5]]
         ind = mt.induced_distribution(P, [1.0, 0.0], [0])
-        assert ind.mass[(0, 0)] == pytest.approx(0.9)
+        assert ind.p[0] == pytest.approx(0.9)
         assert ind.infinity_mass == pytest.approx(0.1)
 
     def test_alphabet_order_and_size(self, rng):
         P = cp.random_reversible(5, rng)
         pi = cc.stationary_distribution(P).entries
         ind = mt.induced_distribution(P, pi, [1, 3])
-        assert ind.alphabet() == [(1, 1), (1, 3), (3, 1), (3, 3), mt.INFINITY]
-        assert sum(ind.as_mapping().values()) == pytest.approx(1.0, abs=1e-12)
+        # codes 0..3 are the pairs (1, 1), (1, 3), (3, 1), (3, 3); code 4 leaves S
+        assert ind.S == (1, 3) and ind.p.shape == (5,)
+        block = cc.edge_measure(P, pi).entries[np.ix_([1, 3], [1, 3])] / pi[[1, 3]].sum()
+        assert np.abs(ind.p[:4] - block.ravel()).max() <= 1e-12
+        assert ind.infinity_mass == ind.p[-1]
+        assert ind.p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_mass_subset(self):
         with pytest.raises(ZeroMassSubset):
@@ -253,5 +256,5 @@ class TestHellingerSeparation:
                     if 1.0 - ref.infinity_mass < 1.0 - eps / 16.0:
                         continue
                     other = mt.induced_distribution(P, pibar, S)
-                    h = mt.hellinger(other.as_array(), ref.as_array())
+                    h = mt.hellinger(other.p, ref.p)
                     assert h * h >= eps * eps / 128.0

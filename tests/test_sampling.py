@@ -1,5 +1,3 @@
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -65,16 +63,6 @@ class TestSimulate:
         assert np.abs(emp - P.entries).max() < 0.01
 
 
-class TestHittingSchedule:
-    def test_positions_match_states(self, rng):
-        P = cp.random_reversible(3, rng)
-        traj = sp.simulate(P, cc.stationary_distribution(P), 500, seed=2)
-        sched = sp.hitting_schedule(traj)
-        for i, pos in sched.times.items():
-            assert np.all(np.diff(pos) > 0)
-            assert np.all(traj.states[pos] == i)
-
-
 class TestIidGenerate:
     def test_matches_induced_distribution(self):
         # Monte Carlo oracle: 10^5 generated pairs against the closed-form
@@ -86,17 +74,18 @@ class TestIidGenerate:
         traj = sp.simulate(P, cc.stationary_distribution(P), 800_000, seed=19)
         samples = sp.iid_generate(traj, S, nu, 100_000, seed=23)
         assert samples is not None
-        ref = mt.induced_distribution(P, nu, S).as_mapping()
-        counts = Counter(samples)
+        ref = mt.induced_distribution(P, nu, S).p
         n = len(samples)
-        for sym, p in ref.items():
-            se = np.sqrt(max(p * (1 - p), 1e-12) / n)
-            assert abs(counts.get(sym, 0) / n - p) <= 3.0 * se + 1e-9
+        freq = np.bincount(samples, minlength=len(ref)) / n
+        assert len(freq) == len(ref)
+        se = np.sqrt(np.maximum(ref * (1 - ref), 1e-12) / n)
+        assert np.all(np.abs(freq - ref) <= 3.0 * se + 1e-9)
 
     def test_zero_samples_never_fail(self, rng):
         P = cp.random_reversible(3, rng)
         traj = sp.simulate(P, cc.stationary_distribution(P), 10, seed=1)
-        assert sp.iid_generate(traj, [0, 1, 2], stationary_nu(P, range(3)), 0, seed=2) == []
+        got = sp.iid_generate(traj, [0, 1, 2], stationary_nu(P, range(3)), 0, seed=2)
+        assert got.dtype == np.int64 and got.shape == (0,)
 
     def test_short_trajectory_fails(self, rng):
         P = cp.random_reversible(4, rng)
@@ -109,7 +98,7 @@ class TestIidGenerate:
         nu = stationary_nu(P, range(4))
         a = sp.iid_generate(traj, range(4), nu, 2000, seed=6)
         b = sp.iid_generate(traj, range(4), nu, 2000, seed=6)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_extension_never_breaks_success(self, rng):
         # same anchor draws on a longer trajectory can only add visits
@@ -129,10 +118,26 @@ class TestIidGenerate:
         traj = sp.simulate(P, cc.stationary_distribution(P), 100_000, seed=9)
         S = [0, 1]
         samples = sp.iid_generate(traj, S, stationary_nu(P, S), 5000, seed=10)
-        assert mt.INFINITY in set(samples)
-        for s in samples:
-            if s != mt.INFINITY:
-                assert s[0] in S and s[1] in S
+        assert samples.dtype == np.int64
+        assert 4 in set(samples.tolist())
+        assert samples.min() >= 0 and samples.max() <= 4
+
+    def test_codes_match_tuple_reference(self, rng):
+        # loop reference: the k-th anchor on S[a] takes the successor of the
+        # k-th visit to S[a]; pair (S[a], S[b]) is code a*|S| + b, leaving S
+        # is |S|^2
+        P = cp.random_reversible(5, rng)
+        traj = sp.simulate(P, cc.stationary_distribution(P), 20_000, seed=12)
+        S = [1, 3, 4]
+        nu = stationary_nu(P, S)
+        codes = sp.iid_generate(traj, S, nu, 3000, seed=14)
+        anchors = np.random.default_rng(14).choice(3, size=3000, p=nu[S] / nu[S].sum())
+        visits = {i: iter(np.flatnonzero(traj.states[:-1] == i)) for i in S}
+        expected = []
+        for a in anchors:
+            succ = int(traj.states[next(visits[S[a]]) + 1])
+            expected.append(a * 3 + S.index(succ) if succ in S else 9)
+        assert codes.tolist() == expected
 
     def test_bad_nu(self, rng):
         P = cp.random_reversible(4, rng)
@@ -218,10 +223,6 @@ class TestHistogramCap:
             s = r.choice(4, size=3, p=np.ones(4) / 4)
             fails += not sp.histogram_cap_check(list(s), np.ones(4) / 4)
         assert fails > 100  # three draws cannot respect a cap of 1.5 per cell
-
-    def test_mapping_alphabet(self):
-        assert sp.histogram_cap_check(["a", "b"], {"a": 0.5, "b": 0.5})
-        assert not sp.histogram_cap_check(["a", "a", "a", "b"], {"a": 0.25, "b": 0.75})
 
     def test_cap_sample_size(self):
         m = sp.histogram_cap_sample_size(10, 0.05, 0.1)
