@@ -6,7 +6,8 @@ reproducible; there is no wall-clock default). Reports are JSON documents
 embedding the run manifest: subcommand, flags, resolved constants, seed,
 tool version and input file digests. Exit codes: 0 success or Accept,
 1 Reject (test subcommand), 2 usage or input error, 3 failed partition
-certification.
+certification, 4 internal error (an unexpected exception, reported as one
+line without a traceback; never a verdict).
 """
 
 from __future__ import annotations
@@ -267,6 +268,9 @@ def main(argv=None) -> int:
     except (ChainTestError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect must not exit 1, which means Reject
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import ceil, log
+from math import ceil, isqrt, log
 
 import numpy as np
 
@@ -49,8 +49,34 @@ class Trajectory:
         return int(self.states.shape[0])
 
 
+# Geometry of simulate's lockstep phase: a window of BLOCKS * BLOCK_STEPS
+# uniforms, and GUIDE buckets per row of the guide table. On one core of a
+# shared 2-CPU host, the ten budget-length trajectories of the acceptance
+# corpus took 0.79-1.15 s with 512 to 2048 blocks of 128 to 512 steps
+# (1024 x 256: 0.91 s), against 2.1 s for the per-step loop.
+BLOCKS = 1024
+BLOCK_STEPS = 256
+GUIDE = 1024
+
+
 def simulate(P, mu, m: int, seed: int) -> Trajectory:
-    """Ancestral sampling of m states from (P, mu), deterministic given seed."""
+    """Ancestral sampling of m states from (P, mu), deterministic given seed.
+
+    Step t maps the t-th uniform u of the seeded stream to the next state
+    bisect_right(cum[s], u), where cum[s] is the cumulative row of the
+    current state s. Each window of BLOCKS * BLOCK_STEPS uniforms runs in
+    two phases:
+
+    - lockstep: the window is cut into blocks of at most BLOCK_STEPS steps
+      that all advance together, each guessed to start from the window's
+      first state, which is right for the first block;
+    - repair: the blocks are visited in order, and a block whose true start
+      differs from its guess is stepped one state at a time until its path
+      meets the guessed one. Both paths apply the same map to the same
+      uniforms, so from there on the guess is the true path.
+
+    The states are those of stepping the whole trajectory one at a time.
+    """
     P = as_transition_matrix(P)
     mu = as_prob_vector(mu)
     if mu.d != P.d:
@@ -59,27 +85,81 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
         raise BadArgs(f"m={m} must be >= 1")
     rng = np.random.default_rng(seed)
     d = P.d
-    cums = []
-    for row in P.entries:
-        c = np.cumsum(row)
-        c[-1] = max(c[-1], 1.0)  # guard against downward float drift
-        cums.append(c.tolist())
-    out = [int(rng.choice(d, p=mu.entries))]
-    s = out[0]
-    last = d - 1
-    remaining = m - 1
-    chunk = 1 << 20
-    while remaining > 0:
-        k = min(chunk, remaining)
-        us = rng.random(k).tolist()
-        row = cums[s]
-        for u in us:
-            nxt = bisect_right(row, u)
-            s = nxt if nxt <= last else last
-            out.append(s)
-            row = cums[s]
-        remaining -= k
-    return Trajectory(d=d, states=np.asarray(out, dtype=np.int64), seed=seed, initial=mu)
+    cum = np.cumsum(P.entries, axis=1)
+    # guard against downward float drift; with cum[s, -1] >= 1 > u every
+    # next state bisect_right(cum[s], u) is at most d - 1
+    cum[:, -1] = np.maximum(cum[:, -1], 1.0)
+    rows = cum.tolist()
+    flat_cum = cum.ravel()
+    # A lane in state s holds the flat index s*d + a of its candidate next
+    # state a. guide[k*d + s] is that index for the first candidate of a u in
+    # bucket k = floor(u * GUIDE), a = #{cum[s] <= k / GUIDE}, so a only ever
+    # moves up to bisect_right(cum[s], u).
+    lo = np.array([np.searchsorted(c, np.arange(GUIDE) / GUIDE, side="right") for c in cum])
+    guide = (lo + d * np.arange(d)[:, None]).T.ravel()
+    column = np.tile(np.arange(d), d)
+    states = np.empty(m, dtype=np.int64)
+    s = states[0] = int(rng.choice(d, p=mu.entries))
+    pos = 1
+    while pos < m:
+        span = min(BLOCKS * BLOCK_STEPS, m - pos)
+        u = rng.random(span)
+        # a short window gets about sqrt(span) blocks of sqrt(span) steps:
+        # each lockstep step costs numpy call overhead whatever its width
+        # (m = 1000 took 3.0 ms with 256-step blocks, 0.9 ms like this)
+        steps = min(BLOCK_STEPS, isqrt(span))
+        n_blocks = -(-span // steps)
+        # uniforms laid out (step, block); the zeros that pad the last block
+        # only move it past the window's end, which is discarded
+        lanes = np.pad(u, (0, n_blocks * steps - span)).reshape(n_blocks, steps).T.copy()
+        # u * GUIDE is exact (a power of two), so the cast is the floor
+        buckets = (lanes * GUIDE).astype(np.int64) * d
+        guess = np.empty((steps, n_blocks), dtype=np.int64)
+        cur = np.full(n_blocks, s, dtype=np.int64)
+        for t in range(steps):
+            at = guide[buckets[t] + cur]
+            while True:
+                move = flat_cum[at] <= lanes[t]
+                if not move.any():
+                    break
+                at += move
+            cur = guess[t]
+            np.take(column, at, out=cur)
+        path = states[pos : pos + span]
+        path[:] = guess.T.ravel()[:span]
+        x = s
+        for start in range(0, span, steps):
+            stop = min(start + steps, span)
+            if x != s:
+                _repair(path, u, rows, x, start, stop)
+            x = int(path[stop - 1])
+        s = x
+        pos += span
+    return Trajectory(d=d, states=states, seed=seed, initial=mu)
+
+
+def _repair(path, u, rows, x, start, stop):
+    """Overwrite path[start:stop], guessed from a wrong start, with the path
+    from state x driven by u[start:stop].
+
+    Compares with the guess after 1, 2, 4, ... steps and stops once they
+    agree: the rest of the guess is then already the true path.
+    """
+    n = 1
+    while start < stop:
+        end = min(start + n, stop)
+        row = rows[x]
+        seg = []
+        for v in u[start:end].tolist():
+            x = bisect_right(row, v)
+            seg.append(x)
+            row = rows[x]
+        met = x == path[end - 1]
+        path[start:end] = seg
+        if met:
+            return
+        start = end
+        n *= 2
 
 
 def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | None:
@@ -122,16 +202,21 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
     anchors = rng.choice(n, size=l, p=weights / weights.sum())
     counts = np.bincount(anchors, minlength=n)
 
+    # the shortest prefix X[:p], p doubling from 2l up to the last state with
+    # a successor, that holds every state's anchor demand
     X = traj.states
+    usable = len(X) - 1
+    p = min(2 * l, usable)
+    while np.any(np.bincount(X[:p], minlength=traj.d)[S_idx] < counts):
+        if p == usable:
+            return None
+        p = min(2 * p, usable)
     successors = np.empty(l, dtype=np.int64)
     for a, i in enumerate(S_idx):
         need = int(counts[a])
-        if need == 0:
-            continue
-        pos = np.flatnonzero(X[:-1] == i)
-        if len(pos) < need:
-            return None
-        successors[anchors == a] = X[pos[:need] + 1]
+        if need:
+            pos = np.flatnonzero(X[:p] == i)
+            successors[anchors == a] = X[pos[:need] + 1]
 
     local = np.full(traj.d, n, dtype=np.int64)
     local[S_idx] = np.arange(n)

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from mcident import chain_core as cc
+from mcident import cli
 from mcident import corpus as cp
 from mcident import fileio as fio
 from mcident import sampling as sp
@@ -186,6 +188,30 @@ class TestCli:
                    "--eps", "0.2", "--delta", "0.1", "--seed", "1"])
         assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_simulate_file_digest(self, tmp_path, capsys):
+        # pins the exact states and file layout of a seeded simulate run
+        # that spans two lockstep windows
+        matrix = tmp_path / "P.json"
+        matrix.write_text(json.dumps({"d": 4, "rows": [
+            [0.5, 0.3, 0.2, 0.0], [0.3, 0.4, 0.1, 0.2], [0.2, 0.1, 0.5, 0.2], [0.0, 0.2, 0.2, 0.6],
+        ]}))
+        out = tmp_path / "t.json"
+        rc = main(["simulate", "--matrix", str(matrix), "--mu", "uniform",
+                   "--steps", "300000", "--seed", "20261018", "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5c858657b0454b3e5f05f4fbf59b84708271c642d935e0d6af66026559fdfb92"
+        )
+
+    def test_internal_error_exit_code(self, chain_file, monkeypatch, capsys):
+        def boom(args, constants):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "distance", boom)
+        _, path = chain_file
+        assert main(["distance", "--a", str(path), "--b", str(path)]) == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
     def test_usage_error_exit_code(self, capsys):
         assert main([]) == 2

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,63 @@ class TestSimulate:
         traj = sp.simulate(P, cc.stationary_distribution(P), 200_000, seed=13)
         emp = empirical_transition_matrix(traj.states, 4)
         assert np.abs(emp - P.entries).max() < 0.01
+
+
+def loop_simulate(P, mu, m, seed):
+    """Per-step reference for simulate: one bisect_right per uniform, the
+    uniforms drawn in chunks of 2^20 after the initial state."""
+    P, mu = cc.as_transition_matrix(P), cc.as_prob_vector(mu)
+    rng = np.random.default_rng(seed)
+    cums = []
+    for row in P.entries:
+        c = np.cumsum(row)
+        c[-1] = max(c[-1], 1.0)
+        cums.append(c.tolist())
+    out = [int(rng.choice(P.d, p=mu.entries))]
+    s, last, remaining = out[0], P.d - 1, m - 1
+    while remaining > 0:
+        k = min(1 << 20, remaining)
+        row = cums[s]
+        for u in rng.random(k).tolist():
+            nxt = bisect_right(row, u)
+            s = nxt if nxt <= last else last
+            out.append(s)
+            row = cums[s]
+        remaining -= k
+    return np.asarray(out, dtype=np.int64)
+
+
+def _lazy_random(d):
+    return cc.lazy_version(cp.random_reversible(d, np.random.default_rng(d)), 0.5)
+
+
+EXACT_CHAINS = {
+    "lazy-random-4": lambda: _lazy_random(4),
+    "lazy-random-8": lambda: _lazy_random(8),
+    "lazy-random-64": lambda: _lazy_random(64),
+    "planted-4-4": lambda: cp.planted_two_block((4, 4), np.random.default_rng(0)),
+    "hub-3-4": lambda: cp.hub_and_leaves(3, 4, np.random.default_rng(0)),
+    "birth-death-8": lambda: cp.birth_death(8, np.random.default_rng(0)),
+    "three-cycle": lambda: THREE_CYCLE,
+    "identity-2": lambda: np.eye(2),
+}
+
+
+class TestSimulateExact:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(EXACT_CHAINS))
+    def test_matches_per_step_loop(self, name, seed):
+        # m states take m - 1 steps: none, one, one step either side of 16
+        # blocks of 16 steps, a full window and one step either side of it,
+        # and more than three windows. The loop's trajectory for a shorter m
+        # is a prefix of its longest one.
+        P = cc.as_transition_matrix(EXACT_CHAINS[name]())
+        mu = np.full(P.d, 1.0 / P.d)
+        window = sp.BLOCKS * sp.BLOCK_STEPS
+        lengths = [1, 2, 256, 257, 258, window, window + 1, window + 2, 3 * window + 519]
+        expected = loop_simulate(P, mu, lengths[-1], seed)
+        for m in lengths:
+            assert np.array_equal(sp.simulate(P, mu, m, seed).states, expected[:m]), m
 
 
 class TestIidGenerate:
