@@ -17,6 +17,7 @@ Conventions adopted here and relied on elsewhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -49,6 +50,8 @@ class TransitionMatrix:
     """Row-stochastic d x d matrix over the state space {0, ..., d-1}.
 
     Entries must lie in [0, 1] and each row must sum to 1 within 1e-10.
+    Irreducibility, pi and Q = diag(pi) P are computed on first use and
+    cached; like entries they are read-only, so the cache cannot go stale.
     """
 
     entries: np.ndarray
@@ -74,6 +77,49 @@ class TransitionMatrix:
     @classmethod
     def from_rows(cls, rows) -> "TransitionMatrix":
         return cls(np.asarray(rows, dtype=float))
+
+    @cached_property
+    def irreducible(self) -> bool:
+        """Whether the support graph (entries above SUPPORT_TOL) is strongly connected."""
+        graph = csr_matrix(_support(self.entries))
+        return connected_components(graph, directed=True, connection="strong")[0] == 1
+
+    @cached_property
+    def stationary(self) -> "ProbVector":
+        """Stationary law; see stationary_distribution for the solve."""
+        _require_irreducible(self)
+        arr = self.entries
+        d = self.d
+        A = arr.T - np.eye(d)
+        A[-1, :] = 1.0
+        b = np.zeros(d)
+        b[-1] = 1.0
+        try:
+            pi = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError:
+            pi = np.full(d, np.nan)
+        if not np.all(np.isfinite(pi)) or pi.min() <= 0 or np.abs(pi @ arr - pi).max() > 1e-11:
+            # Null space of (P^T - I) via SVD; right singular vector of the
+            # smallest singular value, normalized to positive total mass.
+            _, _, vt = np.linalg.svd(arr.T - np.eye(d))
+            pi = vt[-1]
+            pi = pi / pi.sum()
+        pi = pi / pi.sum()
+        residual = np.abs(pi @ arr - pi).max()
+        if residual > 1e-10 or pi.min() <= 0:
+            raise NotIrreducible(f"stationary solve failed (residual {residual:.3e})")
+        return ProbVector(pi)
+
+    @property
+    def pi(self) -> np.ndarray:
+        return self.stationary.entries
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """Edge measure diag(pi) P: Q(i, j) = pi(i) P(i, j)."""
+        Q = self.pi[:, None] * self.entries
+        Q.setflags(write=False)
+        return Q
 
 
 @dataclass(frozen=True)
@@ -152,11 +198,6 @@ def _support(P: np.ndarray) -> np.ndarray:
     return P > SUPPORT_TOL
 
 
-def _is_strongly_connected(P: np.ndarray) -> bool:
-    n, _ = connected_components(csr_matrix(_support(P)), directed=True, connection="strong")
-    return n == 1
-
-
 def _period(P: np.ndarray) -> int:
     """Period of a strongly connected support graph (gcd of cycle lengths).
 
@@ -188,25 +229,34 @@ def validate(P) -> ChainClass:
     """Classify a chain: irreducible, reversible, ergodic.
 
     Irreducibility is reachability closure of the support graph (entries
-    above 1e-12 count as edges). Reversibility is the detailed-balance check
-    pi(i) P(i,j) = pi(j) P(j,i) within 1e-8, which requires irreducibility.
+    above 1e-12 count as edges). Reversibility is require_reversible's
+    detailed-balance check, which requires irreducibility.
     Ergodic means irreducible with aperiodic support graph.
     """
     P = as_transition_matrix(P)
-    arr = P.entries
-    irreducible = _is_strongly_connected(arr)
-    reversible = False
-    ergodic = False
-    if irreducible:
-        pi = stationary_distribution(P).entries
-        Q = pi[:, None] * arr
-        reversible = bool(np.abs(Q - Q.T).max() <= DETAILED_BALANCE_TOL)
-        ergodic = _period(arr) == 1
-    return ChainClass(irreducible=irreducible, reversible=reversible, ergodic=ergodic)
+    reversible = ergodic = False
+    if P.irreducible:
+        try:
+            require_reversible(P)
+            reversible = True
+        except NotReversible:
+            pass
+        ergodic = _period(P.entries) == 1
+    return ChainClass(irreducible=P.irreducible, reversible=reversible, ergodic=ergodic)
+
+
+def require_reversible(P) -> TransitionMatrix:
+    """P as a TransitionMatrix once detailed balance pi(i) P(i,j) = pi(j) P(j,i)
+    holds within DETAILED_BALANCE_TOL; raises NotIrreducible or NotReversible."""
+    P = as_transition_matrix(P)
+    Q = P.Q
+    if np.abs(Q - Q.T).max() > DETAILED_BALANCE_TOL:
+        raise NotReversible("detailed balance violated")
+    return P
 
 
 def _require_irreducible(P: TransitionMatrix) -> None:
-    if not _is_strongly_connected(P.entries):
+    if not P.irreducible:
         raise NotIrreducible("chain is not irreducible")
 
 
@@ -217,31 +267,11 @@ def stationary_distribution(P) -> ProbVector:
     normalization sum(pi) = 1) rather than by power iteration, which does not
     converge for periodic chains. Falls back to an SVD null-space solve if
     the direct solve is poorly conditioned. The result satisfies
-    ||pi P - pi||_inf <= 1e-10 and is entrywise positive.
+    ||pi P - pi||_inf <= 1e-10 and is entrywise positive. It is solved once
+    per TransitionMatrix and cached as P.stationary, so repeated calls on
+    one matrix return the same read-only vector.
     """
-    P = as_transition_matrix(P)
-    _require_irreducible(P)
-    arr = P.entries
-    d = P.d
-    A = arr.T - np.eye(d)
-    A[-1, :] = 1.0
-    b = np.zeros(d)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        pi = np.full(d, np.nan)
-    if not np.all(np.isfinite(pi)) or pi.min() <= 0 or np.abs(pi @ arr - pi).max() > 1e-11:
-        # Null space of (P^T - I) via SVD; right singular vector of the
-        # smallest singular value, normalized to positive total mass.
-        _, _, vt = np.linalg.svd(arr.T - np.eye(d))
-        pi = vt[-1]
-        pi = pi / pi.sum()
-    pi = pi / pi.sum()
-    residual = np.abs(pi @ arr - pi).max()
-    if residual > 1e-10 or pi.min() <= 0:
-        raise NotIrreducible(f"stationary solve failed (residual {residual:.3e})")
-    return ProbVector(pi)
+    return as_transition_matrix(P).stationary
 
 
 def edge_measure(P, nu) -> EdgeMeasure:
@@ -257,7 +287,7 @@ def time_reversal(P) -> TransitionMatrix:
     """Time reversal diag(pi)^-1 P^T diag(pi); an involution, and equal to P
     exactly when P is reversible."""
     P = as_transition_matrix(P)
-    pi = stationary_distribution(P).entries
+    pi = P.pi
     # rev[i, j] = pi[j] P[j, i] / pi[i]
     rev = pi[None, :] * P.entries.T / pi[:, None]
     return TransitionMatrix(rev)
@@ -348,14 +378,10 @@ def spectral_gap(P) -> float:
     so the gap exceeds 1 for chains with negative eigenvalues (e.g. the
     2-cycle has spectrum {1, -1} and gap 2).
     """
-    P = as_transition_matrix(P)
-    pi = stationary_distribution(P).entries
-    Q = pi[:, None] * P.entries
-    if np.abs(Q - Q.T).max() > DETAILED_BALANCE_TOL:
-        raise NotReversible("detailed balance violated")
+    P = require_reversible(P)
     if P.d == 1:
         return 1.0
-    root = np.sqrt(pi)
+    root = np.sqrt(P.pi)
     sym = root[:, None] * P.entries / root[None, :]
     w = np.linalg.eigvalsh((sym + sym.T) / 2.0)
     return float(1.0 - w[-2])

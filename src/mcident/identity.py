@@ -133,6 +133,7 @@ def lazify_trajectory(traj: Trajectory, alpha: float, seed: int) -> Trajectory:
     rng = derive_rng(seed, "hold-times")
     holds = rng.geometric(1.0 - alpha, size=len(traj))
     states = np.repeat(traj.states, holds)
+    states.setflags(write=False)
     return Trajectory(d=traj.d, states=states, seed=None, initial=traj.initial)
 
 

@@ -13,16 +13,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain_core import (
-    DETAILED_BALANCE_TOL,
+    TransitionMatrix,
     as_prob_vector,
     as_transition_matrix,
+    require_reversible,
     spectral_radius_nonneg,
-    stationary_distribution,
     _as_subset,
 )
 from .errors import (
     BadSubset,
-    NotReversible,
     ShapeMismatch,
     TooLarge,
     ZeroDenominator,
@@ -138,8 +137,7 @@ def bottleneck_ratio(P, S, I) -> CutRatio:
     I_idx = _as_subset(I, P.d)
     if len(S_idx) == 0 or not np.isin(S_idx, I_idx).all() or len(S_idx) >= len(I_idx):
         raise BadSubset("need nonempty S strictly inside I")
-    pi = stationary_distribution(P).entries
-    Q = pi[:, None] * P.entries
+    pi, Q = P.pi, P.Q
     rest = np.setdiff1d(I_idx, S_idx)
     num = float(Q[np.ix_(S_idx, rest)].sum())
     den = float(min(pi[S_idx].sum(), pi[rest].sum()))
@@ -152,7 +150,7 @@ def bottleneck_ratio(P, S, I) -> CutRatio:
 
 def _masks(n_states: int, indices: np.ndarray, include_full: bool = False):
     """Yield membership matrices (chunked) for nonempty subsets of `indices`
-    as boolean arrays over the full state space. The subset equal to all of
+    as 0/1 float arrays over the full state space. The subset equal to all of
     `indices` is included only when include_full is set."""
     k = len(indices)
     limit = (1 << k) if include_full else (1 << k) - 1
@@ -161,9 +159,36 @@ def _masks(n_states: int, indices: np.ndarray, include_full: bool = False):
         stop = min(start + chunk, limit)
         codes = np.arange(start, stop, dtype=np.int64)
         bits = (codes[:, None] >> np.arange(k)) & 1
-        members = np.zeros((len(codes), n_states), dtype=bool)
-        members[:, indices] = bits.astype(bool)
+        members = np.zeros((len(codes), n_states))
+        members[:, indices] = bits
         yield members
+
+
+def min_internal_cut_ratio(P: TransitionMatrix, S_idx: np.ndarray) -> float:
+    """Exact min over nonempty proper R of S of Q(R, S - R) / min(pi(R), pi(S - R)),
+    by 2^|S| enumeration (the caller bounds |S|)."""
+    pi, Q = P.pi, P.Q
+    inside = np.zeros(P.d)
+    inside[S_idx] = 1.0
+    pi_S = pi[S_idx].sum()
+    worst = np.inf
+    for m in _masks(P.d, S_idx):
+        cross = np.einsum("ki,ij,kj->k", m, Q, inside - m)
+        mass = m @ pi
+        worst = min(worst, float((cross / np.minimum(mass, pi_S - mass)).min()))
+    return worst
+
+
+def min_escape_ratio(P: TransitionMatrix, T_idx: np.ndarray) -> float:
+    """Exact min over nonempty R subseteq T of Q(R, R^c) / pi(R), by 2^|T|
+    enumeration (the caller bounds |T|)."""
+    pi, Q = P.pi, P.Q
+    worst = np.inf
+    for m in _masks(P.d, T_idx, include_full=True):
+        out = np.einsum("ki,ij,kj->k", m, Q, 1.0 - m)
+        mass = m @ pi
+        worst = min(worst, float((out / mass).min()))
+    return worst
 
 
 def cheeger_constant_bruteforce(P) -> float:
@@ -177,16 +202,7 @@ def cheeger_constant_bruteforce(P) -> float:
         raise TooLarge(f"d={P.d} exceeds enumeration limit {ENUMERATION_LIMIT}")
     if P.d < 2:
         raise BadSubset("no proper subsets for d < 2")
-    pi = stationary_distribution(P).entries
-    Q = pi[:, None] * P.entries
-    best = np.inf
-    for members in _masks(P.d, np.arange(P.d)):
-        m = members.astype(float)
-        cross = np.einsum("ki,ij,kj->k", m, Q, 1.0 - m)
-        mass = m @ pi
-        vals = cross / np.minimum(mass, 1.0 - mass)
-        best = min(best, float(vals.min()))
-    return best
+    return min_internal_cut_ratio(P, np.arange(P.d))
 
 
 class TailEigenvalueCheck(NamedTuple):
@@ -209,33 +225,20 @@ def tail_eigenvalue_bound_check(P, T) -> TailEigenvalueCheck:
         raise BadSubset("need nonempty T strictly inside the state space")
     if len(T_idx) > ENUMERATION_LIMIT:
         raise TooLarge(f"|T|={len(T_idx)} exceeds enumeration limit")
-    pi = stationary_distribution(P).entries
-    Q = pi[:, None] * P.entries
-    if np.abs(Q - Q.T).max() > DETAILED_BALANCE_TOL:
-        raise NotReversible("detailed balance violated")
-
+    require_reversible(P)
     sub = P.entries[np.ix_(T_idx, T_idx)]
-    root = np.sqrt(pi[T_idx])
+    root = np.sqrt(P.pi[T_idx])
     sym = root[:, None] * sub / root[None, :]
     lam = float(np.linalg.eigvalsh((sym + sym.T) / 2.0)[-1]) if len(T_idx) > 1 else float(sub[0, 0])
-
-    alpha = np.inf
-    for members in _masks(P.d, T_idx, include_full=True):
-        m = members.astype(float)
-        out = np.einsum("ki,ij,kj->k", m, Q, 1.0 - m)
-        mass = m @ pi
-        alpha = min(alpha, float((out / mass).min()))
+    alpha = min_escape_ratio(P, T_idx)
     holds = lam <= 1.0 - alpha * alpha / 2.0 + 1e-9
     return TailEigenvalueCheck(lam=lam, alpha=float(alpha), holds=bool(holds))
 
 
-def internal_mass(P, I, pi: np.ndarray | None = None) -> float:
+def internal_mass(P, I) -> float:
     """Edge mass retained inside I relative to pi(I): sum_{i,j in I} Q(i,j) / pi(I)."""
     P = as_transition_matrix(P)
     idx = _as_subset(I, P.d)
     if len(idx) == 0:
         raise BadSubset("empty subset")
-    if pi is None:
-        pi = stationary_distribution(P).entries
-    Q = pi[:, None] * P.entries
-    return float(Q[np.ix_(idx, idx)].sum() / pi[idx].sum())
+    return float(P.Q[np.ix_(idx, idx)].sum() / P.pi[idx].sum())

@@ -24,12 +24,11 @@ from scipy.sparse import csr_matrix
 
 from ._rng import derive_rng
 from .chain_core import (
-    DETAILED_BALANCE_TOL,
+    TransitionMatrix,
     as_prob_vector,
     as_transition_matrix,
-    stationary_distribution,
+    require_reversible,
     _as_subset,
-    _is_strongly_connected,
 )
 from .config import Constants, DEFAULT_CONSTANTS
 from .errors import (
@@ -37,10 +36,8 @@ from .errors import (
     BadSubset,
     CertificationFailed,
     DegenerateEmbedding,
-    NotIrreducible,
-    NotReversible,
 )
-from .metrics import _masks
+from .metrics import internal_mass, min_escape_ratio, min_internal_cut_ratio
 from .sampling import simulate
 from .simplex import solve_lp
 
@@ -98,10 +95,8 @@ def solve_spccc_lp(P, I, T) -> MetricLP:
         raise BadSubset("need |I| >= 2")
     if len(T_idx) and (not np.isin(T_idx, I_idx).all() or len(T_idx) >= len(I_idx)):
         raise BadSubset("need T strictly inside I")
-    pi = stationary_distribution(P).entries
-    Q = pi[:, None] * P.entries
-    if np.abs(Q - Q.T).max() > DETAILED_BALANCE_TOL:
-        raise NotReversible("detailed balance violated")
+    require_reversible(P)
+    pi, Q = P.pi, P.Q
 
     node = _quotient_nodes(I_idx, T_idx)
     n = int(node.max()) + 1
@@ -132,8 +127,7 @@ def cut_metric_ratio(P, S, I) -> float:
     rest = np.setdiff1d(I_idx, S_idx)
     if len(S_idx) == 0 or len(rest) == 0 or not np.isin(S_idx, I_idx).all():
         raise BadSubset("need nonempty S strictly inside I")
-    pi = stationary_distribution(P).entries
-    Q = pi[:, None] * P.entries
+    pi, Q = P.pi, P.Q
     num = Q[np.ix_(S_idx, rest)].sum() + Q[np.ix_(rest, S_idx)].sum()
     den = 2.0 * pi[S_idx].sum() * pi[rest].sum()
     return float(num / den)
@@ -187,10 +181,8 @@ def round_to_cut(embedding: np.ndarray, P, I, T) -> tuple:
     T_set = set(int(t) for t in np.asarray(list(T), dtype=int)) if len(list(T)) else set()
     if embedding.shape[0] != len(I_idx):
         raise BadSubset("embedding rows must match sorted(I)")
-    pi = stationary_distribution(P).entries
-    Q = pi[:, None] * P.entries
-    Qs = Q + Q.T
-    pi_I = pi[I_idx]
+    Qs = P.Q + P.Q.T
+    pi_I = P.pi[I_idx]
     Q_I = Qs[np.ix_(I_idx, I_idx)]
 
     best = None
@@ -220,6 +212,7 @@ def find_comp(P, I, T, seed: int, lp: MetricLP | None = None,
               constants: Constants = DEFAULT_CONSTANTS) -> tuple:
     """LP relaxation, l1 embedding, sweep-cut rounding; returns a proper
     nonempty subset of I disjoint from T. Deterministic given the seed."""
+    P = as_transition_matrix(P)
     if lp is None:
         lp = solve_spccc_lp(P, I, T)
     emb = bourgain_embed(lp, seed, constants)
@@ -244,10 +237,6 @@ class StatePartition:
         for S in self.components:
             out |= set(S)
         return out
-
-
-def _retention(P_arr: np.ndarray, i: int, I_idx: np.ndarray) -> float:
-    return float(P_arr[i, I_idx].sum())
 
 
 def partition_states(
@@ -280,12 +269,8 @@ def partition_states(
     P = as_transition_matrix(P)
     if not (0.0 < beta < 1.0):
         raise BadArgs(f"beta={beta} outside (0, 1)")
-    if not _is_strongly_connected(P.entries):
-        raise NotIrreducible("chain is not irreducible")
-    pi = stationary_distribution(P).entries
-    Q = pi[:, None] * P.entries
-    if np.abs(Q - Q.T).max() > DETAILED_BALANCE_TOL:
-        raise NotReversible("detailed balance violated")
+    require_reversible(P)
+    pi = P.pi
 
     d = P.d
     logd = log(max(d, 2))
@@ -313,21 +298,19 @@ def partition_states(
                 tail.append(i)
             continue
         lp = solve_spccc_lp(P, I_idx, ())
-        pi_I = float(pi[I_idx].sum())
-        lp_bound = pi_I * lp.objective / 2.0
+        lp_bound = float(pi[I_idx].sum()) * lp.objective / 2.0
         if lp_bound >= tau_comp:
-            low = [int(i) for i in I_idx if _retention(arr, int(i), I_idx) < 1.0 - beta]
+            low = [int(i) for i in I_idx if arr[i, I_idx].sum() < 1.0 - beta]
             if low:
                 tail.extend(low)
                 rest = np.setdiff1d(I_idx, np.asarray(low, dtype=int))
                 work.append(rest)
             else:
-                mass_in = float(Q[np.ix_(I_idx, I_idx)].sum() / pi_I)
                 components.append(tuple(int(i) for i in I_idx))
                 comp_certs.append(
                     {
                         "states": [int(i) for i in I_idx],
-                        "internal_mass": mass_in,
+                        "internal_mass": internal_mass(P, I_idx),
                         "lp_phi_lower_bound": lp_bound,
                     }
                 )
@@ -365,14 +348,14 @@ def partition_states(
         components=tuple(components), tail=tail_t, beta=beta, certificates=certificates
     )
     if certify and d <= CERTIFICATION_LIMIT:
-        _certify(part, pi, Q, tau_comp, tau_tail)
+        _certify(part, P, tau_comp, tau_tail)
     return part
 
 
-def _certify(part: StatePartition, pi: np.ndarray, Q: np.ndarray,
+def _certify(part: StatePartition, P: TransitionMatrix,
              tau_comp: float, tau_tail: float) -> None:
     """Brute-force postcondition check; mutates certificates in place."""
-    d = len(pi)
+    d = P.d
     covered = sorted(part.all_states())
     if covered != list(range(d)):
         raise CertificationFailed(f"not a partition of range({d}): {covered}")
@@ -385,22 +368,12 @@ def _certify(part: StatePartition, pi: np.ndarray, Q: np.ndarray,
         raise CertificationFailed("tail overlaps components")
 
     for S, cert in zip(part.components, part.certificates["components"]):
-        S_idx = np.asarray(S, dtype=int)
-        mass_in = float(Q[np.ix_(S_idx, S_idx)].sum() / pi[S_idx].sum())
+        mass_in = internal_mass(P, S)
         cert["internal_mass"] = mass_in
         if mass_in < 1.0 - part.beta - 1e-12:
             raise CertificationFailed(f"component {S} internal mass {mass_in}")
-        if len(S_idx) >= 2:
-            worst = np.inf
-            for members in _masks(d, S_idx):
-                m = members.astype(float)
-                inside = np.zeros(d)
-                inside[S_idx] = 1.0
-                other = inside - m
-                cross = np.einsum("ki,ij,kj->k", m, Q, other)
-                mass = m @ pi
-                rest = pi[S_idx].sum() - mass
-                worst = min(worst, float((cross / np.minimum(mass, rest)).min()))
+        if len(S) >= 2:
+            worst = min_internal_cut_ratio(P, np.asarray(S, dtype=int))
             cert["min_phi_bruteforce"] = worst
             if worst < tau_comp - 1e-12:
                 raise CertificationFailed(
@@ -410,13 +383,7 @@ def _certify(part: StatePartition, pi: np.ndarray, Q: np.ndarray,
             cert["min_phi_bruteforce"] = None
 
     if part.tail:
-        T_idx = np.asarray(part.tail, dtype=int)
-        worst = np.inf
-        for members in _masks(d, T_idx, include_full=True):
-            m = members.astype(float)
-            out = np.einsum("ki,ij,kj->k", m, Q, 1.0 - m)
-            mass = m @ pi
-            worst = min(worst, float((out / mass).min()))
+        worst = min_escape_ratio(P, np.asarray(part.tail, dtype=int))
         part.certificates["tail"]["min_escape_ratio"] = worst
         if worst < tau_tail - 1e-12:
             raise CertificationFailed(
@@ -448,9 +415,8 @@ def tail_occupancy_check(
         return 1.0
     if alpha <= 0 or m < 1 or trials < 1:
         raise BadArgs(f"alpha={alpha}, m={m}, trials={trials}")
-    pi = stationary_distribution(P)
-    mu = pi if mu is None else as_prob_vector(mu)
-    pi_T_star = float(pi.entries[T_idx].min())
+    mu = P.stationary if mu is None else as_prob_vector(mu)
+    pi_T_star = float(P.pi[T_idx].min())
     threshold = constants.c_esc * m * alpha * alpha / log(1.0 / pi_T_star)
     in_T = np.zeros(P.d, dtype=bool)
     in_T[T_idx] = True

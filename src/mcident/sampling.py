@@ -25,7 +25,8 @@ from .errors import BadArgs, BadNu, TrajectoryAlphabetMismatch
 class Trajectory:
     """Finite state sequence with its generating seed and initial law.
 
-    seed and initial are None for trajectories loaded from files.
+    seed and initial are None for trajectories loaded from files. states is
+    read-only; only a read-only int64 array owning its data is kept uncopied.
     """
 
     d: int
@@ -41,8 +42,9 @@ class Trajectory:
             raise TrajectoryAlphabetMismatch(
                 f"states outside [0, {self.d})"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
 
     def __len__(self) -> int:
@@ -135,6 +137,7 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
             x = int(path[stop - 1])
         s = x
         pos += span
+    states.setflags(write=False)
     return Trajectory(d=d, states=states, seed=seed, initial=mu)
 
 

@@ -94,6 +94,24 @@ class TestStationaryDistribution:
         with pytest.raises(NotIrreducible):
             cc.stationary_distribution(np.eye(3))
 
+    def test_solved_once_per_matrix(self, rng):
+        P = cp.random_reversible(5, rng)
+        pi = cc.stationary_distribution(P)
+        assert cc.stationary_distribution(P) is pi
+        twin = cc.TransitionMatrix(P.entries)
+        pi_twin = cc.stationary_distribution(twin)
+        assert pi_twin is not pi
+        assert np.array_equal(pi_twin.entries, pi.entries)
+        assert np.array_equal(twin.Q, P.Q)
+
+    def test_cached_arrays_read_only(self, rng):
+        P = cp.random_reversible(4, rng)
+        assert np.array_equal(P.Q, P.pi[:, None] * P.entries)
+        with pytest.raises(ValueError):
+            P.pi[0] = 0.5
+        with pytest.raises(ValueError):
+            P.Q[0, 0] = 0.5
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_fixed_point_residual(self, seed):

