@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 
 from .chain_core import (
     ChainClass,
-    EdgeMeasure,
     ProbVector,
     TransitionMatrix,
     censor,
     convex_combination,
-    edge_measure,
     lazy_version,
     matrix_power,
     multiplicative_reversibilization,
@@ -38,9 +36,7 @@ from .identity import (
 )
 from .iid_test import TestVerdict, iid_sample_size, iid_test
 from .metrics import (
-    CutRatio,
     InducedDistribution,
-    bottleneck_ratio,
     chain_distance,
     cheeger_constant_bruteforce,
     hellinger,
@@ -48,7 +44,6 @@ from .metrics import (
     internal_mass,
     ratio_distance,
     tail_eigenvalue_bound_check,
-    total_variation,
 )
 from .partition import (
     MetricLP,
@@ -62,8 +57,6 @@ from .partition import (
 )
 from .sampling import (
     Trajectory,
-    histogram_cap_check,
-    histogram_cap_sample_size,
     iid_generate,
     required_visits,
     simulate,
@@ -73,9 +66,7 @@ __all__ = [
     "__version__",
     "ChainClass",
     "Constants",
-    "CutRatio",
     "DEFAULT_CONSTANTS",
-    "EdgeMeasure",
     "InducedDistribution",
     "MetricLP",
     "ProbVector",
@@ -85,17 +76,13 @@ __all__ = [
     "TestVerdict",
     "Trajectory",
     "TransitionMatrix",
-    "bottleneck_ratio",
     "bourgain_embed",
     "censor",
     "chain_distance",
     "cheeger_constant_bruteforce",
     "convex_combination",
-    "edge_measure",
     "find_comp",
     "hellinger",
-    "histogram_cap_check",
-    "histogram_cap_sample_size",
     "identity_test",
     "iid_generate",
     "iid_sample_size",
@@ -119,7 +106,6 @@ __all__ = [
     "tail_eigenvalue_bound_check",
     "tail_occupancy_check",
     "time_reversal",
-    "total_variation",
     "trajectory_budget",
     "validate",
 ]

@@ -74,10 +74,6 @@ class TransitionMatrix:
     def d(self) -> int:
         return self.entries.shape[0]
 
-    @classmethod
-    def from_rows(cls, rows) -> "TransitionMatrix":
-        return cls(np.asarray(rows, dtype=float))
-
     @cached_property
     def irreducible(self) -> bool:
         """Whether the support graph (entries above SUPPORT_TOL) is strongly connected."""
@@ -137,31 +133,6 @@ class ProbVector:
         if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
             raise MalformedDistribution(f"mass {arr.sum()!r} != 1")
         object.__setattr__(self, "entries", _frozen(np.clip(arr, 0.0, 1.0)))
-
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class EdgeMeasure:
-    """Joint distribution diag(nu) P over ordered state pairs; mass 1.
-
-    When nu is the stationary distribution of a reversible P this is the
-    edge measure Q, which is then symmetric.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise MalformedMatrix(f"expected a square matrix, got shape {arr.shape}")
-        if arr.min() < -ROW_SUM_TOL:
-            raise MalformedMatrix("negative mass")
-        if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
-            raise MalformedMatrix(f"total mass {arr.sum()!r} != 1")
-        object.__setattr__(self, "entries", _frozen(np.clip(arr, 0.0, None)))
 
     @property
     def d(self) -> int:
@@ -272,15 +243,6 @@ def stationary_distribution(P) -> ProbVector:
     one matrix return the same read-only vector.
     """
     return as_transition_matrix(P).stationary
-
-
-def edge_measure(P, nu) -> EdgeMeasure:
-    """Joint distribution diag(nu) P over ordered pairs."""
-    P = as_transition_matrix(P)
-    nu = as_prob_vector(nu)
-    if nu.d != P.d:
-        raise ShapeMismatch(f"vector of length {nu.d} against a {P.d}-state chain")
-    return EdgeMeasure(nu.entries[:, None] * P.entries)
 
 
 def time_reversal(P) -> TransitionMatrix:

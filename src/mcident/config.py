@@ -7,8 +7,6 @@ that every bound used at runtime is explicit and overridable (CLI --config).
 Calibration provenance (scripts/calibrate_constants.py):
   c_vis   visit-count bound multiplier; 40 gives >= 1-delta event frequency
           on the calibration corpus (20 reversible chains, d <= 8).
-  c_hist  histogram cap bound multiplier; 4 follows from the Bernstein
-          exponent exp(-m p_star / 4).
   c_iid   iid tester sample-size multiplier; 4 achieves the two-sided
           delta + 0.04 operating characteristic on alphabets of size 4-50.
   c_len   trajectory budget multiplier; 2 makes the single-trajectory tester
@@ -32,7 +30,6 @@ from math import isfinite
 @dataclass(frozen=True)
 class Constants:
     c_vis: float = 40.0
-    c_hist: float = 4.0
     c_iid: float = 4.0
     c_len: float = 2.0
     c_esc: float = 1.0 / 32.0

@@ -15,16 +15,16 @@ from .metrics import chain_distance, ratio_distance
 from .chain_core import stationary_distribution
 
 
-def random_reversible(d: int, rng: np.random.Generator, min_weight: float = 0.05) -> TransitionMatrix:
+def random_reversible(d: int, rng: np.random.Generator) -> TransitionMatrix:
     """Random walk on a dense symmetric weight matrix; reversible, ergodic."""
-    W = rng.uniform(min_weight, 1.0, (d, d))
+    W = rng.uniform(0.05, 1.0, (d, d))
     W = (W + W.T) / 2.0
     return TransitionMatrix(W / W.sum(axis=1, keepdims=True))
 
 
-def random_irreducible(d: int, rng: np.random.Generator, min_weight: float = 0.02) -> TransitionMatrix:
+def random_irreducible(d: int, rng: np.random.Generator) -> TransitionMatrix:
     """Dense random rows; irreducible and aperiodic, generally not reversible."""
-    W = rng.uniform(min_weight, 1.0, (d, d))
+    W = rng.uniform(0.02, 1.0, (d, d))
     return TransitionMatrix(W / W.sum(axis=1, keepdims=True))
 
 
@@ -34,14 +34,14 @@ def random_target(d: int, rng: np.random.Generator, skew: float = 1.0) -> np.nda
     return w / w.sum()
 
 
-def metropolis(pi, rng: np.random.Generator, min_weight: float = 0.05) -> TransitionMatrix:
+def metropolis(pi, rng: np.random.Generator) -> TransitionMatrix:
     """Metropolis chain for target pi over a random symmetric proposal.
 
     Reversible with stationary distribution exactly pi.
     """
     pi = as_prob_vector(pi).entries
     d = len(pi)
-    G = rng.uniform(min_weight, 1.0, (d, d))
+    G = rng.uniform(0.05, 1.0, (d, d))
     G = (G + G.T) / 2.0
     np.fill_diagonal(G, 0.0)
     deg = G.sum(axis=1).max()
@@ -73,19 +73,17 @@ def far_reversible_pair(
     distance_min: float,
     ratio_max: float,
     target=None,
-    spread: float = 2.0,
-    max_tries: int = 200,
 ):
     """(P, Pbar) reversible with chain_distance >= distance_min and
     stationary ratio distance <= ratio_max.
 
     Both chains are random walks with degrees matched to the same target
     (Pbar's perturbed by at most ratio_max when it is positive), but with
-    anti-correlated edge weights exp(+-spread z), which drives the entrywise
+    anti-correlated edge weights exp(+-2 z), which drives the entrywise
     geometric mean of the kernels down and the distance up.
     """
     floor = 0.01
-    for _ in range(max_tries):
+    for _ in range(200):
         r = target if target is not None else random_target(d, rng)
         r = np.asarray(r, dtype=float)
         Z = rng.normal(size=(d, d))
@@ -94,8 +92,8 @@ def far_reversible_pair(
         if ratio_max > 0:
             rbar = r * (1.0 + rng.uniform(-1.0, 1.0, d) * ratio_max * 0.8)
             rbar = rbar / rbar.sum()
-        P = reversible_with_rowsums(np.exp(spread * Z) + floor, r)
-        Pbar = reversible_with_rowsums(np.exp(-spread * Z) + floor, rbar)
+        P = reversible_with_rowsums(np.exp(2.0 * Z) + floor, r)
+        Pbar = reversible_with_rowsums(np.exp(-2.0 * Z) + floor, rbar)
         pi = stationary_distribution(P).entries
         pibar = stationary_distribution(Pbar).entries
         if ratio_distance(pi, pibar) > max(ratio_max, 1e-6):
@@ -103,7 +101,7 @@ def far_reversible_pair(
         if chain_distance(P, Pbar) >= distance_min:
             return P, Pbar
     raise RuntimeError(
-        f"no pair with distance >= {distance_min} and ratio <= {ratio_max} in {max_tries} tries"
+        f"no pair with distance >= {distance_min} and ratio <= {ratio_max} in 200 tries"
     )
 
 
@@ -124,12 +122,7 @@ def planted_two_block(
     return TransitionMatrix(W / W.sum(axis=1, keepdims=True))
 
 
-def hub_and_leaves(
-    n_hub: int,
-    n_leaves: int,
-    rng: np.random.Generator,
-    leaf_weight: float = 2e-4,
-) -> TransitionMatrix:
+def hub_and_leaves(n_hub: int, n_leaves: int, rng: np.random.Generator) -> TransitionMatrix:
     """Two dense hub blocks plus leaves tied weakly to both hubs.
 
     Each leaf splits its outgoing mass between the two hub anchors, so once
@@ -148,8 +141,8 @@ def hub_and_leaves(
     W[:n_hub, n_hub:h] = 1e-8
     W[n_hub:h, :n_hub] = 1e-8
     for ell in range(h, d):
-        W[ell, 0] = W[0, ell] = leaf_weight
-        W[ell, n_hub] = W[n_hub, ell] = leaf_weight
+        W[ell, 0] = W[0, ell] = 2e-4
+        W[ell, n_hub] = W[n_hub, ell] = 2e-4
     return TransitionMatrix(W / W.sum(axis=1, keepdims=True))
 
 

@@ -51,31 +51,15 @@ HELLINGER_SEPARATION_FACTOR = 128.0
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Knobs of the identity test.
-
-    beta defaults to eps/16 (partition tolerance) and delta_iid to 1/(10 d)
-    (per-component tester confidence); both resolve lazily.
-    """
+    """Knobs of the identity test."""
 
     eps: float
-    beta: float | None = None
-    delta_iid: float | None = None
     constants: Constants = DEFAULT_CONSTANTS
     seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise BadArgs(f"eps={self.eps} outside (0, 1)")
-        if self.beta is not None and not (0.0 < self.beta < 1.0):
-            raise BadArgs(f"beta={self.beta} outside (0, 1)")
-        if self.delta_iid is not None and not (0.0 < self.delta_iid < 1.0):
-            raise BadArgs(f"delta_iid={self.delta_iid}")
-
-    def resolved_beta(self) -> float:
-        return self.beta if self.beta is not None else self.eps / 16.0
-
-    def resolved_delta_iid(self, d: int) -> float:
-        return self.delta_iid if self.delta_iid is not None else 1.0 / (10.0 * d)
 
 
 @dataclass(frozen=True)
@@ -134,7 +118,7 @@ def lazify_trajectory(traj: Trajectory, alpha: float, seed: int) -> Trajectory:
     holds = rng.geometric(1.0 - alpha, size=len(traj))
     states = np.repeat(traj.states, holds)
     states.setflags(write=False)
-    return Trajectory(d=traj.d, states=states, seed=None, initial=traj.initial)
+    return Trajectory(d=traj.d, states=states)
 
 
 def identity_test(
@@ -172,57 +156,45 @@ def identity_test(
 
     pibar = stationary_distribution(P_ref)
     d = P_ref.d
+    # partition tolerance eps/16; per-component tester confidence 1/(10 d)
     part = partition_states(
         P_ref,
-        beta=cfg.resolved_beta(),
+        beta=cfg.eps / 16.0,
         seed=int(derive_rng(cfg.seed, "partition").integers(2**63)),
         constants=cfg.constants,
     )
-    delta_iid = cfg.resolved_delta_iid(d)
+    delta_iid = 1.0 / (10.0 * d)
     eps_hel = cfg.eps / sqrt(HELLINGER_SEPARATION_FACTOR)
 
     outcomes = []
-    final = None
-    tested = None
+    tested = final = None
     for idx, S in enumerate(part.components):
         S_arr = np.asarray(S, dtype=int)
+        mass = float(pibar.entries[S_arr].sum())
         nu = np.zeros(d)
-        nu[S_arr] = pibar.entries[S_arr] / pibar.entries[S_arr].sum()
+        nu[S_arr] = pibar.entries[S_arr] / mass
         l = iid_sample_size(len(S) ** 2 + 1, eps_hel, delta_iid, cfg.constants)
         samples = iid_generate(
             traj_l, S, nu, l, seed=int(derive_rng(cfg.seed, "anchors", idx).integers(2**63))
         )
-        if samples is None:
-            outcomes.append(
-                ComponentOutcome(
-                    states=S,
-                    mass=float(pibar.entries[S_arr].sum()),
-                    sample_count=l,
-                    failed=True,
-                    verdict=None,
-                )
+        verdict = None
+        if samples is not None:
+            verdict = iid_test(
+                samples,
+                induced_distribution(P_ref, pibar, S).p,
+                eps_hel,
+                delta_iid,
+                seed=int(derive_rng(cfg.seed, "tester", idx).integers(2**63)),
+                constants=cfg.constants,
             )
-            continue
-        verdict = iid_test(
-            samples,
-            induced_distribution(P_ref, pibar, S).p,
-            eps_hel,
-            delta_iid,
-            seed=int(derive_rng(cfg.seed, "tester", idx).integers(2**63)),
-            constants=cfg.constants,
-        )
         outcomes.append(
             ComponentOutcome(
-                states=S,
-                mass=float(pibar.entries[S_arr].sum()),
-                sample_count=l,
-                failed=False,
-                verdict=verdict,
+                states=S, mass=mass, sample_count=l, failed=samples is None, verdict=verdict
             )
         )
-        tested = S
-        final = verdict.decision
-        break
+        if verdict is not None:
+            tested, final = S, verdict.decision
+            break
 
     return TestReport(
         verdict=REJECT if final is None else final,
@@ -282,6 +254,8 @@ def property_suite(seed: int, pairs: int = 1000) -> PropertyReport:
     one-sided slack 1e-9; the time-reversal equality 1e-7; the k = 2048
     limit 1e-4. The report lists violations (expected: none).
     """
+    if pairs < 1:
+        raise BadArgs(f"pairs={pairs} must be >= 1")
     checks: dict[str, int] = {}
     violations: list[PropertyViolation] = []
 

@@ -102,8 +102,8 @@ def iid_test(
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
     K = len(p)
-    if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
-        raise BadArgs(f"eps={eps}, delta={delta}")
+    if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0) or seed < 0:
+        raise BadArgs(f"eps={eps}, delta={delta}, seed={seed}")
 
     codes = np.asarray(samples, dtype=np.int64)
     m = len(codes)

@@ -1,4 +1,4 @@
-"""Distances between distributions and chains, cut ratios, induced laws.
+"""Distances between distributions and chains, induced laws.
 
 Includes the brute-force conductance oracles. They are public operations,
 not test helpers, so the CLI can certify partitions; each one is guarded by
@@ -43,14 +43,6 @@ def hellinger(p, q) -> float:
         raise ShapeMismatch(f"{p.shape} vs {q.shape}")
     h2 = 1.0 - float(np.sqrt(p * q).sum())
     return float(np.sqrt(max(h2, 0.0)))
-
-
-def total_variation(p, q) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ShapeMismatch(f"{p.shape} vs {q.shape}")
-    return float(0.5 * np.abs(p - q).sum())
 
 
 def chain_distance(P, Pbar) -> float:
@@ -118,33 +110,6 @@ def induced_distribution(P, nu, S) -> InducedDistribution:
     leave_mass = max(1.0 - block.sum(), 0.0)
     return InducedDistribution(
         S=tuple(int(i) for i in idx), p=np.append(block.ravel(), leave_mass)
-    )
-
-
-@dataclass(frozen=True)
-class CutRatio:
-    """Bottleneck ratio of S inside the ambient subset I."""
-
-    S: tuple
-    I: tuple
-    value: float
-
-
-def bottleneck_ratio(P, S, I) -> CutRatio:
-    """Phi(P, S, I): directed cut mass out of S within I over min side mass."""
-    P = as_transition_matrix(P)
-    S_idx = _as_subset(S, P.d)
-    I_idx = _as_subset(I, P.d)
-    if len(S_idx) == 0 or not np.isin(S_idx, I_idx).all() or len(S_idx) >= len(I_idx):
-        raise BadSubset("need nonempty S strictly inside I")
-    pi, Q = P.pi, P.Q
-    rest = np.setdiff1d(I_idx, S_idx)
-    num = float(Q[np.ix_(S_idx, rest)].sum())
-    den = float(min(pi[S_idx].sum(), pi[rest].sum()))
-    return CutRatio(
-        S=tuple(int(i) for i in S_idx),
-        I=tuple(int(i) for i in I_idx),
-        value=num / den,
     )
 
 

@@ -25,7 +25,6 @@ from scipy.sparse import csr_matrix
 from ._rng import derive_rng
 from .chain_core import (
     TransitionMatrix,
-    as_prob_vector,
     as_transition_matrix,
     require_reversible,
     _as_subset,
@@ -399,15 +398,14 @@ def tail_occupancy_check(
     m: int,
     trials: int,
     seed: int,
-    mu=None,
     constants: Constants = DEFAULT_CONSTANTS,
 ) -> float:
     """Empirical frequency of the tail-escape event over simulated runs.
 
-    Each trial simulates m steps and checks that the number of steps spent
-    outside T reaches c_esc * m * alpha^2 / log(1/min_T pi). A statistical
-    acceptance probe for the tail guarantee, not a proof. T empty is
-    vacuous (returns 1.0).
+    Each trial simulates m steps from the stationary law and checks that the
+    number of steps spent outside T reaches c_esc * m * alpha^2 /
+    log(1/min_T pi). A statistical acceptance probe for the tail guarantee,
+    not a proof. T empty is vacuous (returns 1.0).
     """
     P = as_transition_matrix(P)
     T_idx = _as_subset(T, P.d)
@@ -415,14 +413,14 @@ def tail_occupancy_check(
         return 1.0
     if alpha <= 0 or m < 1 or trials < 1:
         raise BadArgs(f"alpha={alpha}, m={m}, trials={trials}")
-    mu = P.stationary if mu is None else as_prob_vector(mu)
     pi_T_star = float(P.pi[T_idx].min())
     threshold = constants.c_esc * m * alpha * alpha / log(1.0 / pi_T_star)
     in_T = np.zeros(P.d, dtype=bool)
     in_T[T_idx] = True
     hits = 0
     for t in range(trials):
-        traj = simulate(P, mu, m, seed=int(derive_rng(seed, "occupancy", t).integers(2**63)))
+        t_seed = int(derive_rng(seed, "occupancy", t).integers(2**63))
+        traj = simulate(P, P.stationary, m, seed=t_seed)
         escapes = int((~in_T[traj.states]).sum())
         if escapes >= threshold:
             hits += 1

@@ -16,23 +16,21 @@ from math import ceil, isqrt, log
 
 import numpy as np
 
-from .chain_core import ProbVector, as_prob_vector, as_transition_matrix, _as_subset
+from .chain_core import as_prob_vector, as_transition_matrix, _as_subset
 from .config import Constants, DEFAULT_CONSTANTS
 from .errors import BadArgs, BadNu, TrajectoryAlphabetMismatch
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Finite state sequence with its generating seed and initial law.
+    """Finite state sequence over {0, ..., d-1}.
 
-    seed and initial are None for trajectories loaded from files. states is
-    read-only; only a read-only int64 array owning its data is kept uncopied.
+    states is read-only; only a read-only int64 array owning its data is
+    kept uncopied.
     """
 
     d: int
     states: np.ndarray
-    seed: int | None = None
-    initial: ProbVector | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.states, dtype=np.int64)
@@ -85,6 +83,8 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
         raise BadArgs(f"initial law of length {mu.d} for a {P.d}-state chain")
     if m < 1:
         raise BadArgs(f"m={m} must be >= 1")
+    if seed < 0:
+        raise BadArgs(f"seed={seed} must be >= 0")
     rng = np.random.default_rng(seed)
     d = P.d
     cum = np.cumsum(P.entries, axis=1)
@@ -138,7 +138,7 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
         s = x
         pos += span
     states.setflags(write=False)
-    return Trajectory(d=d, states=states, seed=seed, initial=mu)
+    return Trajectory(d=d, states=states)
 
 
 def _repair(path, u, rows, x, start, stop):
@@ -196,8 +196,8 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
     weights = nu.entries[S_idx]
     if weights.min() <= 0.0:
         raise BadNu("nu must be positive on S")
-    if l < 0:
-        raise BadArgs(f"l={l}")
+    if l < 0 or seed < 0:
+        raise BadArgs(f"l={l}, seed={seed}")
     if l == 0:
         return np.empty(0, dtype=np.int64)
 
@@ -239,31 +239,3 @@ def required_visits(
     if not (0.0 < pi_S_star < 1.0) or gamma <= 0.0 or not (0.0 < delta < 1.0):
         raise BadArgs(f"pi_S_star={pi_S_star}, gamma={gamma}, delta={delta}")
     return int(ceil(constants.c_vis * log(1.0 / (delta * pi_S_star)) / (pi_S_star * gamma)))
-
-
-def histogram_cap_check(samples, p, delta: float = 0.1) -> bool:
-    """Whether every histogram cell satisfies count <= 2 m p(i).
-
-    delta parameterizes the guarantee under which the cap holds (it needs
-    m >= c_hist log(d/delta) / p_star); the check itself is deterministic.
-    Used for feasibility accounting: under the cap, a quarter of the visits
-    to a component convert into iid samples.
-    """
-    m = len(samples)
-    if m == 0:
-        return True
-    p = np.asarray(p, dtype=float)
-    arr = np.asarray(samples, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= len(p):
-        return False
-    v = np.bincount(arr, minlength=len(p))
-    return bool(np.all(v <= 2.0 * m * p))
-
-
-def histogram_cap_sample_size(
-    support: int, p_star: float, delta: float, constants: Constants = DEFAULT_CONSTANTS
-) -> int:
-    """Sample size making the histogram cap hold with probability 1 - delta."""
-    if support < 1 or not (0.0 < p_star <= 1.0) or not (0.0 < delta < 1.0):
-        raise BadArgs(f"support={support}, p_star={p_star}, delta={delta}")
-    return int(ceil(constants.c_hist * log(support / delta) / p_star))

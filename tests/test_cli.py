@@ -147,7 +147,7 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0 and doc["constants"]["c_iid"] == 8.0
 
-    @pytest.mark.parametrize("cfg", [{"c2": "2"}, {"c2": -1}])
+    @pytest.mark.parametrize("cfg", [{"c2": "2"}, {"c2": -1}, {"c_hist": 4.0}])
     def test_bad_constant_exit_code(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -219,6 +219,26 @@ class TestCli:
     def test_io_error_exit_code(self, tmp_path, capsys):
         rc = main(["distance", "--a", str(tmp_path / "missing.json"), "--b", str(tmp_path / "missing.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "iidtest"])
+    def test_negative_seed_exit_code(self, chain_file, tmp_path, capsys, command):
+        _, path = chain_file
+        fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
+        fio.save_samples(4, np.arange(4000) % 4, tmp_path / "s.json")
+        argv = {
+            "simulate": ["simulate", "--matrix", str(path), "--mu", "uniform",
+                         "--steps", "10", "--out", str(tmp_path / "t.json")],
+            "iidtest": ["iidtest", "--pbar", str(tmp_path / "pbar.json"),
+                        "--samples", str(tmp_path / "s.json"), "--eps", "0.2", "--delta", "0.1"],
+        }[command]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_empty_property_suite_exit_code(self, tmp_path, capsys, pairs):
+        out = tmp_path / "props.json"
+        assert main(["props", "--seed", "1", "--pairs", pairs, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_mandatory_seed(self, chain_file, tmp_path, capsys):
         _, path = chain_file

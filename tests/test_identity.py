@@ -31,21 +31,29 @@ def lazy_trajectory_of(P, m, seed):
 
 
 class TestConfigValidation:
-    def test_defaults(self):
-        cfg = idn.TestConfig(eps=0.32)
-        assert cfg.resolved_beta() == pytest.approx(0.02)
-        assert cfg.resolved_delta_iid(8) == pytest.approx(1.0 / 80.0)
+    def test_defaults(self, monkeypatch):
+        # identity_test partitions at beta = eps/16 and gives each component's
+        # tester confidence 1/(10 d)
+        seen = {}
+        partition_states, iid_sample_size = idn.partition_states, idn.iid_sample_size
 
-    def test_overrides(self):
-        cfg = idn.TestConfig(eps=0.3, beta=0.05, delta_iid=0.2)
-        assert cfg.resolved_beta() == 0.05
-        assert cfg.resolved_delta_iid(4) == 0.2
+        def spy_partition(P, beta, **kwargs):
+            seen["beta"] = beta
+            return partition_states(P, beta=beta, **kwargs)
+
+        def spy_size(support, eps, delta, constants):
+            seen["delta"] = delta
+            return iid_sample_size(support, eps, delta, constants)
+
+        monkeypatch.setattr(idn, "partition_states", spy_partition)
+        monkeypatch.setattr(idn, "iid_sample_size", spy_size)
+        traj = sp.Trajectory(d=8, states=np.zeros(10, dtype=np.int64))
+        idn.identity_test(reference_chain(d=8), traj, idn.TestConfig(eps=0.32))
+        assert seen == {"beta": pytest.approx(0.02), "delta": pytest.approx(1.0 / 80.0)}
 
     def test_rejects_bad_eps(self):
         with pytest.raises(BadArgs):
             idn.TestConfig(eps=1.2)
-        with pytest.raises(BadArgs):
-            idn.TestConfig(eps=0.3, beta=1.5)
 
 
 class TestTrajectoryBudget:

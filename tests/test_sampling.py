@@ -287,24 +287,3 @@ class TestRequiredVisits:
 
 def horizon_seed(chain_idx, trial_idx):
     return 100_000 + 1000 * chain_idx + trial_idx
-
-
-class TestHistogramCap:
-    def test_empty_vacuous(self):
-        assert sp.histogram_cap_check([], [0.5, 0.5])
-
-    def test_large_sample_uniform(self, rng):
-        s = rng.choice(4, size=20_000, p=np.ones(4) / 4)
-        assert sp.histogram_cap_check(list(s), np.ones(4) / 4)
-
-    def test_tiny_sample_often_fails(self):
-        fails = 0
-        for k in range(200):
-            r = np.random.default_rng(k)
-            s = r.choice(4, size=3, p=np.ones(4) / 4)
-            fails += not sp.histogram_cap_check(list(s), np.ones(4) / 4)
-        assert fails > 100  # three draws cannot respect a cap of 1.5 per cell
-
-    def test_cap_sample_size(self):
-        m = sp.histogram_cap_sample_size(10, 0.05, 0.1)
-        assert m == pytest.approx(4 * np.log(100) / 0.05, abs=1)
