@@ -2,6 +2,7 @@
 
 Substreams are keyed by (seed, tag...) where tags are small strings hashed
 with crc32, which is stable across platforms and processes (unlike hash()).
+A root seed is an integer in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -10,10 +11,21 @@ from zlib import crc32
 
 import numpy as np
 
+from .errors import BadArgs
+
+
+def require_seed(seed: int) -> int:
+    """seed as an int; raises BadArgs outside [0, 2**64), where two seeds
+    would otherwise share a stream."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise BadArgs(f"seed={seed} outside [0, 2**64)")
+    return seed
+
 
 def derive_rng(seed: int, *tags: object) -> np.random.Generator:
     """RNG for the substream identified by (seed, *tags)."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy = [require_seed(seed)]
     for t in tags:
         entropy.append(crc32(repr(t).encode("utf8")))
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -343,10 +343,21 @@ def spectral_gap(P) -> float:
     P = require_reversible(P)
     if P.d == 1:
         return 1.0
-    root = np.sqrt(P.pi)
-    sym = root[:, None] * P.entries / root[None, :]
-    w = np.linalg.eigvalsh((sym + sym.T) / 2.0)
+    w = _symmetrized_spectrum(P.entries, P.pi)
     return float(1.0 - w[-2])
+
+
+def _symmetrized_spectrum(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of D^{1/2} M D^{-1/2}, D = diag(pi), averaged
+    with its transpose to absorb rounding.
+
+    For a matrix M self-adjoint under pi (pi(i) M(i,j) = pi(j) M(j,i), as for
+    a reversible chain or any of its principal submatrices), the conjugate is
+    symmetric and has M's real spectrum. pi need not be normalized.
+    """
+    root = np.sqrt(pi)
+    sym = root[:, None] * M / root[None, :]
+    return np.linalg.eigvalsh((sym + sym.T) / 2.0)
 
 
 def spectral_radius_nonneg(M) -> float:

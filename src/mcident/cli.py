@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: simulate, partition, distance, iidtest, test, props. Every
-randomized subcommand requires an explicit --seed (reports must be
-reproducible; there is no wall-clock default). Reports are JSON documents
+randomized subcommand requires an explicit --seed in [0, 2**64) (reports
+must be reproducible; there is no wall-clock default). Reports are JSON documents
 embedding the run manifest: subcommand, flags, resolved constants, seed,
 tool version and input file digests. Exit codes: 0 success or Accept,
 1 Reject (test subcommand), 2 usage or input error, 3 failed partition

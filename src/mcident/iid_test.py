@@ -22,6 +22,7 @@ from math import ceil, log, sqrt
 
 import numpy as np
 
+from ._rng import require_seed
 from .config import Constants, DEFAULT_CONSTANTS
 from .errors import AlphabetMismatch, BadArgs, TooFewSamples
 
@@ -102,8 +103,9 @@ def iid_test(
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
     K = len(p)
-    if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0) or seed < 0:
-        raise BadArgs(f"eps={eps}, delta={delta}, seed={seed}")
+    if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
+        raise BadArgs(f"eps={eps}, delta={delta}")
+    seed = require_seed(seed)
 
     codes = np.asarray(samples, dtype=np.int64)
     m = len(codes)

@@ -19,6 +19,7 @@ from .chain_core import (
     require_reversible,
     spectral_radius_nonneg,
     _as_subset,
+    _symmetrized_spectrum,
 )
 from .errors import (
     BadSubset,
@@ -192,9 +193,7 @@ def tail_eigenvalue_bound_check(P, T) -> TailEigenvalueCheck:
         raise TooLarge(f"|T|={len(T_idx)} exceeds enumeration limit")
     require_reversible(P)
     sub = P.entries[np.ix_(T_idx, T_idx)]
-    root = np.sqrt(P.pi[T_idx])
-    sym = root[:, None] * sub / root[None, :]
-    lam = float(np.linalg.eigvalsh((sym + sym.T) / 2.0)[-1]) if len(T_idx) > 1 else float(sub[0, 0])
+    lam = float(_symmetrized_spectrum(sub, P.pi[T_idx])[-1]) if len(T_idx) > 1 else float(sub[0, 0])
     alpha = min_escape_ratio(P, T_idx)
     holds = lam <= 1.0 - alpha * alpha / 2.0 + 1e-9
     return TailEigenvalueCheck(lam=lam, alpha=float(alpha), holds=bool(holds))

@@ -1,12 +1,15 @@
-"""State-space partitioning via the constrained sparsest-cut LP.
+"""State-space partitioning: spectral certification, sparsest-cut LP to split.
 
 The partitioner returns well-connected components plus a tail subset the
-chain cannot linger in. A component is declared when the LP optimum itself
-certifies expansion: the LP value lower-bounds every cut's normalized ratio,
-and the factor-2 sandwich between that ratio and the bottleneck ratio turns
-it into a sound lower bound on min_R Phi(P, R, I). Rounding (embedding +
-sweep cuts) is only needed on the split branch, where the LP value is small
-and an actual sparse cut must be produced.
+chain cannot linger in. Each candidate set I first gets a Cheeger check:
+one eigvalsh of the chain restricted to I gives (1 - lambda_2)/2, a lower
+bound on every internal bottleneck ratio min_R Phi(P, R, I) (see
+spectral_phi_lower_bound). When that clears the component threshold, I is
+declared without an LP. Otherwise the constrained sparsest-cut LP decides:
+its optimum is also a sound lower bound (through the factor-2 sandwich
+between the normalized cut ratio and the bottleneck ratio), and when it too
+is small, rounding (embedding + sweep cuts) produces the sparse cut that
+splits I. The LP plus rounding is the only splitter.
 
 The constrained subset T is handled by contracting it to a single node: the
 LP constraints force delta = 0 inside T and equal distances from T to any
@@ -22,12 +25,13 @@ from math import ceil, log
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ._rng import derive_rng
+from ._rng import derive_rng, require_seed
 from .chain_core import (
     TransitionMatrix,
     as_transition_matrix,
     require_reversible,
     _as_subset,
+    _symmetrized_spectrum,
 )
 from .config import Constants, DEFAULT_CONSTANTS
 from .errors import (
@@ -115,6 +119,34 @@ def solve_spccc_lp(P, I, T) -> MetricLP:
         delta=dq[np.ix_(node, node)],
         objective=float(obj),
     )
+
+
+def spectral_phi_lower_bound(P: TransitionMatrix, I_idx: np.ndarray) -> float:
+    """Cheeger lower bound (1 - lambda_2)/2 on every internal bottleneck
+    ratio Q(R, I-R) / min(pi(R), pi(I-R)), R a nonempty proper subset of I.
+
+    The restriction P_I keeps P(i, j) for i != j in I and moves each row's
+    mass leaving I onto its diagonal. That leaves every Q(R, I-R) unchanged,
+    and P_I is reversible with respect to pi_I = pi|_I / pi(I). lambda_2 is
+    the second largest signed eigenvalue of its pi-symmetrized form.
+
+    Cheeger's easy direction (Levin-Peres-Wilmer, Thm 13.10; Jerrum-Sinclair
+    1989): the test function f = 1_R - pi_I(R) has Dirichlet form Q(R, I-R) /
+    pi(I) and variance pi_I(R) pi_I(I-R), so
+
+        1 - lambda_2 <= pi(I) Q(R, I-R) / (pi(R) pi(I-R))
+                     <= 2 Q(R, I-R) / min(pi(R), pi(I-R)),
+
+    since max(pi(R), pi(I-R)) >= pi(I)/2. The middle term is pi(I) times the
+    cut-metric ratio of R, and the cut LP relaxes that ratio (lp <= it). So
+    (1 - lambda_2)/2 and lp_bound = pi(I) * lp / 2 both lie below pi(I)/2
+    times the ratio: the two bounds are on one scale, and both lower-bound
+    the minimum that _certify enumerates.
+    """
+    sub = P.entries[np.ix_(I_idx, I_idx)]
+    sub[np.diag_indices(len(I_idx))] += 1.0 - sub.sum(axis=1)
+    lam = _symmetrized_spectrum(sub, P.pi[I_idx])
+    return float(1.0 - lam[-2]) / 2.0
 
 
 def cut_metric_ratio(P, S, I) -> float:
@@ -222,8 +254,11 @@ def find_comp(P, I, T, seed: int, lp: MetricLP | None = None,
 class StatePartition:
     """Partition of the state space into components and a tail subset.
 
-    certificates carries internal-mass values, the LP expansion lower bounds
-    and, when enumeration ran (d <= 12), brute-force cut minima.
+    certificates carries, per component, its internal mass, the spectral
+    expansion lower bound (spectral_phi_lower_bound), the LP bound when a cut
+    LP was solved for it (lp_phi_lower_bound, else None) and, when
+    enumeration ran (d <= 12), the brute-force cut minimum. Singletons carry
+    None for all three bounds.
     """
 
     components: tuple
@@ -247,20 +282,21 @@ def partition_states(
 ) -> StatePartition:
     """Partition the states of a reversible chain at tolerance beta.
 
-    Work-list refinement: every candidate subset I gets a cut LP. If the LP
-    certifies expansion (pi(I) * lp/2 >= c2 beta / log^2 d, a lower bound on
-    every internal bottleneck ratio), I is declared a component unless it
-    contains low-retention states (states keeping less than 1 - beta of
-    their outgoing mass inside I); those move to the tail and the rest is
-    re-examined. Declared components therefore retain >= 1 - beta per state,
-    which implies the aggregate internal-mass bound. If the LP does not
-    certify expansion, I is split along the rounded cut and both sides
-    recurse.
+    Work-list refinement with tau_comp = c2 beta / log^2 d. Every candidate
+    subset I with |I| >= 2 first gets the spectral bound (one eigvalsh, see
+    spectral_phi_lower_bound). If it reaches tau_comp, I expands and no LP
+    is solved. Otherwise I gets a cut LP, and pi(I) * lp/2 >= tau_comp
+    certifies expansion in its place. An expanding I is declared a
+    component unless it contains low-retention states (states keeping less
+    than 1 - beta of their outgoing mass inside I); those move to the tail
+    and the rest is re-examined. Declared components therefore retain
+    >= 1 - beta per state, which implies the aggregate internal-mass bound.
+    If neither bound certifies expansion, I is split along the LP's rounded
+    cut and both sides recurse.
 
     Guarantees on the output, certified by enumeration when d <= 12:
       (1) each component keeps internal edge mass >= 1 - beta (exact);
-      (2) each component's internal bottleneck ratios are all
-          >= c2 beta / log^2 d;
+      (2) each component's internal bottleneck ratios are all >= tau_comp;
       (3) every subset of the tail leaks edge mass at rate
           >= c3 beta / log d.
     A certification failure means an implementation bug, not a bad input.
@@ -268,6 +304,7 @@ def partition_states(
     P = as_transition_matrix(P)
     if not (0.0 < beta < 1.0):
         raise BadArgs(f"beta={beta} outside (0, 1)")
+    require_seed(seed)  # a set that never splits never draws from the seed
     require_reversible(P)
     pi = P.pi
 
@@ -291,14 +328,18 @@ def partition_states(
             if arr[i, i] >= 1.0 - beta:
                 components.append((i,))
                 comp_certs.append(
-                    {"states": [i], "internal_mass": float(arr[i, i]), "lp_phi_lower_bound": None}
+                    {"states": [i], "internal_mass": float(arr[i, i]),
+                     "spectral_phi_lower_bound": None, "lp_phi_lower_bound": None}
                 )
             else:
                 tail.append(i)
             continue
-        lp = solve_spccc_lp(P, I_idx, ())
-        lp_bound = float(pi[I_idx].sum()) * lp.objective / 2.0
-        if lp_bound >= tau_comp:
+        spectral_bound = spectral_phi_lower_bound(P, I_idx)
+        lp = lp_bound = None
+        if spectral_bound < tau_comp:
+            lp = solve_spccc_lp(P, I_idx, ())
+            lp_bound = float(pi[I_idx].sum()) * lp.objective / 2.0
+        if lp is None or lp_bound >= tau_comp:
             low = [int(i) for i in I_idx if arr[i, I_idx].sum() < 1.0 - beta]
             if low:
                 tail.extend(low)
@@ -310,6 +351,7 @@ def partition_states(
                     {
                         "states": [int(i) for i in I_idx],
                         "internal_mass": internal_mass(P, I_idx),
+                        "spectral_phi_lower_bound": spectral_bound,
                         "lp_phi_lower_bound": lp_bound,
                     }
                 )

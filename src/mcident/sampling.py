@@ -16,6 +16,7 @@ from math import ceil, isqrt, log
 
 import numpy as np
 
+from ._rng import require_seed
 from .chain_core import as_prob_vector, as_transition_matrix, _as_subset
 from .config import Constants, DEFAULT_CONSTANTS
 from .errors import BadArgs, BadNu, TrajectoryAlphabetMismatch
@@ -83,9 +84,7 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
         raise BadArgs(f"initial law of length {mu.d} for a {P.d}-state chain")
     if m < 1:
         raise BadArgs(f"m={m} must be >= 1")
-    if seed < 0:
-        raise BadArgs(f"seed={seed} must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     d = P.d
     cum = np.cumsum(P.entries, axis=1)
     # guard against downward float drift; with cum[s, -1] >= 1 > u every
@@ -196,12 +195,12 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
     weights = nu.entries[S_idx]
     if weights.min() <= 0.0:
         raise BadNu("nu must be positive on S")
-    if l < 0 or seed < 0:
-        raise BadArgs(f"l={l}, seed={seed}")
+    if l < 0:
+        raise BadArgs(f"l={l} must be >= 0")
+    rng = np.random.default_rng(require_seed(seed))
     if l == 0:
         return np.empty(0, dtype=np.int64)
 
-    rng = np.random.default_rng(seed)
     anchors = rng.choice(n, size=l, p=weights / weights.sum())
     counts = np.bincount(anchors, minlength=n)
 

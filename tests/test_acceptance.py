@@ -102,13 +102,22 @@ class TestCriterion1MainTheorem:
 class TestCriterion2PartitionCertification:
     def test_zero_violations(self, corpus):
         runs = 0
+        by = {"spectral": 0, "LP": 0, "singleton": 0}
         for name, ref, _ in corpus:
             for beta in (0.05, 0.1, 0.2):
                 for seed in range(50):
                     part = pt.partition_states(ref, beta=beta, seed=seed, certify=True)
                     assert part.certificates["certified"]
                     runs += 1
-        _line(2, True, f"{runs} certified partition runs, zero violations")
+                    for cert in part.certificates["components"]:
+                        if len(cert["states"]) == 1:
+                            by["singleton"] += 1
+                        elif cert["lp_phi_lower_bound"] is None:
+                            by["spectral"] += 1
+                        else:
+                            by["LP"] += 1
+        counts = ", ".join(f"{n} {how}" for how, n in by.items())
+        _line(2, True, f"{runs} certified partition runs, zero violations; components: {counts}")
 
 
 class TestCriterion3RoundingApproximation:

@@ -234,6 +234,32 @@ class TestCli:
         assert main(argv + ["--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command, seed", [
+        (command, seed) for command in ("partition", "test", "props") for seed in ("-1", str(2**64))
+    ] + [("simulate", str(2**64)), ("iidtest", str(2**64))])
+    def test_seed_out_of_range_exit_code(self, chain_file, tmp_path, capsys, command, seed):
+        # a seed outside [0, 2**64) would otherwise alias one inside it;
+        # test_negative_seed_exit_code covers simulate and iidtest at -1
+        P, path = chain_file
+        traj = tmp_path / "t.json"
+        fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
+        fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
+        fio.save_samples(4, np.arange(4000) % 4, tmp_path / "s.json")
+        out = tmp_path / "out.json"
+        argv = {
+            "partition": ["partition", "--matrix", str(path), "--beta", "0.1", "--out", str(out)],
+            "test": ["test", "--reference", str(path), "--trajectory", str(traj), "--eps", "0.3",
+                     "--report", str(out)],
+            "props": ["props", "--pairs", "2", "--out", str(out)],
+            "simulate": ["simulate", "--matrix", str(path), "--mu", "uniform",
+                         "--steps", "10", "--out", str(out)],
+            "iidtest": ["iidtest", "--pbar", str(tmp_path / "pbar.json"),
+                        "--samples", str(tmp_path / "s.json"), "--eps", "0.2", "--delta", "0.1"],
+        }[command]
+        assert main(argv + ["--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("pairs", ["0", "-3"])
     def test_empty_property_suite_exit_code(self, tmp_path, capsys, pairs):
         out = tmp_path / "props.json"

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from math import log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,93 @@ class TestPartitionStates:
         a = pt.partition_states(P, beta=0.1, seed=9)
         b = pt.partition_states(P, beta=0.1, seed=9)
         assert a.components == b.components and a.tail == b.tail
+
+
+def cycle(d):
+    """Simple random walk on a d-cycle: periodic for even d; lambda_2 is
+    negative for d = 2 and 3."""
+    P = np.zeros((d, d))
+    for i in range(d):
+        P[i, (i + 1) % d] += 0.5
+        P[i, (i - 1) % d] += 0.5
+    return cc.TransitionMatrix(P)
+
+
+class TestSpectralCertification:
+    @pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
+    @pytest.mark.parametrize("family", ["random_reversible", "birth_death", "hub_and_leaves", "cycle"])
+    def test_bound_below_every_internal_cut(self, family, lazy):
+        r = np.random.default_rng(61)
+        for k in range(12):
+            d = 2 + k % 9
+            P = {
+                "random_reversible": lambda: cp.random_reversible(d, r),
+                "birth_death": lambda: cp.birth_death(d, r),
+                "hub_and_leaves": lambda: cp.hub_and_leaves(max(d // 4, 1), d - 2 * max(d // 4, 1), r),
+                "cycle": lambda: cycle(d),
+            }[family]()
+            if lazy:
+                P = cc.lazy_version(P, 0.5)
+            assert P.d == d
+            size = d if k == 0 else int(r.integers(2, d + 1))
+            I = np.sort(r.choice(d, size=size, replace=False))
+            bound = pt.spectral_phi_lower_bound(P, I)
+            assert bound <= mt.min_internal_cut_ratio(P, I) + 1e-12
+
+    def test_two_cycle_is_tight(self):
+        # lambda_2 = -1, and the one cut has Q / min(pi) = 1/2 / 1/2
+        assert pt.spectral_phi_lower_bound(cycle(2), np.arange(2)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [8, 200])
+    def test_well_connected_chains_solve_no_lp(self, d, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("cut LP solved")
+
+        monkeypatch.setattr(pt, "solve_spccc_lp", no_lp)
+        part = pt.partition_states(cp.random_reversible(d, np.random.default_rng(d)), beta=0.1, seed=0)
+        assert part.components == (tuple(range(d)),) and part.tail == ()
+        cert = part.certificates["components"][0]
+        assert cert["lp_phi_lower_bound"] is None
+        assert cert["spectral_phi_lower_bound"] >= part.certificates["component_threshold"]
+
+    @pytest.mark.parametrize("half", [4, 12])
+    def test_split_solves_one_lp(self, half, monkeypatch):
+        # at half = 12 the LP runs beyond the brute-force certification limit
+        calls = []
+        solve = pt.solve_spccc_lp
+
+        def counted(P, I, T):
+            calls.append(tuple(I))
+            return solve(P, I, T)
+
+        monkeypatch.setattr(pt, "solve_spccc_lp", counted)
+        P = cp.planted_two_block((half, half), np.random.default_rng(0))
+        part = pt.partition_states(P, beta=0.1, seed=1)
+        assert calls == [tuple(range(2 * half))]
+        assert sorted(part.components) == [tuple(range(half)), tuple(range(half, 2 * half))]
+        for cert in part.certificates["components"]:
+            assert cert["lp_phi_lower_bound"] is None
+            assert cert["spectral_phi_lower_bound"] >= part.certificates["component_threshold"]
+            if part.certificates["certified"]:
+                assert cert["spectral_phi_lower_bound"] <= cert["min_phi_bruteforce"] + 1e-12
+
+    def test_partition_leaves_scipy_optimize_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = (
+            "import sys, numpy as np\n"
+            "from mcident import corpus, partition\n"
+            "partition.partition_states(corpus.random_reversible(8, np.random.default_rng(8)), beta=0.1, seed=0)\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_rejects_seed_outside_range(self):
+        P = cp.random_reversible(4, np.random.default_rng(4))
+        for seed in (-1, 2**64):
+            with pytest.raises(BadArgs, match="seed"):
+                pt.partition_states(P, beta=0.1, seed=seed)
 
 
 class TestTailOccupancy:
