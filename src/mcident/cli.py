@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _constants_from(args) -> Constants:
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             return Constants.from_dict(json.load(fh))
     return DEFAULT_CONSTANTS
 

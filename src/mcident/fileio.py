@@ -7,11 +7,15 @@ Formats (all JSON):
   samples     {"d": K, "samples": [...]}             codes are 1-based
 
 d is a JSON integer, and states and samples are lists of JSON integers;
-anything else is a ChainTestError. Rows are validated at 1e-8 and then
-renormalized exactly, so files produced by other tools with print-rounded
-floats still load. All numbers in emitted reports are rounded to 12
-significant digits, which keeps reports byte-identical across runs with the
-same manifest.
+anything else is a ChainTestError, and so is a file that is not UTF-8 text.
+Rows are validated at 1e-8 and then renormalized exactly, so files produced
+by other tools with print-rounded floats still load.
+
+The save_* helpers write one line of JSON with sorted keys and no spaces.
+Loaders parse with json.load, so any JSON layout is accepted, including the
+indented files of earlier versions. Reports stay indented. All numbers in
+emitted reports are rounded to 12 significant digits, which keeps reports
+byte-identical across runs with the same manifest.
 """
 
 from __future__ import annotations
@@ -122,9 +126,13 @@ def write_report(doc: dict, path=None) -> str:
 
 
 def _read(path, error: type[ChainTestError] = ChainTestError) -> dict:
-    """Parse a JSON input file; raise `error` unless it holds an object."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Parse a JSON input file; raise `error` unless it is UTF-8 text holding
+    an object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -151,4 +159,4 @@ def _integers(doc: dict, key: str, path) -> np.ndarray:
 
 
 def _write(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")

@@ -66,8 +66,43 @@ class TestFileFormats:
         traj_path, samples_path = tmp_path / "traj.json", tmp_path / "s.json"
         fio.save_trajectory(sp.Trajectory(d=3, states=np.array([0, 2])), traj_path)
         fio.save_samples(5, np.array([4, 0]), samples_path)
-        assert traj_path.read_text() == '{\n  "d": 3,\n  "states": [\n    1,\n    3\n  ]\n}\n'
-        assert samples_path.read_text() == '{\n  "d": 5,\n  "samples": [\n    5,\n    1\n  ]\n}\n'
+        assert traj_path.read_text() == '{"d":3,"states":[1,3]}\n'
+        assert samples_path.read_text() == '{"d":5,"samples":[5,1]}\n'
+
+    @pytest.mark.parametrize("kind", ["matrix", "probvector", "trajectory", "samples"])
+    def test_any_json_layout_loads(self, tmp_path, rng, kind):
+        # files in the indented layout of earlier versions, or with any other
+        # JSON whitespace, load to the same arrays as the compact file
+        P = cp.random_reversible(4, rng)
+        save, load = {
+            "matrix": (lambda path: fio.save_matrix(P, path), fio.load_matrix),
+            "probvector": (lambda path: fio.save_probvector(P.stationary, path),
+                           fio.load_probvector),
+            "trajectory": (lambda path: fio.save_trajectory(sp.simulate(P, P.stationary, 50, seed=1),
+                                                            path), fio.load_trajectory),
+            "samples": (lambda path: fio.save_samples(4, np.arange(50) % 4, path), fio.load_samples),
+        }[kind]
+        compact = tmp_path / "compact.json"
+        save(compact)
+        text = compact.read_text()
+        assert "\n" not in text[:-1] and " " not in text
+        doc = json.loads(text)
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        spaced = tmp_path / "spaced.json"
+        spaced.write_text("\r\n " + text.replace(",", " ,\n\t").replace(":", " :  ") + "\n\n")
+
+        def arrays(path):
+            got = load(path)
+            if kind == "samples":
+                return got
+            return got.d, got.states if kind == "trajectory" else got.entries
+
+        want_d, want = arrays(compact)
+        for path in (indented, spaced):
+            d, got = arrays(path)
+            assert d == want_d
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_round12(self):
         assert fio.round12(0.12345678901234567) == 0.123456789012
@@ -201,6 +236,12 @@ class TestCli:
                    "--steps", "300000", "--seed", "20261018", "--out", str(out)])
         assert rc == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ba404e402f7351605025d3240e397fff696247f650089d95557828dcbee9debd"
+        )
+        # the same states in the indented layout of earlier versions hash to
+        # that layout's pin, so only the layout changed, not the states
+        indented = json.dumps(json.loads(out.read_text()), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(indented.encode()).hexdigest() == (
             "5c858657b0454b3e5f05f4fbf59b84708271c642d935e0d6af66026559fdfb92"
         )
 
@@ -219,6 +260,52 @@ class TestCli:
     def test_io_error_exit_code(self, tmp_path, capsys):
         rc = main(["distance", "--a", str(tmp_path / "missing.json"), "--b", str(tmp_path / "missing.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("content, offset", [
+        (b"\xff\xfe", 0), (b'{"d": 3, "states": [1, "\xe9"]}', 24),
+    ], ids=["bom", "latin1"])
+    @pytest.mark.parametrize("command, flag", [
+        ("test", "--trajectory"), ("test", "--reference"), ("distance", "--a"),
+        ("distance", "--b"), ("simulate", "--mu"), ("simulate", "--matrix"),
+        ("iidtest", "--samples"), ("iidtest", "--pbar"), ("partition", "--matrix"),
+    ])
+    def test_non_utf8_input_exit_code(self, chain_file, tmp_path, capsys, command, flag,
+                                      content, offset):
+        P, path = chain_file
+        traj, mu = tmp_path / "t.json", tmp_path / "mu.json"
+        pbar, samples = tmp_path / "pbar.json", tmp_path / "s.json"
+        fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
+        fio.save_probvector(P.stationary, mu)
+        fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), pbar)
+        fio.save_samples(4, np.arange(4000) % 4, samples)
+        out = tmp_path / "out.json"
+        inputs, argv = {
+            "test": ({"--reference": path, "--trajectory": traj},
+                     ["test", "--eps", "0.3", "--seed", "1", "--report", str(out)]),
+            "distance": ({"--a": path, "--b": path}, ["distance"]),
+            "simulate": ({"--matrix": path, "--mu": mu},
+                         ["simulate", "--steps", "10", "--seed", "1", "--out", str(out)]),
+            "iidtest": ({"--pbar": pbar, "--samples": samples},
+                        ["iidtest", "--eps", "0.2", "--delta", "0.1", "--seed", "1",
+                         "--report", str(out)]),
+            "partition": ({"--matrix": path},
+                          ["partition", "--beta", "0.1", "--seed", "1", "--out", str(out)]),
+        }[command]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        inputs[flag] = bad
+        for name, file in inputs.items():
+            argv += [name, str(file)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte {offset})\n"
+        assert not out.exists()
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{"c_vis": "\xe9"}')
+        assert main(["--config", str(config), "props", "--seed", "1", "--pairs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad constants config: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["simulate", "iidtest"])
     def test_negative_seed_exit_code(self, chain_file, tmp_path, capsys, command):
