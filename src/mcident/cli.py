@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except CertificationFailed as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 3
-    except (ChainTestError, OSError, json.JSONDecodeError) as exc:
+    except (ChainTestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect must not exit 1, which means Reject

@@ -7,16 +7,23 @@ Formats (all JSON):
   samples     {"d": K, "samples": [...]}             codes are 1-based
 
 d is a JSON integer, and states and samples are lists of JSON integers;
-anything else is a ChainTestError, and so is a file that is not UTF-8 text.
-Rows are validated at 1e-8 and then renormalized exactly, so files produced
-by other tools with print-rounded floats still load.
+anything else is a ChainTestError, and so is a file that is not UTF-8 text
+or not JSON, with the file's name in front of the message. Rows are
+validated at 1e-8 and then renormalized exactly, so files produced by other
+tools with print-rounded floats still load.
 
-The save_* helpers write one line of JSON with sorted keys and no spaces.
-Loaders parse with json.load, so any JSON layout is accepted, including the
-indented files of earlier versions. Reports stay indented. All numbers in
-emitted reports are rounded to 12 significant digits, which keeps reports
-byte-identical across runs with the same manifest.
-"""
+The save_* helpers write one line of JSON with sorted keys and no spaces,
+the bytes of json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n".
+Trajectory and sample arrays are turned into digits with numpy, a chunk of
+values at a time, never into a Python list. A trajectory or samples file
+whose only array is its states or samples, written as non-negative integers
+of at most 18 digits with no whitespace, is parsed the same way (the rest of
+the file, the array emptied, goes through json.loads); any other file, such
+as the indented files of earlier versions, floats, negatives or a truncated
+file, is parsed with json.load, which accepts any JSON layout and words
+every error. Reports stay indented. All numbers in emitted reports are
+rounded to 12 significant digits, which keeps reports byte-identical across
+runs with the same manifest."""
 
 from __future__ import annotations
 
@@ -28,10 +35,16 @@ from pathlib import Path
 import numpy as np
 
 from .chain_core import ProbVector, TransitionMatrix
-from .errors import ChainTestError, MalformedDistribution, MalformedMatrix
+from .errors import BadArgs, ChainTestError, MalformedDistribution, MalformedMatrix
 from .sampling import Trajectory
 
 _FILE_TOL = 1e-8
+
+# Values per chunk of the integer writer, and bytes per chunk of the integer
+# reader: their temporaries stay this size however long the array is.
+_CHUNK_VALUES, _CHUNK_BYTES = 1 << 16, 1 << 17
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+_ZERO, _COMMA, _MINUS = ord("0"), ord(","), ord("-")
 
 
 def load_matrix(path) -> TransitionMatrix:
@@ -75,25 +88,24 @@ def save_probvector(p: ProbVector, path) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    doc = _read(path)
-    d = _dimension(doc, path)
-    return Trajectory(d=d, states=_integers(doc, "states", path) - 1)
+    d, states = _load_integers(path, "states")
+    return Trajectory(d=d, states=states)
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    _write(path, {"d": int(traj.d), "states": (traj.states + 1).tolist()})
+    _save_integers(path, traj.d, "states", traj.states)
 
 
 def load_samples(path) -> tuple[int, np.ndarray]:
     """Integer-alphabet samples; returns (alphabet size, 0-based int64 codes)."""
-    doc = _read(path)
-    d = _dimension(doc, path)
-    return d, _integers(doc, "samples", path) - 1
+    return _load_integers(path, "samples")
 
 
 def save_samples(d: int, samples, path) -> None:
     codes = np.asarray(samples, dtype=np.int64)
-    _write(path, {"d": int(d), "samples": (codes + 1).tolist()})
+    if codes.ndim != 1:
+        raise BadArgs(f"samples must be one-dimensional, got shape {codes.shape}")
+    _save_integers(path, d, "samples", codes)
 
 
 def file_digest(path) -> str:
@@ -133,6 +145,8 @@ def _read(path, error: type[ChainTestError] = ChainTestError) -> dict:
             doc = json.load(fh)
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -156,6 +170,112 @@ def _integers(doc: dict, key: str, path) -> np.ndarray:
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
         raise error
     return arr.astype(np.int64)
+
+
+def _load_integers(path, key: str) -> tuple[int, np.ndarray]:
+    """d and the 0-based int64 array doc[key] of a trajectory or samples file,
+    read-only and owning its data."""
+    raw = Path(path).read_bytes()
+    compact = _read_compact(raw, key)
+    if compact is None:
+        doc = _read(path)
+        d = _dimension(doc, path)
+        values = _integers(doc, key, path)
+    else:
+        doc, values = compact
+        d = _dimension(doc, path)
+    values -= 1
+    values.setflags(write=False)
+    return d, values
+
+
+def _read_compact(raw: bytes, key: str):
+    """(doc, doc[key]) without building a Python list, when the span from the
+    first '[' to the last ']' of raw is a list of non-negative JSON integers
+    of at most 18 digits with no whitespace, and that list is doc[key]; None
+    for any other input, which json.load reads instead. doc holds [] at key."""
+    lo, hi = raw.find(b"["), raw.rfind(b"]")
+    if lo < 0 or hi < lo:
+        return None
+    try:
+        doc = json.loads((raw[: lo + 1] + raw[hi:]).decode("utf-8"))
+    except (ValueError, RecursionError):  # not UTF-8 or not JSON
+        return None
+    # '[' and ']' occur nowhere else outside strings, so a list at key is this one
+    if not isinstance(doc, dict) or doc.get(key) != []:
+        return None
+    values = _parse_digits(raw, lo + 1, hi)
+    return None if values is None else (doc, values)
+
+
+def _parse_digits(raw: bytes, start: int, stop: int):
+    """raw[start:stop] as int64 when it is comma-separated JSON non-negative
+    integers of at most 18 digits (so none wraps), else None. Parsed about
+    _CHUNK_BYTES at a time, each chunk ending at a comma."""
+    out = np.empty(raw.count(b",", start, stop) + (stop > start), dtype=np.int64)
+    data = np.frombuffer(raw, dtype=np.uint8)
+    k = 0
+    while start < stop:
+        end = raw.find(b",", min(start + _CHUNK_BYTES, stop), stop)
+        end = stop if end < 0 else end
+        chunk = data[start:end]
+        digits = chunk - np.uint8(_ZERO)  # bytes below '0' wrap to above 9
+        ends = np.append(np.flatnonzero(chunk == _COMMA), chunk.size)
+        lengths = np.diff(ends, prepend=-1) - 1
+        longest = int(lengths.max())
+        if (np.count_nonzero(digits <= 9) != chunk.size - (ends.size - 1)  # not digits or commas
+                or lengths.min() < 1 or longest > 18  # empty item, or one that may wrap
+                or longest > 1 and np.any((digits[ends - lengths] == 0) & (lengths > 1))):  # 01
+            return None
+        values = out[k : k + ends.size]
+        values[:] = digits[ends - 1]
+        for j in range(1, longest):
+            live = np.flatnonzero(lengths > j)
+            values[live] += digits[ends[live] - 1 - j].astype(np.int64) * 10**j
+        k += ends.size
+        start = end + 1
+    # a trailing comma leaves an empty last item unparsed
+    return out if k == out.size else None
+
+
+def _save_integers(path, d: int, key: str, codes: np.ndarray) -> None:
+    """Write {"d": d, key: codes + 1} in the bytes json.dumps(doc,
+    sort_keys=True, separators=(",", ":")) + "\n" gives, turning the 0-based
+    int64 codes into 1-based digits with numpy, _CHUNK_VALUES at a time."""
+    text = json.dumps({"d": int(d), key: []}, sort_keys=True, separators=(",", ":"))
+    cut = text.index("[]") + 1
+    with open(path, "wb") as fh:
+        fh.write(text[:cut].encode())
+        for start in range(0, codes.size, _CHUNK_VALUES):
+            ascii = _ascii(codes[start : start + _CHUNK_VALUES] + 1)
+            fh.write(ascii if start + _CHUNK_VALUES < codes.size else ascii[:-1])
+        fh.write(text[cut:].encode() + b"\n")
+
+
+def _ascii(values: np.ndarray) -> np.ndarray:
+    """The decimal digits of int64 values as uint8 text, each followed by a
+    comma. Each value is laid out right-aligned in a row as wide as the
+    widest; the rows are joined, less their unused leading bytes."""
+    neg = values < 0
+    sign = bool(neg.any())
+    mag = values.view(np.uint64)
+    if sign:
+        mag = np.where(neg, np.negative(mag), mag)  # |int64 min| = 2**63 fits
+    ndigits = np.ones(mag.size, dtype=np.int64)
+    for power in _POW10[_POW10 <= mag.max()]:
+        ndigits += mag >= power
+    widest = int(ndigits.max())
+    rows = np.empty((mag.size, widest + sign + 1), dtype=np.uint8)
+    rows[:, -1] = _COMMA
+    for col in range(rows.shape[1] - 2, rows.shape[1] - 2 - widest, -1):
+        quotient = mag // np.uint64(10)  # numpy divides by a scalar faster than it takes %
+        rows[:, col] = mag - quotient * np.uint64(10) + np.uint64(_ZERO)
+        mag = quotient
+    if not sign and ndigits.min() == widest:
+        return rows.ravel()
+    first = rows.shape[1] - 1 - ndigits - neg  # column of each value's first byte
+    rows[neg, first[neg]] = _MINUS
+    return np.compress((np.arange(rows.shape[1]) >= first[:, None]).ravel(), rows)
 
 
 def _write(path, doc) -> None:

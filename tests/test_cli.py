@@ -21,6 +21,45 @@ def chain_file(tmp_path, rng):
     return P, path
 
 
+INPUT_FLAGS = pytest.mark.parametrize("command, flag", [
+    ("test", "--trajectory"), ("test", "--reference"), ("distance", "--a"),
+    ("distance", "--b"), ("simulate", "--mu"), ("simulate", "--matrix"),
+    ("iidtest", "--samples"), ("iidtest", "--pbar"), ("partition", "--matrix"),
+])
+
+
+def run_with_bad_input(chain_file, tmp_path, command, flag, make_bad):
+    """Run command on valid input files, except that flag names a file holding
+    make_bad(bytes of the valid file); returns (exit code, that file, the
+    output path)."""
+    P, path = chain_file
+    traj, mu = tmp_path / "t.json", tmp_path / "mu.json"
+    pbar, samples = tmp_path / "pbar.json", tmp_path / "s.json"
+    fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
+    fio.save_probvector(P.stationary, mu)
+    fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), pbar)
+    fio.save_samples(4, np.arange(4000) % 4, samples)
+    out = tmp_path / "out.json"
+    inputs, argv = {
+        "test": ({"--reference": path, "--trajectory": traj},
+                 ["test", "--eps", "0.3", "--seed", "1", "--report", str(out)]),
+        "distance": ({"--a": path, "--b": path}, ["distance"]),
+        "simulate": ({"--matrix": path, "--mu": mu},
+                     ["simulate", "--steps", "10", "--seed", "1", "--out", str(out)]),
+        "iidtest": ({"--pbar": pbar, "--samples": samples},
+                    ["iidtest", "--eps", "0.2", "--delta", "0.1", "--seed", "1",
+                     "--report", str(out)]),
+        "partition": ({"--matrix": path},
+                      ["partition", "--beta", "0.1", "--seed", "1", "--out", str(out)]),
+    }[command]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(make_bad(inputs[flag].read_bytes()))
+    inputs[flag] = bad
+    for name, file in inputs.items():
+        argv += [name, str(file)]
+    return main(argv), bad, out
+
+
 class TestFileFormats:
     def test_matrix_round_trip(self, chain_file):
         P, path = chain_file
@@ -264,40 +303,25 @@ class TestCli:
     @pytest.mark.parametrize("content, offset", [
         (b"\xff\xfe", 0), (b'{"d": 3, "states": [1, "\xe9"]}', 24),
     ], ids=["bom", "latin1"])
-    @pytest.mark.parametrize("command, flag", [
-        ("test", "--trajectory"), ("test", "--reference"), ("distance", "--a"),
-        ("distance", "--b"), ("simulate", "--mu"), ("simulate", "--matrix"),
-        ("iidtest", "--samples"), ("iidtest", "--pbar"), ("partition", "--matrix"),
-    ])
+    @INPUT_FLAGS
     def test_non_utf8_input_exit_code(self, chain_file, tmp_path, capsys, command, flag,
                                       content, offset):
-        P, path = chain_file
-        traj, mu = tmp_path / "t.json", tmp_path / "mu.json"
-        pbar, samples = tmp_path / "pbar.json", tmp_path / "s.json"
-        fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
-        fio.save_probvector(P.stationary, mu)
-        fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), pbar)
-        fio.save_samples(4, np.arange(4000) % 4, samples)
-        out = tmp_path / "out.json"
-        inputs, argv = {
-            "test": ({"--reference": path, "--trajectory": traj},
-                     ["test", "--eps", "0.3", "--seed", "1", "--report", str(out)]),
-            "distance": ({"--a": path, "--b": path}, ["distance"]),
-            "simulate": ({"--matrix": path, "--mu": mu},
-                         ["simulate", "--steps", "10", "--seed", "1", "--out", str(out)]),
-            "iidtest": ({"--pbar": pbar, "--samples": samples},
-                        ["iidtest", "--eps", "0.2", "--delta", "0.1", "--seed", "1",
-                         "--report", str(out)]),
-            "partition": ({"--matrix": path},
-                          ["partition", "--beta", "0.1", "--seed", "1", "--out", str(out)]),
-        }[command]
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(content)
-        inputs[flag] = bad
-        for name, file in inputs.items():
-            argv += [name, str(file)]
-        assert main(argv) == 2
+        rc, bad, out = run_with_bad_input(chain_file, tmp_path, command, flag, lambda good: content)
+        assert rc == 2
         assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (byte {offset})\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("truncate", [
+        lambda good: good[: len(good) // 2], lambda good: b'{"d": 4, "states": [1, 2',
+    ], ids=["half", "open-list"])
+    @INPUT_FLAGS
+    def test_truncated_input_exit_code(self, chain_file, tmp_path, capsys, command, flag,
+                                       truncate):
+        # a JSON syntax error names the file, like every other input error
+        rc, bad, out = run_with_bad_input(chain_file, tmp_path, command, flag, truncate)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
