@@ -163,8 +163,12 @@ def _integers(doc: dict, key: str, path) -> np.ndarray:
     """The list doc[key] as an int64 array; anything but a flat list of
     integers is an error (floats would otherwise be truncated silently)."""
     error = ChainTestError(f"{path}: {key} must be a list of integers")
+    items = doc.get(key, [])
+    # np.asarray reads true and false next to integers as 1 and 0
+    if isinstance(items, list) and bool in set(map(type, items)):
+        raise error
     try:
-        arr = np.asarray(doc.get(key, []))
+        arr = np.asarray(items)
     except ValueError:  # ragged nesting
         raise error from None
     if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):

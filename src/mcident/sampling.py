@@ -53,8 +53,9 @@ class Trajectory:
 # Geometry of simulate's lockstep phase: a window of BLOCKS * BLOCK_STEPS
 # uniforms, and GUIDE buckets per row of the guide table. On one core of a
 # shared 2-CPU host, the ten budget-length trajectories of the acceptance
-# corpus took 0.79-1.15 s with 512 to 2048 blocks of 128 to 512 steps
-# (1024 x 256: 0.91 s), against 2.1 s for the per-step loop.
+# corpus took 0.28-0.32 s (medians of three) with 512 x 512, 1024 x 256 and
+# 2048 x 128, within the spread between runs, against 2.1 s for the
+# per-step loop.
 BLOCKS = 1024
 BLOCK_STEPS = 256
 GUIDE = 1024
@@ -65,16 +66,28 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
 
     Step t maps the t-th uniform u of the seeded stream to the next state
     bisect_right(cum[s], u), where cum[s] is the cumulative row of the
-    current state s. Each window of BLOCKS * BLOCK_STEPS uniforms runs in
-    two phases:
+    current state s. Each window of BLOCKS * BLOCK_STEPS uniforms is cut
+    into blocks of at most BLOCK_STEPS steps, and their paths are worked
+    out in three phases:
 
-    - lockstep: the window is cut into blocks of at most BLOCK_STEPS steps
-      that all advance together, each guessed to start from the window's
-      first state, which is right for the first block;
-    - repair: the blocks are visited in order, and a block whose true start
-      differs from its guess is stepped one state at a time until its path
-      meets the guessed one. Both paths apply the same map to the same
-      uniforms, so from there on the guess is the true path.
+    - lockstep: all blocks advance together in numpy, each guessed to start
+      from the window's first state s, which is right for the first block;
+    - re-guess: every later block whose predecessor's guessed end e differs
+      from s advances together again, from e. Both paths apply the same map
+      to the same uniforms, so once the new path meets the stored one it
+      stays on it, and the block takes the new path as computed from e.
+      Meetings are looked for after 1, 2, 4, ... steps; the phase stops at
+      the first look where no path has met, and the rest keep the path
+      from s (on a periodic chain none ever meets);
+    - repair: the blocks are visited in order. A block whose true start
+      differs from the start its path was computed from is stepped one
+      state at a time until it meets a stored path of that block. When it
+      meets none (the true path has crossed into a part of a two-block
+      chain that no guess reached), the blocks after it are guessed again,
+      by the first two phases, from its true end, and their new paths are
+      kept next to the old ones. The r-th such restart of a window needs
+      2**r blocks since the last, and none is made on a chain where no
+      re-guessed path met.
 
     The states are those of stepping the whole trajectory one at a time.
     """
@@ -85,83 +98,221 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
     if m < 1:
         raise BadArgs(f"m={m} must be >= 1")
     rng = np.random.default_rng(require_seed(seed))
-    d = P.d
     cum = np.cumsum(P.entries, axis=1)
     # guard against downward float drift; with cum[s, -1] >= 1 > u every
     # next state bisect_right(cum[s], u) is at most d - 1
     cum[:, -1] = np.maximum(cum[:, -1], 1.0)
+    stepper = _Stepper(cum)
     rows = cum.tolist()
-    flat_cum = cum.ravel()
-    # A lane in state s holds the flat index s*d + a of its candidate next
-    # state a. guide[k*d + s] is that index for the first candidate of a u in
-    # bucket k = floor(u * GUIDE), a = #{cum[s] <= k / GUIDE}, so a only ever
-    # moves up to bisect_right(cum[s], u).
-    lo = np.array([np.searchsorted(c, np.arange(GUIDE) / GUIDE, side="right") for c in cum])
-    guide = (lo + d * np.arange(d)[:, None]).T.ravel()
-    column = np.tile(np.arange(d), d)
     states = np.empty(m, dtype=np.int64)
-    s = states[0] = int(rng.choice(d, p=mu.entries))
+    s = states[0] = int(rng.choice(P.d, p=mu.entries))
+    # arrays of the first window, reused by the others (none is larger):
+    # fresh ones cost a page fault every 4 KB
+    span = min(BLOCKS * BLOCK_STEPS, max(m - 1, 1))
+    size = -(-span // _block_steps(span)) * _block_steps(span)
+    draws = np.empty(span)
+    work = (np.empty(size), np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64))
     pos = 1
     while pos < m:
         span = min(BLOCKS * BLOCK_STEPS, m - pos)
-        u = rng.random(span)
-        # a short window gets about sqrt(span) blocks of sqrt(span) steps:
-        # each lockstep step costs numpy call overhead whatever its width
-        # (m = 1000 took 3.0 ms with 256-step blocks, 0.9 ms like this)
-        steps = min(BLOCK_STEPS, isqrt(span))
-        n_blocks = -(-span // steps)
-        # uniforms laid out (step, block); the zeros that pad the last block
-        # only move it past the window's end, which is discarded
-        lanes = np.pad(u, (0, n_blocks * steps - span)).reshape(n_blocks, steps).T.copy()
-        # u * GUIDE is exact (a power of two), so the cast is the floor
-        buckets = (lanes * GUIDE).astype(np.int64) * d
-        guess = np.empty((steps, n_blocks), dtype=np.int64)
-        cur = np.full(n_blocks, s, dtype=np.int64)
-        for t in range(steps):
-            at = guide[buckets[t] + cur]
-            while True:
-                move = flat_cum[at] <= lanes[t]
-                if not move.any():
-                    break
-                at += move
-            cur = guess[t]
-            np.take(column, at, out=cur)
         path = states[pos : pos + span]
-        path[:] = guess.T.ravel()[:span]
-        x = s
-        for start in range(0, span, steps):
-            stop = min(start + steps, span)
-            if x != s:
-                _repair(path, u, rows, x, start, stop)
-            x = int(path[stop - 1])
-        s = x
+        u = draws[:span]
+        rng.random(out=u)
+        _window(stepper, rows, u, path, s, work)
+        s = int(path[-1])
         pos += span
     states.setflags(write=False)
-    return Trajectory(d=d, states=states)
+    return Trajectory(d=P.d, states=states)
 
 
-def _repair(path, u, rows, x, start, stop):
-    """Overwrite path[start:stop], guessed from a wrong start, with the path
-    from state x driven by u[start:stop].
+class _Stepper:
+    """The step map (s, u) -> bisect_right(cum[s], u), applied with numpy to
+    many lanes at once.
 
-    Compares with the guess after 1, 2, 4, ... steps and stops once they
-    agree: the rest of the guess is then already the true path.
+    A lane in state s holds the flat index s*d + a of its candidate next
+    state a. guide[k*d + s] is that index for the first candidate of a u in
+    bucket k = floor(u * GUIDE), a = #{cum[s] <= k / GUIDE}, so a only ever
+    moves up to bisect_right(cum[s], u), past the entries of cum[s] strictly
+    inside bucket k: at most `passes` of them, the most of any bucket of any
+    row.
     """
-    n = 1
-    while start < stop:
-        end = min(start + n, stop)
-        row = rows[x]
-        seg = []
-        for v in u[start:end].tolist():
+
+    def __init__(self, cum: np.ndarray):
+        d = len(cum)
+        self.d = d
+        self.flat_cum = cum.ravel()
+        self.column = np.arange(d * d) % d
+        # cum * GUIDE is exact (a power of two), and cum[s, a] <= k / GUIDE
+        # exactly when ceil(cum[s, a] * GUIDE) <= k
+        scaled = cum * GUIDE
+        row = np.arange(d)[:, None]
+        first = np.minimum(np.ceil(scaled), GUIDE).astype(np.intp) * d + row
+        guide = np.bincount(first.ravel(), minlength=(GUIDE + 1) * d)[: GUIDE * d]
+        guide = guide.reshape(GUIDE, d).cumsum(axis=0)
+        guide += d * row.T
+        self.guide = guide.ravel()
+        bucket = np.floor(scaled)
+        inside = (bucket != scaled) & (bucket < GUIDE)
+        self.passes = int(np.bincount((bucket.astype(np.intp) * d + row)[inside]).max(initial=0))
+
+    def step(self, index: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Next states of the lanes at guide[index] driven by u."""
+        at = self.guide.take(index)
+        if self.passes:
+            at += self.flat_cum.take(at) <= u
+        if self.passes > 1:
+            # lanes that must move again are rare, and looking for them
+            # costs less than moving every lane once more
+            while np.count_nonzero(move := self.flat_cum.take(at) <= u):
+                at += move
+        # every index is in range: mode="wrap" only spares a buffered copy
+        return self.column.take(at, out=out, mode="wrap")
+
+
+def _block_steps(span: int) -> int:
+    """Steps per block of a window of span steps."""
+    # a short window gets about sqrt(span) blocks of sqrt(span) steps: each
+    # lockstep step costs numpy call overhead whatever its width (m = 1000
+    # took 3.0 ms with 256-step blocks, 0.9 ms like this)
+    return min(BLOCK_STEPS, isqrt(span))
+
+
+def _window(stepper: _Stepper, rows: list, u: np.ndarray, path: np.ndarray, s: int, work) -> None:
+    """Fill path with the len(u) states driven by u from state s; work holds
+    three flat arrays (float, int64, int64) large enough for the window."""
+    span = len(u)
+    steps = _block_steps(span)
+    n_blocks = -(-span // steps)
+    full = span // steps
+    rest = span - full * steps
+    lanes, buckets, guess = (a[: steps * n_blocks].reshape(steps, n_blocks) for a in work)
+    # uniforms laid out (step, block); the zeros that pad the last block only
+    # move it past the window's end, which is discarded
+    lanes[:, :full] = u[: full * steps].reshape(full, steps).T
+    lanes[:rest, full:] = u[full * steps :, None]
+    lanes[rest:, full:] = 0.0
+    # u * GUIDE is exact, so the cast is the floor
+    np.multiply(lanes, GUIDE, out=buckets, casting="unsafe")
+    buckets *= stepper.d
+    origin, meets = _speculate(stepper, lanes, buckets, s, guess)
+    path[: full * steps].reshape(full, steps)[...] = guess[:, :full].T
+    path[full * steps :] = guess[:rest, full:].ravel()
+    # (first block, paths, starts they were computed from) of every guess,
+    # the guess each block takes (-1: path holds it already), and the start
+    # and end of each block's path
+    guesses = [(0, guess, origin)]
+    taken = np.zeros(n_blocks, dtype=np.intp)
+    origin = origin.copy()
+    ends = guess[-1].copy()
+    restarts = last = 0
+    # blocks whose path starts elsewhere than the end of the one before,
+    # last one first; worked out again when the blocks after one change
+    wrong = (np.flatnonzero(origin[1:] != ends[:-1]) + 1).tolist()[::-1]
+    while wrong:
+        k = wrong.pop()
+        x = int(ends[k - 1])
+        if x == origin[k]:
+            continue
+        start = k * steps
+        stop = min(start + steps, span)
+        same = [i for i, (f, _, o) in enumerate(guesses) if o[k - f] == x]
+        if same:
+            i, k_from = same[-1], k
+        else:
+            taken[k] = -1
+            met = _repair(path, u, rows, x, start, stop, [g[:, k - f] for f, g, _ in guesses])
+            if met:
+                at, i = met
+                f, g, _ = guesses[i]
+                path[at:stop] = g[at - start : stop - start, k - f]
+            ends[k] = path[stop - 1]
+            if not met:
+                if not (meets and stop < span and (k + 1 - last) >> restarts):
+                    # no restart: only block k changed, and with it the
+                    # start that block k + 1 needs
+                    if stop < span and (not wrong or wrong[-1] != k + 1):
+                        wrong.append(k + 1)
+                    continue
+                restarts += 1
+                last = k + 1
+                guess = np.empty((steps, n_blocks - last), dtype=np.int64)
+                origin_new, _ = _speculate(stepper, lanes[:, last:], buckets[:, last:], ends[k], guess)
+                guesses.append((last, guess, origin_new))
+                i = len(guesses) - 1
+            k_from = k + 1
+        # the blocks from k_from on take guess i
+        f, g, o = guesses[i]
+        taken[k_from:] = i
+        origin[k_from:] = o[k_from - f :]
+        ends[k_from:] = g[-1, k_from - f :]
+        wrong = (np.flatnonzero(origin[k + 1 :] != ends[k:-1]) + k + 1).tolist()[::-1]
+    for i, (f, g, _) in enumerate(guesses[1:], 1):
+        blocks = np.flatnonzero(taken == i)
+        whole = blocks[blocks < full]
+        path[: full * steps].reshape(full, steps)[whole] = g[:, whole - f].T
+        if rest and taken[-1] == i:
+            path[full * steps :] = g[:rest, -1]
+
+
+def _speculate(stepper: _Stepper, lanes: np.ndarray, buckets: np.ndarray, x: int, guess: np.ndarray):
+    """Lockstep and re-guess phases for the blocks (columns) of lanes, the
+    first of which starts from x: fills guess with their paths (step,
+    block); returns the start each path was computed from, and whether some
+    re-guessed path met."""
+    steps, n_blocks = lanes.shape
+    cur = np.full(n_blocks, x, dtype=np.int64)
+    for t in range(steps):
+        cur = stepper.step(buckets[t] + cur, lanes[t], guess[t])
+    origin = np.full(n_blocks, x, dtype=np.int64)
+    todo = np.flatnonzero(guess[-1, :-1] != x) + 1
+    begin = cur = guess[-1, todo - 1]
+    trail = np.empty_like(guess)
+    meets = False
+    t = 0
+    while todo.size and t < steps:
+        look = min(2 * t + 1, steps)
+        for t in range(t, look):
+            cur = stepper.step(buckets[t, todo] + cur, lanes[t, todo])
+            trail[t, todo] = cur
+        t = look
+        met = cur == guess[t - 1, todo]
+        if not met.any():
+            break
+        meets = True
+        done = todo[met]
+        guess[:t, done] = trail[:t, done]
+        origin[done] = begin[met]
+        todo, begin, cur = todo[~met], begin[~met], cur[~met]
+    return origin, meets
+
+
+def _repair(path, u, rows, x, start, stop, stored):
+    """Overwrite path[start:stop] with the path from state x driven by
+    u[start:stop], up to where it meets one of the stored paths of the block
+    (arrays aligned with path[start:stop]): (that index, which stored path),
+    or None when it meets none.
+
+    Compares after 1, 2, 4, ... steps: once the paths agree, they agree to
+    the end of the block.
+    """
+    draws = u[start:stop].tolist()
+    seg = []
+    step = seg.append
+    row = rows[x]
+    done = 0
+    while done < len(draws):
+        end = min(2 * done + 1, len(draws))
+        for v in draws[done:end]:
             x = bisect_right(row, v)
-            seg.append(x)
+            step(x)
             row = rows[x]
-        met = x == path[end - 1]
-        path[start:end] = seg
-        if met:
-            return
-        start = end
-        n *= 2
+        done = end
+        for i, g in enumerate(stored):
+            if g[done - 1] == x:
+                path[start : start + done] = seg
+                return start + done, i
+    path[start:stop] = seg
+    return None
 
 
 def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | None:
@@ -209,16 +360,20 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
     X = traj.states
     usable = len(X) - 1
     p = min(2 * l, usable)
-    while np.any(np.bincount(X[:p], minlength=traj.d)[S_idx] < counts):
+    while np.any((visits := np.bincount(X[:p], minlength=traj.d))[S_idx] < counts):
         if p == usable:
             return None
         p = min(2 * p, usable)
+    # the j-th anchor on S[a], in draw order, takes the j-th visit to S[a]:
+    # both grouped by a stable sort (a radix sort on the small dtype)
+    small = np.min_scalar_type(traj.d - 1)
+    by_time = np.argsort(X[:p].astype(small), kind="stable")
+    by_draw = np.argsort(anchors.astype(small), kind="stable")
+    a = anchors[by_draw]
+    rank = np.arange(l) - (np.cumsum(counts) - counts)[a]
+    first_visit = np.cumsum(visits) - visits
     successors = np.empty(l, dtype=np.int64)
-    for a, i in enumerate(S_idx):
-        need = int(counts[a])
-        if need:
-            pos = np.flatnonzero(X[:p] == i)
-            successors[anchors == a] = X[pos[:need] + 1]
+    successors[by_draw] = X[by_time[first_visit[S_idx[a]] + rank] + 1]
 
     local = np.full(traj.d, n, dtype=np.int64)
     local[S_idx] = np.arange(n)

@@ -263,6 +263,16 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_boolean_samples_exit_code(self, tmp_path, capsys):
+        # false would load as code -1, which makes the statistic infinite
+        fio.save_probvector(cc.ProbVector(np.array([0.5, 0.5])), tmp_path / "pbar.json")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"d": 2, "samples": [1, 2] * 4000 + [False]}))
+        rc = main(["iidtest", "--pbar", str(tmp_path / "pbar.json"), "--samples", str(path),
+                   "--eps", "0.2", "--delta", "0.1", "--seed", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_simulate_file_digest(self, tmp_path, capsys):
         # pins the exact states and file layout of a seeded simulate run
         # that spans two lockstep windows

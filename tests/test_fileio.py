@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mcident import fileio as fio
 from mcident import sampling as sp
-from mcident.errors import BadArgs
+from mcident.errors import BadArgs, ChainTestError
 
 I64 = np.iinfo(np.int64)
 EDGES = [0, 1, -1, 9, 10, -10, 10**17, 10**18 - 1, 10**18, -(10**18), I64.min, I64.max]
@@ -138,6 +138,16 @@ class TestReader:
         path.write_bytes(text.replace(old, new, 1))
         fast, slow = both_readers(load, path)
         assert fast == slow
+
+    @pytest.mark.parametrize("kind", COMPACT)
+    @pytest.mark.parametrize("items", ["1,true,2,true", "1,true,2,false", "false,3", "true"])
+    def test_booleans_are_not_integers(self, tmp_path, kind, items):
+        load, text = COMPACT[kind]
+        key = b"states" if kind == "trajectory" else b"samples"
+        path = tmp_path / "f.json"
+        path.write_bytes(b'{"d":3,"%s":[%s]}' % (key, items.encode()))
+        with pytest.raises(ChainTestError, match="must be a list of integers"):
+            load(path)
 
     @pytest.mark.parametrize("kind", COMPACT)
     def test_empty_list(self, tmp_path, kind):

@@ -115,15 +115,37 @@ def _lazy_random(d):
     return cc.lazy_version(cp.random_reversible(d, np.random.default_rng(d)), 0.5)
 
 
+# every row but one has two entries strictly inside one 1/1024 bucket of the
+# guide table (near 0.25, at 0.3 through a zero entry, near 1 and near 0), so
+# a lane there must move twice past its guide entry
+CROWDED = [
+    [0.25, 1e-4, 1e-4, 0.2498, 0.5, 0.0],
+    [0.3, 0.0, 0.4, 0.3, 0.0, 0.0],
+    [0.1, 0.2, 0.6998, 1e-4, 1e-4, 0.0],
+    [1e-4, 2e-4, 0.5, 0.2997, 0.1, 0.1],
+    [1 / 6] * 6,
+    [0.5, 0.4998, 1e-4, 1e-4, 0.0, 0.0],
+]
+
+
 EXACT_CHAINS = {
     "lazy-random-4": lambda: _lazy_random(4),
     "lazy-random-8": lambda: _lazy_random(8),
     "lazy-random-64": lambda: _lazy_random(64),
     "planted-4-4": lambda: cp.planted_two_block((4, 4), np.random.default_rng(0)),
+    # about 1e-5 of each row's mass crosses: paths from the two blocks
+    # never meet, so blocks after a crossing are repaired or guessed again
+    "two-blocks-1e-5": lambda: cp.planted_two_block((3, 3), np.random.default_rng(1), 7.5e-6),
     "hub-3-4": lambda: cp.hub_and_leaves(3, 4, np.random.default_rng(0)),
     "birth-death-8": lambda: cp.birth_death(8, np.random.default_rng(0)),
     "three-cycle": lambda: THREE_CYCLE,
+    # periodic: paths from different states never meet (a 256-step block
+    # brings the 64-cycle back to its phase, so only the shorter windows
+    # repair; the three-cycle repairs every block)
+    "cycle-64": lambda: np.roll(np.eye(64), 1, axis=1),
+    "crowded-buckets": lambda: CROWDED,
     "identity-2": lambda: np.eye(2),
+    "one-state": lambda: [[1.0]],
 }
 
 
@@ -144,7 +166,82 @@ class TestSimulateExact:
             assert np.array_equal(sp.simulate(P, mu, m, seed).states, expected[:m]), m
 
 
+class TestStepper:
+    @pytest.mark.parametrize("name", sorted(EXACT_CHAINS))
+    def test_matches_bisect_at_breakpoints(self, name):
+        # every entry of every row, the floats either side of it and the
+        # edges of its guide bucket: the lockstep map must agree with
+        # bisect_right on each
+        P = cc.as_transition_matrix(EXACT_CHAINS[name]())
+        cum = np.cumsum(P.entries, axis=1)
+        cum[:, -1] = np.maximum(cum[:, -1], 1.0)
+        stepper = sp._Stepper(cum)
+        for s, row in enumerate(cum):
+            c = row[row < 1.0]
+            edges = np.floor(c * sp.GUIDE) / sp.GUIDE
+            u = np.concatenate([c, edges, np.nextafter(c, 0.0), np.nextafter(c, 1.0),
+                                np.nextafter(edges, 0.0).clip(0.0), np.nextafter(edges + 1 / sp.GUIDE, 0.0)])
+            u = u[u < 1.0]
+            index = (u * sp.GUIDE).astype(np.int64) * P.d + s
+            expected = [bisect_right(row.tolist(), v) for v in u.tolist()]
+            assert stepper.step(index, u).tolist() == expected
+
+    def test_crowded_rows_need_two_moves(self):
+        cum = np.cumsum(cc.as_transition_matrix(CROWDED).entries, axis=1)
+        assert sp._Stepper(cum).passes == 2
+
+
+def loop_iid_generate(traj, S, nu, l, seed):
+    """Reference for iid_generate's codes: the per-state loop it used to run
+    (after the same argument checks)."""
+    S_idx = np.unique(np.asarray(S, dtype=int))
+    n = len(S_idx)
+    weights = np.asarray(nu, dtype=float)[S_idx]
+    rng = np.random.default_rng(seed)
+    if l == 0:
+        return np.empty(0, dtype=np.int64)
+    anchors = rng.choice(n, size=l, p=weights / weights.sum())
+    counts = np.bincount(anchors, minlength=n)
+    X = traj.states
+    usable = len(X) - 1
+    p = min(2 * l, usable)
+    while np.any(np.bincount(X[:p], minlength=traj.d)[S_idx] < counts):
+        if p == usable:
+            return None
+        p = min(2 * p, usable)
+    successors = np.empty(l, dtype=np.int64)
+    for a, i in enumerate(S_idx):
+        need = int(counts[a])
+        if need:
+            pos = np.flatnonzero(X[:p] == i)
+            successors[anchors == a] = X[pos[:need] + 1]
+    local = np.full(traj.d, n, dtype=np.int64)
+    local[S_idx] = np.arange(n)
+    b = local[successors]
+    return np.where(b < n, anchors * n + b, n * n)
+
+
 class TestIidGenerate:
+    @pytest.mark.parametrize("name", ["lazy-random-8", "two-blocks-1e-5", "hub-3-4", "birth-death-8"])
+    def test_matches_per_state_loop(self, name):
+        P = cc.as_transition_matrix(EXACT_CHAINS[name]())
+        pi = cc.stationary_distribution(P).entries
+        results = set()
+        for seed in range(3):
+            traj = sp.simulate(P, pi, 20_000, seed=seed)
+            for S in (range(P.d), range(P.d // 2), [P.d - 1]):
+                nu = stationary_nu(P, S)
+                for l in (0, 1, 700, 9_000, 30_000):
+                    got = sp.iid_generate(traj, S, nu, l, seed=seed + 10)
+                    want = loop_iid_generate(traj, S, nu, l, seed + 10)
+                    results.add(want is None)
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got.dtype == np.int64
+                        assert got.tobytes() == want.tobytes()
+        assert results == {True, False}
+
     def test_matches_induced_distribution(self):
         # Monte Carlo oracle: 10^5 generated pairs against the closed-form
         # induced law, all cells within 3 standard errors
