@@ -38,12 +38,10 @@ from .iid_test import TestVerdict, iid_sample_size, iid_test
 from .metrics import (
     InducedDistribution,
     chain_distance,
-    cheeger_constant_bruteforce,
     hellinger,
     induced_distribution,
     internal_mass,
     ratio_distance,
-    tail_eigenvalue_bound_check,
 )
 from .partition import (
     MetricLP,
@@ -79,7 +77,6 @@ __all__ = [
     "bourgain_embed",
     "censor",
     "chain_distance",
-    "cheeger_constant_bruteforce",
     "convex_combination",
     "find_comp",
     "hellinger",
@@ -103,7 +100,6 @@ __all__ = [
     "spectral_gap",
     "spectral_radius_nonneg",
     "stationary_distribution",
-    "tail_eigenvalue_bound_check",
     "tail_occupancy_check",
     "time_reversal",
     "trajectory_budget",

@@ -20,7 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .chain_core import stationary_distribution, validate
+from .chain_core import stationary_distribution
 from .config import Constants, DEFAULT_CONSTANTS
 from .errors import CertificationFailed, ChainTestError
 from .fileio import (
@@ -157,8 +157,7 @@ def _cmd_distance(args, constants) -> int:
     B = load_matrix(args.b)
     dist = chain_distance(A, B)
     print(repr(round12(dist)))
-    ca, cb = validate(A), validate(B)
-    if ca.irreducible and cb.irreducible:
+    if A.irreducible and B.irreducible:
         rd = ratio_distance(
             stationary_distribution(A).entries, stationary_distribution(B).entries
         )

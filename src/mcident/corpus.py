@@ -146,10 +146,6 @@ def hub_and_leaves(n_hub: int, n_leaves: int, rng: np.random.Generator) -> Trans
     return TransitionMatrix(W / W.sum(axis=1, keepdims=True))
 
 
-def complete_uniform(d: int) -> TransitionMatrix:
-    return TransitionMatrix(np.full((d, d), 1.0 / d))
-
-
 def birth_death(d: int, rng: np.random.Generator) -> TransitionMatrix:
     """Random birth-death chain (tridiagonal support); reversible."""
     W = np.zeros((d, d))

@@ -54,10 +54,6 @@ class ZeroMassSubset(ChainTestError):
     """Subset carries no probability mass under the given distribution."""
 
 
-class TooLarge(ChainTestError):
-    """Brute-force enumeration guard tripped (subset enumeration is 2^d)."""
-
-
 class BadArgs(ChainTestError):
     """Scalar argument outside its documented domain."""
 

@@ -1,14 +1,14 @@
 """Distances between distributions and chains, induced laws.
 
-Includes the brute-force conductance oracles. They are public operations,
-not test helpers, so the CLI can certify partitions; each one is guarded by
-d <= 20 since enumeration is 2^d.
+Also holds the two brute-force minima that partition._certify checks a
+partition with: min_internal_cut_ratio (component expansion) and
+min_escape_ratio (tail leakage). Each enumerates 2^|S| subsets, so
+_certify calls them only for d <= partition.CERTIFICATION_LIMIT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -16,20 +16,15 @@ from .chain_core import (
     TransitionMatrix,
     as_prob_vector,
     as_transition_matrix,
-    require_reversible,
     spectral_radius_nonneg,
     _as_subset,
-    _symmetrized_spectrum,
 )
 from .errors import (
     BadSubset,
     ShapeMismatch,
-    TooLarge,
     ZeroDenominator,
     ZeroMassSubset,
 )
-
-ENUMERATION_LIMIT = 20
 
 
 def hellinger(p, q) -> float:
@@ -155,48 +150,6 @@ def min_escape_ratio(P: TransitionMatrix, T_idx: np.ndarray) -> float:
         mass = m @ pi
         worst = min(worst, float((out / mass).min()))
     return worst
-
-
-def cheeger_constant_bruteforce(P) -> float:
-    """Exact min over nonempty proper subsets of Phi(P, S, [d]).
-
-    2^d enumeration; rejects d > 20. Serves as the independent oracle for
-    the LP-based partitioner.
-    """
-    P = as_transition_matrix(P)
-    if P.d > ENUMERATION_LIMIT:
-        raise TooLarge(f"d={P.d} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    if P.d < 2:
-        raise BadSubset("no proper subsets for d < 2")
-    return min_internal_cut_ratio(P, np.arange(P.d))
-
-
-class TailEigenvalueCheck(NamedTuple):
-    lam: float
-    alpha: float
-    holds: bool
-
-
-def tail_eigenvalue_bound_check(P, T) -> TailEigenvalueCheck:
-    """Check lambda_max(P_T) <= 1 - alpha^2 / 2 for the leakage rate alpha.
-
-    alpha is the exact minimum over nonempty R subseteq T of the escaped
-    edge mass out of R relative to pi(R) (brute force, |T| <= 20). The
-    submatrix P_T of a reversible chain is self-adjoint under pi, so its
-    spectrum is real and computed after symmetrization.
-    """
-    P = as_transition_matrix(P)
-    T_idx = _as_subset(T, P.d)
-    if len(T_idx) == 0 or len(T_idx) >= P.d:
-        raise BadSubset("need nonempty T strictly inside the state space")
-    if len(T_idx) > ENUMERATION_LIMIT:
-        raise TooLarge(f"|T|={len(T_idx)} exceeds enumeration limit")
-    require_reversible(P)
-    sub = P.entries[np.ix_(T_idx, T_idx)]
-    lam = float(_symmetrized_spectrum(sub, P.pi[T_idx])[-1]) if len(T_idx) > 1 else float(sub[0, 0])
-    alpha = min_escape_ratio(P, T_idx)
-    holds = lam <= 1.0 - alpha * alpha / 2.0 + 1e-9
-    return TailEigenvalueCheck(lam=lam, alpha=float(alpha), holds=bool(holds))
 
 
 def internal_mass(P, I) -> float:

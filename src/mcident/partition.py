@@ -205,11 +205,12 @@ def round_to_cut(embedding: np.ndarray, P, I, T) -> tuple:
     wins, earliest (coordinate, boundary) on ties. The returned side never
     meets T (the complement is taken when needed; the score is the same for
     both sides). Raises DegenerateEmbedding when every coordinate is
-    constant, instructing the caller to re-seed.
+    constant, instructing the caller to re-seed, and ShapeMismatch when T
+    names a state outside range(d).
     """
     P = as_transition_matrix(P)
     I_idx = _as_subset(I, P.d)
-    T_set = set(int(t) for t in np.asarray(list(T), dtype=int)) if len(list(T)) else set()
+    T_set = set(_as_subset(T, P.d).tolist())
     if embedding.shape[0] != len(I_idx):
         raise BadSubset("embedding rows must match sorted(I)")
     Qs = P.Q + P.Q.T

@@ -156,6 +156,15 @@ class TestCli:
         assert rc == 0
         assert out.splitlines()[0] == "0.0"
 
+    def test_distance_of_reducible_pair(self, tmp_path, capsys):
+        path = tmp_path / "eye.json"
+        fio.save_matrix(cc.TransitionMatrix(np.eye(2)), path)
+        rc = main(["distance", "--a", str(path), "--b", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[0] == "0.0"
+        assert "stationary_ratio_distance" not in out
+
     def test_simulate_then_test_too_short(self, chain_file, tmp_path, capsys):
         _, path = chain_file
         traj_path = tmp_path / "traj.json"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mcident import chain_core as cc
 from mcident import corpus as cp
 from mcident import metrics as mt
-from mcident.errors import ShapeMismatch, TooLarge, ZeroDenominator, ZeroMassSubset
+from mcident.errors import ShapeMismatch, ZeroDenominator, ZeroMassSubset
 
 
 def two_state_distance_oracle(P, Pbar):
@@ -148,15 +148,18 @@ class TestInducedDistribution:
 
 
 class TestCheegerBruteforce:
+    """The Cheeger constant by enumeration: min_internal_cut_ratio over all states."""
+
     def test_uniform_two_state(self):
         # both cuts are singletons with Q(0,1)/pi(0) = 0.25 / 0.5
-        assert mt.cheeger_constant_bruteforce([[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(0.5)
+        P = cc.TransitionMatrix(np.full((2, 2), 0.5))
+        assert mt.min_internal_cut_ratio(P, np.arange(2)) == pytest.approx(0.5)
 
     def test_matches_enumeration(self, rng):
         P = cp.random_reversible(6, rng)
         pi = cc.stationary_distribution(P).entries
         Q = pi[:, None] * P.entries
-        got = mt.cheeger_constant_bruteforce(P)
+        got = mt.min_internal_cut_ratio(P, np.arange(6))
         best = np.inf
         for r in range(1, 6):
             for S in itertools.combinations(range(6), r):
@@ -170,7 +173,7 @@ class TestCheegerBruteforce:
         vals = []
         for delta in (1e-3, 1e-4):
             P = cp.planted_two_block((3, 3), r, cross_weight=delta)
-            vals.append(mt.cheeger_constant_bruteforce(P))
+            vals.append(mt.min_internal_cut_ratio(P, np.arange(6)))
         assert vals[0] == pytest.approx(10 * vals[1], rel=0.5)  # linear in the coupling
 
     def test_cheeger_inequality(self):
@@ -178,42 +181,25 @@ class TestCheegerBruteforce:
             r = np.random.default_rng(500 + k)
             P = cp.random_reversible(int(r.integers(2, 8)), r)
             gap = cc.spectral_gap(P)
-            phi = mt.cheeger_constant_bruteforce(P)
+            phi = mt.min_internal_cut_ratio(P, np.arange(P.d))
             assert gap >= phi * phi / 2.0 - 1e-12
 
-    def test_too_large(self):
-        with pytest.raises(TooLarge):
-            mt.cheeger_constant_bruteforce(cp.complete_uniform(21))
 
-
-class TestTailEigenvalueBound:
+class TestMinEscapeRatio:
     def test_singleton(self, rng):
+        # {2} is the only nonempty subset of T; it escapes at rate 1 - P(2,2)
         P = cp.random_reversible(5, rng)
-        res = mt.tail_eigenvalue_bound_check(P, [2])
-        assert res.lam == pytest.approx(P.entries[2, 2])
-        assert res.alpha == pytest.approx(1.0 - P.entries[2, 2], abs=1e-12)
-        assert res.holds
+        assert mt.min_escape_ratio(P, np.array([2])) == pytest.approx(1.0 - P.entries[2, 2], abs=1e-12)
 
     def test_zero_submatrix(self):
+        # no step stays inside T = {0, 3}, so every subset of T escapes at rate 1
         P = cc.TransitionMatrix(np.array([
             [0.0, 0.5, 0.5, 0.0],
             [0.5, 0.0, 0.0, 0.5],
             [0.5, 0.0, 0.0, 0.5],
             [0.0, 0.5, 0.5, 0.0],
         ]))
-        res = mt.tail_eigenvalue_bound_check(P, [0, 3])
-        assert res.lam == pytest.approx(0.0, abs=1e-12)
-        assert res.holds
-
-    def test_holds_on_random_instances(self):
-        # exhaustive property run over 1000 random chains and subsets
-        for k in range(1000):
-            r = np.random.default_rng(9000 + k)
-            d = int(r.integers(3, 9))
-            P = cp.random_reversible(d, r)
-            size = int(r.integers(1, d))
-            T = np.sort(r.choice(d, size=size, replace=False))
-            assert mt.tail_eigenvalue_bound_check(P, T).holds
+        assert mt.min_escape_ratio(P, np.array([0, 3])) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHellingerSeparation:

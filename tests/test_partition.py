@@ -18,6 +18,7 @@ from mcident.errors import (
     DegenerateEmbedding,
     NotIrreducible,
     NotReversible,
+    ShapeMismatch,
 )
 
 ALL6 = tuple(range(6))
@@ -79,9 +80,8 @@ class TestSpcccLP:
         [
             lambda P: pt.solve_spccc_lp(P, range(3), ()),
             lambda P: pt.partition_states(P, beta=0.1, seed=0),
-            lambda P: mt.tail_eigenvalue_bound_check(P, [0]),
         ],
-        ids=["solve_spccc_lp", "partition_states", "tail_eigenvalue_bound_check"],
+        ids=["solve_spccc_lp", "partition_states"],
     )
     def test_requires_reversible(self, call):
         with pytest.raises(NotReversible, match="detailed balance violated"):
@@ -145,9 +145,13 @@ class TestRoundToCut:
         P = cp.random_reversible(6, rng)
         lp = pt.solve_spccc_lp(P, ALL6, [0, 1])
         for seed in range(1000):
-            S = pt.find_comp(P, ALL6, [0, 1], seed=seed, lp=lp)
-            assert not (set(S) & {0, 1})
-            assert 0 < len(S) < 6
+            emb = pt.bourgain_embed(lp, seed)
+            for T in (lp.T, iter(lp.T)):
+                S = pt.round_to_cut(emb, P, ALL6, T)
+                assert not (set(S) & {0, 1})
+                assert 0 < len(S) < 6
+        with pytest.raises(ShapeMismatch):
+            pt.round_to_cut(emb, P, ALL6, [0, 6])
 
     def test_degenerate_embedding_raises(self, rng):
         P = cp.random_reversible(3, rng)
@@ -185,7 +189,7 @@ class TestPartitionStates:
         assert part.certificates["certified"]
 
     def test_complete_uniform_single_component(self):
-        part = pt.partition_states(cp.complete_uniform(6), beta=0.1, seed=4)
+        part = pt.partition_states(np.full((6, 6), 1 / 6), beta=0.1, seed=4)
         assert part.components == (ALL6,)
         assert part.tail == ()
 

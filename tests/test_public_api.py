@@ -1,13 +1,18 @@
-"""The public surface matches what the README documents."""
+"""The public surface matches what the README documents and what the
+benchmark's tracer wraps."""
 
+import importlib
 import re
+import runpy
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 import mcident
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def readme_constants():
@@ -26,3 +31,18 @@ def test_all_names_resolve_once():
     assert len(mcident.__all__) == len(set(mcident.__all__))
     missing = [name for name in mcident.__all__ if not hasattr(mcident, name)]
     assert missing == []
+
+
+def test_traced_names_resolve():
+    # The traced benchmark run looks each "<module>.<function>" up on
+    # mcident.<module>; a renamed, deleted or folded one stops every traced run.
+    def resolves(name):
+        module, fn_name = name.split(".")
+        try:
+            return hasattr(importlib.import_module(f"mcident.{module}"), fn_name)
+        except ModuleNotFoundError:
+            return False
+
+    traced = runpy.run_path(str(TRACING))["TRACED"]
+    assert traced
+    assert [name for name in traced if not resolves(name)] == []
