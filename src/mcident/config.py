@@ -14,8 +14,6 @@ Calibration provenance (scripts/calibrate_constants.py):
   c_esc   escape-count threshold multiplier 1/32, matching the block-length
           argument (blocks of 8 log(1/pi_star)/alpha^2 steps, escape
           probability >= 1/2 per block, half of the blocks succeed).
-  c_round rounding approximation budget: sweep-cut ratio must stay within
-          c_round * log d of the brute-force optimum (95th percentile).
   c2, c3  partition certification constants for component expansion and
           tail leakage; 1/64 passes the planted-model corpus.
   bourgain_reps  repetitions per scale in the l1 embedding (times log n).
@@ -33,7 +31,6 @@ class Constants:
     c_iid: float = 4.0
     c_len: float = 2.0
     c_esc: float = 1.0 / 32.0
-    c_round: float = 4.0
     c2: float = 1.0 / 64.0
     c3: float = 1.0 / 64.0
     bourgain_reps: float = 8.0

@@ -137,8 +137,12 @@ def identity_test(
     Succeeds with probability at least 3/5 at trajectory_budget length:
     accepts when the unknown chain equals the reference, rejects when their
     distance is at least eps (given the stationary closeness promise).
+    A reference with fewer than two states raises BadArgs: the trajectory
+    budget and the log d tolerances are undefined there.
     """
     Pbar = as_transition_matrix(Pbar)
+    if Pbar.d < 2:
+        raise BadArgs(f"reference has d={Pbar.d}; identity testing needs d >= 2")
     cls = validate(Pbar)
     if not (cls.irreducible and cls.reversible):
         raise NotReversibleReference("reference must be irreducible and reversible")

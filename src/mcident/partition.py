@@ -5,17 +5,11 @@ chain cannot linger in. Each candidate set I first gets a Cheeger check:
 one eigvalsh of the chain restricted to I gives (1 - lambda_2)/2, a lower
 bound on every internal bottleneck ratio min_R Phi(P, R, I) (see
 spectral_phi_lower_bound). When that clears the component threshold, I is
-declared without an LP. Otherwise the constrained sparsest-cut LP decides:
+declared without an LP. Otherwise the sparsest-cut LP decides:
 its optimum is also a sound lower bound (through the factor-2 sandwich
 between the normalized cut ratio and the bottleneck ratio), and when it too
 is small, rounding (embedding + sweep cuts) produces the sparse cut that
 splits I. The LP plus rounding is the only splitter.
-
-The constrained subset T is handled by contracting it to a single node: the
-LP constraints force delta = 0 inside T and equal distances from T to any
-outside node, which is exactly the quotient metric. Contraction also makes
-the embedding assign identical coordinates to all of T and keeps sweep cuts
-from ever splitting it.
 """
 
 from __future__ import annotations
@@ -54,21 +48,14 @@ class MetricLP:
     delta is the full |I| x |I| symmetric matrix in sorted-I order. The
     objective is sum over ordered pairs of Q(i,j) delta_ij at the optimum,
     under the normalization sum over ordered pairs of pi_i pi_j delta_ij = 1.
+    T is always (): the benchmark's tracer (perfbench/tracing.py) reads it
+    to count LP nodes, so it stays until that reader changes.
     """
 
     I: tuple
     T: tuple
     delta: np.ndarray
     objective: float
-
-
-def _quotient_nodes(I: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Quotient node of each state of sorted I: T contracted to node 0, the
-    other states singletons numbered in I order after it."""
-    in_T = np.isin(I, T)
-    node = np.cumsum(~in_T) - (0 if len(T) else 1)
-    node[in_T] = 0
-    return node
 
 
 def _triangle_rows(n: int) -> csr_matrix:
@@ -85,40 +72,28 @@ def _triangle_rows(n: int) -> csr_matrix:
     return csr_matrix((vals, (rows, cols)), shape=(len(k), len(a)))
 
 
-def solve_spccc_lp(P, I, T) -> MetricLP:
+def solve_spccc_lp(P, I) -> MetricLP:
     """Minimum of sum Q(i,j) delta_ij over metrics delta on I normalized by
-    sum pi_i pi_j delta_ij = 1, with delta = 0 inside T and distances from T
-    shared. Every triangle inequality of the quotient (T contracted to one
-    node) is written out, and the LP is solved by HiGHS.
+    sum pi_i pi_j delta_ij = 1. Every triangle inequality is written out,
+    and the LP is solved by HiGHS.
     """
     P = as_transition_matrix(P)
     I_idx = _as_subset(I, P.d)
-    T_idx = _as_subset(T, P.d)
     if len(I_idx) < 2:
         raise BadSubset("need |I| >= 2")
-    if len(T_idx) and (not np.isin(T_idx, I_idx).all() or len(T_idx) >= len(I_idx)):
-        raise BadSubset("need T strictly inside I")
     require_reversible(P)
-    pi, Q = P.pi, P.Q
+    pi_I = P.pi[I_idx]
+    Qs_I = (P.Q + P.Q.T)[np.ix_(I_idx, I_idx)]
 
-    node = _quotient_nodes(I_idx, T_idx)
-    n = int(node.max()) + 1
-    member = (node == np.arange(n)[:, None]).astype(float)  # n x |I| incidence
-    gmass = member @ pi[I_idx]
-    gq = member @ (Q + Q.T)[np.ix_(I_idx, I_idx)] @ member.T
+    n = len(I_idx)
     a, b = np.triu_indices(n, 1)
     A_ub = _triangle_rows(n)
-    norm_row = 2.0 * gmass[a] * gmass[b]
-    x, obj = solve_lp(gq[a, b], A_ub, np.zeros(A_ub.shape[0]), norm_row[None, :], np.array([1.0]))
+    norm_row = 2.0 * pi_I[a] * pi_I[b]
+    x, obj = solve_lp(Qs_I[a, b], A_ub, np.zeros(A_ub.shape[0]), norm_row[None, :], np.array([1.0]))
 
-    dq = np.zeros((n, n))
-    dq[a, b] = dq[b, a] = x
-    return MetricLP(
-        I=tuple(int(i) for i in I_idx),
-        T=tuple(int(i) for i in T_idx),
-        delta=dq[np.ix_(node, node)],
-        objective=float(obj),
-    )
+    delta = np.zeros((n, n))
+    delta[a, b] = delta[b, a] = x
+    return MetricLP(I=tuple(int(i) for i in I_idx), T=(), delta=delta, objective=float(obj))
 
 
 def spectral_phi_lower_bound(P: TransitionMatrix, I_idx: np.ndarray) -> float:
@@ -170,47 +145,36 @@ def bourgain_embed(lp: MetricLP, seed: int, constants: Constants = DEFAULT_CONST
     For each scale s = 1..ceil(log2 n) and repetition r = 1..ceil(C log n),
     sample a node subset A with inclusion probability 2^-s and emit the
     coordinate min_{a in A} delta(i, a), scaled by the coordinate count so
-    the embedding is 1-Lipschitz into l1. Nodes of T share all coordinates
-    exactly (they are one quotient node). Rows follow sorted(I) order.
+    the embedding is 1-Lipschitz into l1. Rows follow sorted(I) order.
     """
-    node = _quotient_nodes(np.asarray(lp.I, dtype=int), np.asarray(lp.T, dtype=int))
-    first = np.unique(node, return_index=True)[1]  # one representative per node
-    dq = lp.delta[np.ix_(first, first)]
-    n = len(first)
-
-    if n == 1:
-        return np.zeros((len(node), 1))
+    n = len(lp.I)
     scales = max(1, ceil(np.log2(n)))
     reps = max(1, ceil(constants.bourgain_reps * log(n)))
     total = scales * reps
     rng = derive_rng(seed, "bourgain")
-    coords_q = np.zeros((n, total))
+    coords = np.zeros((n, total))
     col = 0
     for s in range(1, scales + 1):
         p_inc = 2.0 ** (-s)
         for _ in range(reps):
             A = np.flatnonzero(rng.random(n) < p_inc)
             if len(A):
-                coords_q[:, col] = dq[:, A].min(axis=1)
+                coords[:, col] = lp.delta[:, A].min(axis=1)
             col += 1
-    coords_q /= total
-    return coords_q[node]
+    return coords / total
 
 
-def round_to_cut(embedding: np.ndarray, P, I, T) -> tuple:
+def round_to_cut(embedding: np.ndarray, P, I) -> tuple:
     """Best sweep cut over all embedding coordinates.
 
     Each coordinate is swept at every strictly increasing value boundary and
     the candidate cut scored by its normalized metric ratio; the minimizer
-    wins, earliest (coordinate, boundary) on ties. The returned side never
-    meets T (the complement is taken when needed; the score is the same for
-    both sides). Raises DegenerateEmbedding when every coordinate is
-    constant, instructing the caller to re-seed, and ShapeMismatch when T
-    names a state outside range(d).
+    wins, earliest (coordinate, boundary) on ties, and its lower side is
+    returned. Raises DegenerateEmbedding when every coordinate is constant,
+    instructing the caller to re-seed.
     """
     P = as_transition_matrix(P)
     I_idx = _as_subset(I, P.d)
-    T_set = set(_as_subset(T, P.d).tolist())
     if embedding.shape[0] != len(I_idx):
         raise BadSubset("embedding rows must match sorted(I)")
     Qs = P.Q + P.Q.T
@@ -234,21 +198,14 @@ def round_to_cut(embedding: np.ndarray, P, I, T) -> tuple:
                 best = (ratio, left)
     if best is None:
         raise DegenerateEmbedding("all embedded points coincide; retry with a fresh seed")
-    side = set(int(I_idx[i]) for i in best[1])
-    if side & T_set:
-        side = set(int(i) for i in I_idx) - side
-    return tuple(sorted(side))
+    return tuple(sorted(int(I_idx[i]) for i in best[1]))
 
 
-def find_comp(P, I, T, seed: int, lp: MetricLP | None = None,
-              constants: Constants = DEFAULT_CONSTANTS) -> tuple:
-    """LP relaxation, l1 embedding, sweep-cut rounding; returns a proper
-    nonempty subset of I disjoint from T. Deterministic given the seed."""
-    P = as_transition_matrix(P)
-    if lp is None:
-        lp = solve_spccc_lp(P, I, T)
+def find_comp(P, lp: MetricLP, seed: int, constants: Constants = DEFAULT_CONSTANTS) -> tuple:
+    """l1 embedding and sweep-cut rounding of a solved cut LP; returns a
+    proper nonempty subset of lp.I. Deterministic given the seed."""
     emb = bourgain_embed(lp, seed, constants)
-    return round_to_cut(emb, P, lp.I, lp.T)
+    return round_to_cut(emb, P, lp.I)
 
 
 @dataclass(frozen=True)
@@ -338,7 +295,7 @@ def partition_states(
         spectral_bound = spectral_phi_lower_bound(P, I_idx)
         lp = lp_bound = None
         if spectral_bound < tau_comp:
-            lp = solve_spccc_lp(P, I_idx, ())
+            lp = solve_spccc_lp(P, I_idx)
             lp_bound = float(pi[I_idx].sum()) * lp.objective / 2.0
         if lp is None or lp_bound >= tau_comp:
             low = [int(i) for i in I_idx if arr[i, I_idx].sum() < 1.0 - beta]
@@ -361,8 +318,7 @@ def partition_states(
             for attempt in range(8):
                 try:
                     S1 = find_comp(
-                        P, I_idx, (), derive_rng(seed, "split", round_no, attempt).integers(2**63),
-                        lp=lp, constants=constants,
+                        P, lp, derive_rng(seed, "split", round_no, attempt).integers(2**63), constants
                     )
                     break
                 except DegenerateEmbedding:

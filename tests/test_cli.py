@@ -230,7 +230,7 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0 and doc["constants"]["c_iid"] == 8.0
 
-    @pytest.mark.parametrize("cfg", [{"c2": "2"}, {"c2": -1}, {"c_hist": 4.0}])
+    @pytest.mark.parametrize("cfg", [{"c2": "2"}, {"c2": -1}, {"c_hist": 4.0}, {"c_round": 4.0}])
     def test_bad_constant_exit_code(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -262,6 +262,16 @@ class TestCli:
                    "--eps", "0.3", "--seed", "1"])
         assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_one_state_reference_exit_code(self, tmp_path, capsys):
+        ref, traj = tmp_path / "P.json", tmp_path / "traj.json"
+        ref.write_text(json.dumps({"d": 1, "rows": [[1.0]]}))
+        traj.write_text(json.dumps({"d": 1, "states": [1] * 50}))
+        rc = main(["test", "--reference", str(ref), "--trajectory", str(traj),
+                   "--eps", "0.3", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: reference has d=1; identity testing needs d >= 2\n"
 
     def test_fractional_samples_exit_code(self, tmp_path, capsys):
         fio.save_probvector(cc.ProbVector(np.array([0.5, 0.5])), tmp_path / "pbar.json")

@@ -18,23 +18,18 @@ from mcident.errors import (
     DegenerateEmbedding,
     NotIrreducible,
     NotReversible,
-    ShapeMismatch,
 )
 
 ALL6 = tuple(range(6))
 
 
-def brute_min_ratio(P, I, T=()):
-    Tset = set(T)
-    best = np.inf
+def brute_min_ratio(P, I):
     I = list(I)
-    for r in range(1, len(I)):
-        for S in itertools.combinations(I, r):
-            s = set(S)
-            if Tset and not (Tset <= s or not (Tset & s)):
-                continue
-            best = min(best, pt.cut_metric_ratio(P, S, I))
-    return best
+    return min(
+        pt.cut_metric_ratio(P, S, I)
+        for r in range(1, len(I))
+        for S in itertools.combinations(I, r)
+    )
 
 
 class TestSpcccLP:
@@ -42,28 +37,21 @@ class TestSpcccLP:
         P = cp.random_reversible(2, rng)
         pi = cc.stationary_distribution(P).entries
         Q = pi[:, None] * P.entries
-        lp = pt.solve_spccc_lp(P, [0, 1], [])
+        lp = pt.solve_spccc_lp(P, [0, 1])
         assert lp.delta[0, 1] == pytest.approx(1.0 / (2 * pi[0] * pi[1]), rel=1e-9)
         assert lp.objective == pytest.approx((Q[0, 1] + Q[1, 0]) / (2 * pi[0] * pi[1]), rel=1e-9)
-
-    def test_all_but_one_constrained(self, rng):
-        # with T = I minus one state, the only valid cut separates that
-        # state, and the relaxation is tight
-        P = cp.random_reversible(5, rng)
-        lp = pt.solve_spccc_lp(P, range(5), [0, 1, 2, 3])
-        assert lp.objective == pytest.approx(pt.cut_metric_ratio(P, [4], range(5)), rel=1e-8)
 
     def test_relaxation_soundness(self):
         for k in range(15):
             r = np.random.default_rng(300 + k)
             P = cp.random_reversible(6, r)
-            lp = pt.solve_spccc_lp(P, ALL6, ())
+            lp = pt.solve_spccc_lp(P, ALL6)
             assert lp.objective <= brute_min_ratio(P, ALL6) + 1e-9
 
     def test_feasibility_invariants(self, rng):
         P = cp.random_reversible(6, rng)
         pi = cc.stationary_distribution(P).entries
-        lp = pt.solve_spccc_lp(P, ALL6, [1, 4])
+        lp = pt.solve_spccc_lp(P, ALL6)
         dl = lp.delta
         assert np.abs(np.diag(dl)).max() == 0.0
         assert np.abs(dl - dl.T).max() == 0.0
@@ -71,14 +59,11 @@ class TestSpcccLP:
             assert dl[i, j] <= dl[i, k] + dl[k, j] + 1e-7
         norm = float(np.einsum("i,j,ij->", pi, pi, dl))
         assert norm == pytest.approx(1.0, abs=1e-7)
-        assert dl[1, 4] == 0.0
-        for k in range(6):
-            assert dl[1, k] == pytest.approx(dl[4, k], abs=1e-12)
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda P: pt.solve_spccc_lp(P, range(3), ()),
+            lambda P: pt.solve_spccc_lp(P, range(3)),
             lambda P: pt.partition_states(P, beta=0.1, seed=0),
         ],
         ids=["solve_spccc_lp", "partition_states"],
@@ -90,9 +75,7 @@ class TestSpcccLP:
     def test_bad_subsets(self, rng):
         P = cp.random_reversible(4, rng)
         with pytest.raises(BadSubset):
-            pt.solve_spccc_lp(P, [0], ())
-        with pytest.raises(BadSubset):
-            pt.solve_spccc_lp(P, range(4), range(4))
+            pt.solve_spccc_lp(P, [0])
 
 
 class TestBourgainEmbed:
@@ -101,15 +84,9 @@ class TestBourgainEmbed:
         emb = pt.bourgain_embed(lp, seed=1)
         assert np.abs(emb - emb[0]).max() == 0.0
 
-    def test_constrained_states_share_coordinates(self, rng):
-        P = cp.random_reversible(6, rng)
-        lp = pt.solve_spccc_lp(P, ALL6, [2, 5])
-        emb = pt.bourgain_embed(lp, seed=3)
-        assert np.abs(emb[2] - emb[5]).max() == 0.0
-
     def test_one_lipschitz(self, rng):
         P = cp.random_reversible(7, rng)
-        lp = pt.solve_spccc_lp(P, range(7), ())
+        lp = pt.solve_spccc_lp(P, range(7))
         emb = pt.bourgain_embed(lp, seed=5)
         for i in range(7):
             for j in range(7):
@@ -120,7 +97,7 @@ class TestBourgainEmbed:
         # measured distortion within 4 log|I| in at least 95% of seeds
         r = np.random.default_rng(8)
         P = cp.random_reversible(8, r)
-        lp = pt.solve_spccc_lp(P, range(8), ())
+        lp = pt.solve_spccc_lp(P, range(8))
         ok = 0
         for seed in range(100):
             emb = pt.bourgain_embed(lp, seed=seed)
@@ -138,26 +115,21 @@ class TestBourgainEmbed:
 class TestRoundToCut:
     def test_planted_blocks_recovered(self, rng):
         P = cp.planted_two_block((3, 3), rng)
-        S = pt.find_comp(P, ALL6, (), seed=11)
+        S = pt.find_comp(P, pt.solve_spccc_lp(P, ALL6), seed=11)
         assert set(S) in ({0, 1, 2}, {3, 4, 5})
 
-    def test_avoids_constrained_states(self, rng):
+    def test_returns_proper_subset(self, rng):
         P = cp.random_reversible(6, rng)
-        lp = pt.solve_spccc_lp(P, ALL6, [0, 1])
+        lp = pt.solve_spccc_lp(P, ALL6)
         for seed in range(1000):
-            emb = pt.bourgain_embed(lp, seed)
-            for T in (lp.T, iter(lp.T)):
-                S = pt.round_to_cut(emb, P, ALL6, T)
-                assert not (set(S) & {0, 1})
-                assert 0 < len(S) < 6
-        with pytest.raises(ShapeMismatch):
-            pt.round_to_cut(emb, P, ALL6, [0, 6])
+            S = pt.round_to_cut(pt.bourgain_embed(lp, seed), P, ALL6)
+            assert 0 < len(S) < 6
 
     def test_degenerate_embedding_raises(self, rng):
         P = cp.random_reversible(3, rng)
         emb = np.zeros((3, 4))
         with pytest.raises(DegenerateEmbedding):
-            pt.round_to_cut(emb, P, range(3), ())
+            pt.round_to_cut(emb, P, range(3))
 
     def test_approximation_factor(self):
         # sweep-cut ratio within 4 log d of the brute-force optimum on a
@@ -168,15 +140,15 @@ class TestRoundToCut:
             d = int(r.integers(4, 11))
             P = cp.random_reversible(d, r)
             I = tuple(range(d))
-            lp = pt.solve_spccc_lp(P, I, ())
-            S = pt.find_comp(P, I, (), seed=k, lp=lp)
+            S = pt.find_comp(P, pt.solve_spccc_lp(P, I), seed=k)
             factors.append(pt.cut_metric_ratio(P, S, I) / brute_min_ratio(P, I))
         assert float(np.quantile(factors, 0.95)) <= 4.0 * log(4)
 
     def test_deterministic_given_seed(self, rng):
         P = cp.random_reversible(6, rng)
-        a = pt.find_comp(P, ALL6, (), seed=21)
-        b = pt.find_comp(P, ALL6, (), seed=21)
+        lp = pt.solve_spccc_lp(P, ALL6)
+        a = pt.find_comp(P, lp, seed=21)
+        b = pt.find_comp(P, lp, seed=21)
         assert a == b
 
 
@@ -313,9 +285,9 @@ class TestSpectralCertification:
         calls = []
         solve = pt.solve_spccc_lp
 
-        def counted(P, I, T):
+        def counted(P, I):
             calls.append(tuple(I))
-            return solve(P, I, T)
+            return solve(P, I)
 
         monkeypatch.setattr(pt, "solve_spccc_lp", counted)
         P = cp.planted_two_block((half, half), np.random.default_rng(0))

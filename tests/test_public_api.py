@@ -2,13 +2,17 @@
 benchmark's tracer wraps."""
 
 import importlib
+import inspect
 import re
 import runpy
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 import mcident
+from mcident import corpus, partition
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -46,3 +50,12 @@ def test_traced_names_resolve():
     traced = runpy.run_path(str(TRACING))["TRACED"]
     assert traced
     assert [name for name in traced if not resolves(name)] == []
+
+
+def test_traced_lp_counter_reads_result():
+    # The LP counter reads fields of the MetricLP it is given; no other
+    # test traces an LP, so a field it reads could vanish unnoticed.
+    counter = runpy.run_path(str(TRACING))["TRACED"]["partition.solve_spccc_lp"]
+    P = corpus.random_reversible(6, np.random.default_rng(0))
+    args = inspect.signature(partition.solve_spccc_lp).bind(P, range(6)).arguments
+    assert counter(args, partition.solve_spccc_lp(P, range(6))) == {"nodes": 6}
