@@ -347,17 +347,23 @@ def spectral_gap(P) -> float:
     return float(1.0 - w[-2])
 
 
-def _symmetrized_spectrum(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of D^{1/2} M D^{-1/2}, D = diag(pi), averaged
-    with its transpose to absorb rounding.
+def _symmetrized(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """D^{1/2} M D^{-1/2}, D = diag(pi), averaged with its transpose to
+    absorb rounding.
 
     For a matrix M self-adjoint under pi (pi(i) M(i,j) = pi(j) M(j,i), as for
     a reversible chain or any of its principal submatrices), the conjugate is
-    symmetric and has M's real spectrum. pi need not be normalized.
+    symmetric and has M's real spectrum; an eigenvector v of it gives the
+    right eigenvector v / sqrt(pi) of M. pi need not be normalized.
     """
     root = np.sqrt(pi)
     sym = root[:, None] * M / root[None, :]
-    return np.linalg.eigvalsh((sym + sym.T) / 2.0)
+    return (sym + sym.T) / 2.0
+
+
+def _symmetrized_spectrum(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of _symmetrized(M, pi)."""
+    return np.linalg.eigvalsh(_symmetrized(M, pi))
 
 
 def spectral_radius_nonneg(M) -> float:

@@ -135,6 +135,10 @@ def _cmd_simulate(args, constants) -> int:
     return 0
 
 
+def _one_based_splits(part) -> list:
+    return [dict(sp, states=[i + 1 for i in sp["states"]]) for sp in part.certificates["splits"]]
+
+
 def _cmd_partition(args, constants) -> int:
     P = load_matrix(args.matrix)
     part = partition_states(P, args.beta, args.seed, certify=args.certify, constants=constants)
@@ -142,6 +146,7 @@ def _cmd_partition(args, constants) -> int:
     for c in certs["components"]:
         c["states"] = [i + 1 for i in c["states"]]
     certs["tail"]["states"] = [i + 1 for i in certs["tail"]["states"]]
+    certs["splits"] = _one_based_splits(part)
     doc = {
         "manifest": _manifest(args, constants, {"matrix": args.matrix}),
         "components": [[i + 1 for i in S] for S in part.components],
@@ -204,6 +209,7 @@ def _cmd_test(args, constants) -> int:
         "partition": {
             "components": [[i + 1 for i in S] for S in report.partition_used.components],
             "tail": [i + 1 for i in report.partition_used.tail],
+            "splits": _one_based_splits(report.partition_used),
         },
         "per_component": [
             {

@@ -1,15 +1,18 @@
-"""State-space partitioning: spectral certification, sparsest-cut LP to split.
+"""State-space partitioning: spectral certification, Fiedler sweep and
+sparsest-cut LP to split.
 
 The partitioner returns well-connected components plus a tail subset the
 chain cannot linger in. Each candidate set I first gets a Cheeger check:
 one eigvalsh of the chain restricted to I gives (1 - lambda_2)/2, a lower
 bound on every internal bottleneck ratio min_R Phi(P, R, I) (see
 spectral_phi_lower_bound). When that clears the component threshold, I is
-declared without an LP. Otherwise the sparsest-cut LP decides:
-its optimum is also a sound lower bound (through the factor-2 sandwich
-between the normalized cut ratio and the bottleneck ratio), and when it too
-is small, rounding (embedding + sweep cuts) produces the sparse cut that
-splits I. The LP plus rounding is the only splitter.
+declared without an LP. Otherwise the sweep over the restriction's Fiedler
+vector (fiedler_sweep) proposes a cut, and I splits there when that cut is
+sparse enough. Only when it is not does the sparsest-cut LP decide: its
+optimum is also a sound lower bound (through the factor-2 sandwich between
+the normalized cut ratio and the bottleneck ratio), and when it too is
+small, rounding (embedding + sweep cuts) produces the sparse cut that
+splits I.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .chain_core import (
     as_transition_matrix,
     require_reversible,
     _as_subset,
+    _symmetrized,
     _symmetrized_spectrum,
 )
 from .config import Constants, DEFAULT_CONSTANTS
@@ -96,6 +100,13 @@ def solve_spccc_lp(P, I) -> MetricLP:
     return MetricLP(I=tuple(int(i) for i in I_idx), T=(), delta=delta, objective=float(obj))
 
 
+def _restriction(P: TransitionMatrix, I_idx: np.ndarray) -> np.ndarray:
+    """P restricted to I, each row's mass leaving I moved onto its diagonal."""
+    sub = P.entries[np.ix_(I_idx, I_idx)]
+    sub[np.diag_indices(len(I_idx))] += 1.0 - sub.sum(axis=1)
+    return sub
+
+
 def spectral_phi_lower_bound(P: TransitionMatrix, I_idx: np.ndarray) -> float:
     """Cheeger lower bound (1 - lambda_2)/2 on every internal bottleneck
     ratio Q(R, I-R) / min(pi(R), pi(I-R)), R a nonempty proper subset of I.
@@ -118,10 +129,37 @@ def spectral_phi_lower_bound(P: TransitionMatrix, I_idx: np.ndarray) -> float:
     times the ratio: the two bounds are on one scale, and both lower-bound
     the minimum that _certify enumerates.
     """
-    sub = P.entries[np.ix_(I_idx, I_idx)]
-    sub[np.diag_indices(len(I_idx))] += 1.0 - sub.sum(axis=1)
-    lam = _symmetrized_spectrum(sub, P.pi[I_idx])
+    lam = _symmetrized_spectrum(_restriction(P, I_idx), P.pi[I_idx])
     return float(1.0 - lam[-2]) / 2.0
+
+
+def fiedler_sweep(P: TransitionMatrix, I_idx: np.ndarray) -> tuple[np.ndarray, float]:
+    """Sparsest prefix cut of I in the order of the restriction's Fiedler
+    vector; returns (the prefix as sorted states, its cut_metric_ratio).
+
+    The eigenvector for lambda_2 of the pi-symmetrized restriction that
+    spectral_phi_lower_bound builds, divided by sqrt(pi_I), is the right
+    eigenvector f of P_I. The states of I are ordered by f, index breaking
+    ties, and every one of the |I| - 1 prefixes is scored with prefix sums
+    over the permuted Q + Q^T, in O(|I|^2); the first minimum wins. Cheeger's
+    hard direction (Levin-Peres-Wilmer, Thm 13.10 and its proof; Chung,
+    Spectral Graph Theory, ch. 2) bounds the bottleneck ratio of that cut
+    by sqrt(2 (1 - lambda_2)).
+    """
+    pi_I = P.pi[I_idx]
+    _, vecs = np.linalg.eigh(_symmetrized(_restriction(P, I_idx), pi_I))
+    f = vecs[:, -2] / np.sqrt(pi_I)
+    order = np.lexsort((np.arange(len(I_idx)), f))
+    J = I_idx[order]
+    Q_J = P.Q[np.ix_(J, J)]
+    Qs = Q_J + Q_J.T
+    # Moving J[j] to the left side adds its edges to the right side to the
+    # cut and removes its edges to the left side.
+    cut = np.cumsum(np.triu(Qs, 1).sum(axis=1) - np.tril(Qs, -1).sum(axis=1))[:-1]
+    left = np.cumsum(pi_I[order])[:-1]
+    ratio = cut / (2.0 * left * (pi_I.sum() - left))
+    j = int(np.argmin(ratio))
+    return np.sort(J[: j + 1]), float(ratio[j])
 
 
 def cut_metric_ratio(P, S, I) -> float:
@@ -208,6 +246,18 @@ def find_comp(P, lp: MetricLP, seed: int, constants: Constants = DEFAULT_CONSTAN
     return round_to_cut(emb, P, lp.I)
 
 
+def _lp_cut(P, lp: MetricLP, seed: int, round_no: int, constants: Constants) -> tuple:
+    """find_comp on a solved LP, re-seeded while the embedding is degenerate."""
+    for attempt in range(8):
+        try:
+            return find_comp(
+                P, lp, derive_rng(seed, "split", round_no, attempt).integers(2**63), constants
+            )
+        except DegenerateEmbedding:
+            continue
+    raise DegenerateEmbedding("embedding stayed degenerate across retries")
+
+
 @dataclass(frozen=True)
 class StatePartition:
     """Partition of the state space into components and a tail subset.
@@ -216,7 +266,8 @@ class StatePartition:
     expansion lower bound (spectral_phi_lower_bound), the LP bound when a cut
     LP was solved for it (lp_phi_lower_bound, else None) and, when
     enumeration ran (d <= 12), the brute-force cut minimum. Singletons carry
-    None for all three bounds.
+    None for all three bounds. certificates["splits"] records each split
+    (see partition_states).
     """
 
     components: tuple
@@ -242,15 +293,31 @@ def partition_states(
 
     Work-list refinement with tau_comp = c2 beta / log^2 d. Every candidate
     subset I with |I| >= 2 first gets the spectral bound (one eigvalsh, see
-    spectral_phi_lower_bound). If it reaches tau_comp, I expands and no LP
-    is solved. Otherwise I gets a cut LP, and pi(I) * lp/2 >= tau_comp
-    certifies expansion in its place. An expanding I is declared a
-    component unless it contains low-retention states (states keeping less
-    than 1 - beta of their outgoing mass inside I); those move to the tail
-    and the rest is re-examined. Declared components therefore retain
-    >= 1 - beta per state, which implies the aggregate internal-mass bound.
-    If neither bound certifies expansion, I is split along the LP's rounded
-    cut and both sides recurse.
+    spectral_phi_lower_bound). If it reaches tau_comp, I expands and nothing
+    else is computed. Otherwise I gets a Fiedler sweep (fiedler_sweep, one
+    eigh): when its cut R has pi(I) * ratio(R)/2 < tau_comp, I splits into R
+    and I - R. Only when the sweep misses is a cut LP solved; then
+    pi(I) * lp/2 >= tau_comp certifies expansion in place of the spectral
+    bound, and otherwise I splits along the LP's rounded cut. An expanding I
+    is declared a component unless it contains low-retention states (states
+    keeping less than 1 - beta of their outgoing mass inside I); those move
+    to the tail and the rest is re-examined. Declared components therefore
+    retain >= 1 - beta per state, which implies the aggregate internal-mass
+    bound. Both sides of a split recurse.
+
+    Splitting at the sweep is sound. The LP relaxes every cut-metric ratio,
+    so lp <= ratio(R) and pi(I) * lp/2 < tau_comp: the LP path would have
+    split this I as well. Its rounded cut is only promised to be within
+    O(log |I|) of lp, while R is already below 2 tau_comp / pi(I), the
+    threshold itself. Components are still declared only through the two
+    bounds and eviction, and _certify checks them, so no sweep decision can
+    declare a set that does not expand. The sweep draws no seed; round_no
+    still counts its splits, so the seed of any later LP split is the one it
+    would have without the sweep.
+
+    certificates["splits"] lists every split in the order made: the states
+    split off, "by" ("sweep" or "lp") and the bound pi(I) * ratio/2 or
+    pi(I) * lp/2 that fell below tau_comp.
 
     Guarantees on the output, certified by enumeration when d <= 12:
       (1) each component keeps internal edge mass >= 1 - beta (exact);
@@ -262,7 +329,7 @@ def partition_states(
     P = as_transition_matrix(P)
     if not (0.0 < beta < 1.0):
         raise BadArgs(f"beta={beta} outside (0, 1)")
-    require_seed(seed)  # a set that never splits never draws from the seed
+    require_seed(seed)  # only an LP split draws from the seed
     require_reversible(P)
     pi = P.pi
 
@@ -274,6 +341,7 @@ def partition_states(
 
     components: list[tuple] = []
     comp_certs: list[dict] = []
+    splits: list[dict] = []
     tail: list[int] = []
     work: list[np.ndarray] = [np.arange(d)]
     round_no = 0
@@ -293,11 +361,19 @@ def partition_states(
                 tail.append(i)
             continue
         spectral_bound = spectral_phi_lower_bound(P, I_idx)
-        lp = lp_bound = None
+        lp_bound = split = None
         if spectral_bound < tau_comp:
-            lp = solve_spccc_lp(P, I_idx)
-            lp_bound = float(pi[I_idx].sum()) * lp.objective / 2.0
-        if lp is None or lp_bound >= tau_comp:
+            pi_of_I = float(pi[I_idx].sum())
+            sweep_cut, ratio = fiedler_sweep(P, I_idx)
+            sweep_bound = pi_of_I * ratio / 2.0
+            if sweep_bound < tau_comp:
+                split = (sweep_cut, "sweep", sweep_bound)
+            else:
+                lp = solve_spccc_lp(P, I_idx)
+                lp_bound = pi_of_I * lp.objective / 2.0
+                if lp_bound < tau_comp:
+                    split = (_lp_cut(P, lp, seed, round_no, constants), "lp", lp_bound)
+        if split is None:
             low = [int(i) for i in I_idx if arr[i, I_idx].sum() < 1.0 - beta]
             if low:
                 tail.extend(low)
@@ -314,19 +390,11 @@ def partition_states(
                     }
                 )
         else:
-            S1 = None
-            for attempt in range(8):
-                try:
-                    S1 = find_comp(
-                        P, lp, derive_rng(seed, "split", round_no, attempt).integers(2**63), constants
-                    )
-                    break
-                except DegenerateEmbedding:
-                    continue
-            if S1 is None:
-                raise DegenerateEmbedding("embedding stayed degenerate across retries")
-            work.append(np.asarray(S1, dtype=int))
-            work.append(np.setdiff1d(I_idx, np.asarray(S1, dtype=int)))
+            S1 = np.asarray(split[0], dtype=int)
+            splits.append({"states": [int(i) for i in S1], "by": split[1], "bound": split[2]})
+            work.append(S1)
+            work.append(np.setdiff1d(I_idx, S1))
+        # Sweep splits count too, so the seed of a later LP split stays put.
         round_no += 1
 
     # Sort components and their certificates together, heaviest first.
@@ -340,6 +408,7 @@ def partition_states(
         "tail_threshold": tau_tail,
         "components": comp_certs,
         "tail": {"states": list(tail_t), "min_escape_ratio": None},
+        "splits": splits,
         "certified": False,
     }
     part = StatePartition(

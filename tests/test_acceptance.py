@@ -11,6 +11,7 @@ from math import log
 
 import numpy as np
 import pytest
+from conftest import brute_min_ratio
 from scipy import stats
 
 from mcident import chain_core as cc
@@ -132,12 +133,7 @@ class TestCriterion3RoundingApproximation:
             I = tuple(range(d))
             S = pt.find_comp(P, pt.solve_spccc_lp(P, I), seed=k)
             got = pt.cut_metric_ratio(P, S, I)
-            best = min(
-                pt.cut_metric_ratio(P, C, I)
-                for size in range(1, d)
-                for C in itertools.combinations(range(d), size)
-            )
-            factors.append(got / best / log(d))
+            factors.append(got / brute_min_ratio(P, I) / log(d))
         p95 = float(np.quantile(factors, 0.95))
         _line(3, p95 <= C_ROUND,
               f"rounding factor p95 = {p95:.3f} x log d (budget {C_ROUND})")

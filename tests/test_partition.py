@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import brute_min_ratio
 
 from mcident import chain_core as cc
 from mcident import corpus as cp
@@ -21,15 +22,6 @@ from mcident.errors import (
 )
 
 ALL6 = tuple(range(6))
-
-
-def brute_min_ratio(P, I):
-    I = list(I)
-    return min(
-        pt.cut_metric_ratio(P, S, I)
-        for r in range(1, len(I))
-        for S in itertools.combinations(I, r)
-    )
 
 
 class TestSpcccLP:
@@ -152,6 +144,65 @@ class TestRoundToCut:
         assert a == b
 
 
+def drifting_path(n, up, down):
+    """Birth-death chain on a path with P(i, i+1) = up and P(i+1, i) = down,
+    so that pi(i) falls like (up / down)^i."""
+    P = np.diag(np.full(n - 1, up), 1) + np.diag(np.full(n - 1, down), -1)
+    P[np.diag_indices(n)] = 1.0 - P.sum(axis=1)
+    return cc.TransitionMatrix(P)
+
+
+class TestFiedlerSweep:
+    @pytest.mark.parametrize("h", [3, 5, 48])
+    def test_planted_cut_is_one_block(self, h):
+        # states relabelled, so that index order alone does not give the blocks
+        perm = np.random.default_rng(h).permutation(2 * h)
+        P = cc.TransitionMatrix(cp.planted_two_block((h, h), np.random.default_rng(0)).entries[np.ix_(perm, perm)])
+        I = np.arange(2 * h)
+        S, ratio = pt.fiedler_sweep(P, I)
+        block = np.flatnonzero(perm < h)
+        assert list(S) in (list(block), list(np.setdiff1d(I, block)))
+        assert ratio == pytest.approx(pt.cut_metric_ratio(P, S, I), rel=0, abs=1e-12)
+        if h <= 5:
+            assert ratio == pytest.approx(brute_min_ratio(P, I), rel=1e-9)
+
+    def test_best_prefix_of_right_eigenvector(self):
+        # the right eigenvector of the restriction, from a general eig with no
+        # symmetrization, ordered and swept prefix by prefix. On the drifting
+        # paths, whose pi falls geometrically, the best prefix is not at the
+        # eigenvector's sign change, and an order by sqrt(pi) * f loses it.
+        r = np.random.default_rng(73)
+        cases = [(drifting_path(8, 0.05, 0.3), np.arange(8)), (drifting_path(6, 0.05, 0.45), np.arange(6))]
+        for k in range(30):
+            d = int(r.integers(3, 11))
+            cases.append((cp.random_reversible(d, r), np.sort(r.choice(d, size=int(r.integers(3, d + 1)), replace=False))))
+        for P, I in cases:
+            sub = P.entries[np.ix_(I, I)]
+            sub[np.diag_indices(len(I))] += 1.0 - sub.sum(axis=1)
+            w, V = np.linalg.eig(sub)
+            f = V[:, np.argsort(w.real)[-2]].real
+            order = np.lexsort((np.arange(len(I)), f))
+            ratios = [pt.cut_metric_ratio(P, I[order[:j]], I) for j in range(1, len(I))]
+            S, ratio = pt.fiedler_sweep(P, I)
+            assert ratio == pytest.approx(min(ratios), rel=1e-9)
+            best = np.sort(I[order[: int(np.argmin(ratios)) + 1]])
+            assert list(S) in (list(best), list(np.setdiff1d(I, best)))
+
+    def test_cheeger_sweep_bound(self):
+        # the hard direction: the sweep cut's bottleneck ratio is at most
+        # sqrt(2 (1 - lambda_2)), and no cut beats the exhaustive minimum
+        r = np.random.default_rng(79)
+        for k in range(30):
+            d = int(r.integers(2, 10))
+            P = cp.random_reversible(d, r)
+            I = np.arange(d)
+            S, ratio = pt.fiedler_sweep(P, I)
+            rest = np.setdiff1d(I, S)
+            phi = ratio * max(P.pi[S].sum(), P.pi[rest].sum())
+            assert phi <= np.sqrt(4.0 * pt.spectral_phi_lower_bound(P, I)) + 1e-12
+            assert ratio >= brute_min_ratio(P, I) - 1e-12
+
+
 class TestPartitionStates:
     def test_planted_blocks(self, rng):
         P = cp.planted_two_block((3, 3), rng)
@@ -242,6 +293,10 @@ def cycle(d):
     return cc.TransitionMatrix(P)
 
 
+def no_lp(*args, **kwargs):
+    raise AssertionError("cut LP solved")
+
+
 class TestSpectralCertification:
     @pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
     @pytest.mark.parametrize("family", ["random_reversible", "birth_death", "hub_and_leaves", "cycle"])
@@ -269,9 +324,6 @@ class TestSpectralCertification:
 
     @pytest.mark.parametrize("d", [8, 200])
     def test_well_connected_chains_solve_no_lp(self, d, monkeypatch):
-        def no_lp(*args, **kwargs):
-            raise AssertionError("cut LP solved")
-
         monkeypatch.setattr(pt, "solve_spccc_lp", no_lp)
         part = pt.partition_states(cp.random_reversible(d, np.random.default_rng(d)), beta=0.1, seed=0)
         assert part.components == (tuple(range(d)),) and part.tail == ()
@@ -279,26 +331,59 @@ class TestSpectralCertification:
         assert cert["lp_phi_lower_bound"] is None
         assert cert["spectral_phi_lower_bound"] >= part.certificates["component_threshold"]
 
-    @pytest.mark.parametrize("half", [4, 12])
-    def test_split_solves_one_lp(self, half, monkeypatch):
-        # at half = 12 the LP runs beyond the brute-force certification limit
-        calls = []
-        solve = pt.solve_spccc_lp
-
-        def counted(P, I):
-            calls.append(tuple(I))
-            return solve(P, I)
-
-        monkeypatch.setattr(pt, "solve_spccc_lp", counted)
+    @pytest.mark.parametrize("half", [4, 12, 48])
+    def test_split_solves_no_lp(self, half, monkeypatch):
+        # the Fiedler sweep splits the planted blocks, beyond the brute-force
+        # certification limit from half = 12 on
+        monkeypatch.setattr(pt, "solve_spccc_lp", no_lp)
         P = cp.planted_two_block((half, half), np.random.default_rng(0))
         part = pt.partition_states(P, beta=0.1, seed=1)
-        assert calls == [tuple(range(2 * half))]
         assert sorted(part.components) == [tuple(range(half)), tuple(range(half, 2 * half))]
+        (split,) = part.certificates["splits"]
+        assert split["by"] == "sweep"
+        assert split["states"] in (list(range(half)), list(range(half, 2 * half)))
+        assert split["bound"] < part.certificates["component_threshold"]
         for cert in part.certificates["components"]:
             assert cert["lp_phi_lower_bound"] is None
             assert cert["spectral_phi_lower_bound"] >= part.certificates["component_threshold"]
             if part.certificates["certified"]:
                 assert cert["spectral_phi_lower_bound"] <= cert["min_phi_bruteforce"] + 1e-12
+
+    def test_ladder_instances_solve_no_lp(self, monkeypatch):
+        # the chains and betas of the benchmark's partition-ladder workload
+        monkeypatch.setattr(pt, "solve_spccc_lp", no_lp)
+        chains = [cp.random_reversible(d, np.random.default_rng(d)) for d in (8, 9, 10)]
+        rng = np.random.default_rng(0)
+        chains += [cp.planted_two_block((4, 4), rng), cp.hub_and_leaves(3, 4, rng), cp.birth_death(8, rng)]
+        splits = 0
+        for i, P in enumerate(chains):
+            for k, beta in enumerate((0.05, 0.1, 0.2)):
+                part = pt.partition_states(P, beta=beta, seed=10 * i + k)
+                assert part.certificates["certified"]
+                assert all(split["by"] == "sweep" for split in part.certificates["splits"])
+                splits += len(part.certificates["splits"])
+        assert splits > 0
+
+    def test_lp_decides_when_sweep_misses(self, monkeypatch):
+        # the leaves' 2e-4 edges make the sweep's cut too dense at beta 0.02,
+        # and the LP bound then certifies the whole set
+        calls = []
+        solve = pt.solve_spccc_lp
+
+        def counted(P, I):
+            calls.append(tuple(int(i) for i in I))
+            return solve(P, I)
+
+        monkeypatch.setattr(pt, "solve_spccc_lp", counted)
+        P = cp.hub_and_leaves(2, 2, np.random.default_rng(0))
+        part = pt.partition_states(P, beta=0.02, seed=0)
+        assert calls == [ALL6]
+        certs = part.certificates
+        assert certs["certified"] and part.components == (ALL6,) and certs["splits"] == []
+        (cert,) = certs["components"]
+        assert cert["spectral_phi_lower_bound"] < certs["component_threshold"] <= cert["lp_phi_lower_bound"]
+        _, ratio = pt.fiedler_sweep(P, np.arange(6))
+        assert P.pi.sum() * ratio / 2.0 >= certs["component_threshold"]
 
     def test_partition_leaves_scipy_optimize_unloaded(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -307,6 +392,8 @@ class TestSpectralCertification:
             "import sys, numpy as np\n"
             "from mcident import corpus, partition\n"
             "partition.partition_states(corpus.random_reversible(8, np.random.default_rng(8)), beta=0.1, seed=0)\n"
+            "P = corpus.planted_two_block((6, 6), np.random.default_rng(0))\n"
+            "assert len(partition.partition_states(P, beta=0.1, seed=0).components) == 2\n"
             "print('scipy.optimize' in sys.modules)"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
