@@ -198,6 +198,7 @@ def _cmd_test(args, constants) -> int:
             args, constants, {"reference": args.reference, "trajectory": args.trajectory}
         ),
         "verdict": "Reject" if report.verdict else "Accept",
+        "reason": report.reason,
         "exit_code": report.verdict,
         "trajectory_length": report.trajectory_length,
         "budget_hint": trajectory_budget(

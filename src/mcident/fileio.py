@@ -10,7 +10,9 @@ d is a JSON integer, and states and samples are lists of JSON integers;
 anything else is a ChainTestError, and so is a file that is not UTF-8 text
 or not JSON, with the file's name in front of the message. Rows are
 validated at 1e-8 and then renormalized exactly, so files produced by other
-tools with print-rounded floats still load.
+tools with print-rounded floats still load. A loaded trajectory holds its
+states in sampling.state_dtype(d), one byte per state up to d = 256;
+loaded samples are int64 codes.
 
 The save_* helpers write one line of JSON with sorted keys and no spaces,
 the bytes of json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n".
@@ -18,12 +20,14 @@ Trajectory and sample arrays are turned into digits with numpy, a chunk of
 values at a time, never into a Python list. A trajectory or samples file
 whose only array is its states or samples, written as non-negative integers
 of at most 18 digits with no whitespace, is parsed the same way (the rest of
-the file, the array emptied, goes through json.loads); any other file, such
-as the indented files of earlier versions, floats, negatives or a truncated
-file, is parsed with json.load, which accepts any JSON layout and words
-every error. Reports stay indented. All numbers in emitted reports are
-rounded to 12 significant digits, which keeps reports byte-identical across
-runs with the same manifest."""
+the file, the array emptied, goes through json.loads), and a trajectory's
+states are range-checked and cast to their narrow dtype a chunk at a time;
+any other file, such as the indented files of earlier versions, floats,
+negatives, states outside [1, d] or a truncated file, is parsed with
+json.load, which accepts any JSON layout and words every error. Reports
+stay indented. All numbers in emitted reports are rounded to 12 significant
+digits, which keeps reports byte-identical across runs with the same
+manifest."""
 
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import numpy as np
 
 from .chain_core import ProbVector, TransitionMatrix
 from .errors import BadArgs, ChainTestError, MalformedDistribution, MalformedMatrix
-from .sampling import Trajectory
+from .sampling import Trajectory, state_dtype
 
 _FILE_TOL = 1e-8
 
@@ -88,7 +92,7 @@ def save_probvector(p: ProbVector, path) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    d, states = _load_integers(path, "states")
+    d, states = _load_integers(path, "states", narrow=True)
     return Trajectory(d=d, states=states)
 
 
@@ -176,28 +180,30 @@ def _integers(doc: dict, key: str, path) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _load_integers(path, key: str) -> tuple[int, np.ndarray]:
-    """d and the 0-based int64 array doc[key] of a trajectory or samples file,
-    read-only and owning its data."""
+def _load_integers(path, key: str, narrow: bool = False) -> tuple[int, np.ndarray]:
+    """d and the 0-based array doc[key] of a trajectory or samples file,
+    read-only and owning its data: int64, or with narrow (a trajectory's
+    states) state_dtype(d) when the numpy reader reads them."""
     raw = Path(path).read_bytes()
-    compact = _read_compact(raw, key)
+    compact = _read_compact(raw, key, narrow)
     if compact is None:
         doc = _read(path)
         d = _dimension(doc, path)
         values = _integers(doc, key, path)
+        values -= 1
     else:
-        doc, values = compact
-        d = _dimension(doc, path)
-    values -= 1
+        d, values = compact
     values.setflags(write=False)
     return d, values
 
 
-def _read_compact(raw: bytes, key: str):
-    """(doc, doc[key]) without building a Python list, when the span from the
-    first '[' to the last ']' of raw is a list of non-negative JSON integers
-    of at most 18 digits with no whitespace, and that list is doc[key]; None
-    for any other input, which json.load reads instead. doc holds [] at key."""
+def _read_compact(raw: bytes, key: str, narrow: bool):
+    """(d, doc[key] - 1) without building a Python list, when the span from
+    the first '[' to the last ']' of raw is a list of non-negative JSON
+    integers of at most 18 digits with no whitespace, that list is doc[key]
+    and d is an integer; with narrow, only when every value is also in
+    [1, d], and the result is then of state_dtype(d). None for any other
+    input, which json.load reads instead."""
     lo, hi = raw.find(b"["), raw.rfind(b"]")
     if lo < 0 or hi < lo:
         return None
@@ -208,15 +214,21 @@ def _read_compact(raw: bytes, key: str):
     # '[' and ']' occur nowhere else outside strings, so a list at key is this one
     if not isinstance(doc, dict) or doc.get(key) != []:
         return None
-    values = _parse_digits(raw, lo + 1, hi)
-    return None if values is None else (doc, values)
+    d = doc.get("d")
+    if not isinstance(d, int) or isinstance(d, bool) or narrow and d < 1:
+        return None
+    values = _parse_digits(raw, lo + 1, hi, d if narrow else None)
+    return None if values is None else (d, values)
 
 
-def _parse_digits(raw: bytes, start: int, stop: int):
-    """raw[start:stop] as int64 when it is comma-separated JSON non-negative
-    integers of at most 18 digits (so none wraps), else None. Parsed about
-    _CHUNK_BYTES at a time, each chunk ending at a comma."""
-    out = np.empty(raw.count(b",", start, stop) + (stop > start), dtype=np.int64)
+def _parse_digits(raw: bytes, start: int, stop: int, top: int | None):
+    """raw[start:stop] less one when it is comma-separated JSON non-negative
+    integers of at most 18 digits (so none wraps), else None: int64, or
+    state_dtype(top) when every value lies in [1, top] (else None). Parsed
+    about _CHUNK_BYTES at a time, each chunk ending at a comma, and each
+    chunk range-checked before it is cast."""
+    dtype = np.int64 if top is None else state_dtype(top)
+    out = np.empty(raw.count(b",", start, stop) + (stop > start), dtype=dtype)
     data = np.frombuffer(raw, dtype=np.uint8)
     k = 0
     while start < stop:
@@ -231,11 +243,14 @@ def _parse_digits(raw: bytes, start: int, stop: int):
                 or lengths.min() < 1 or longest > 18  # empty item, or one that may wrap
                 or longest > 1 and np.any((digits[ends - lengths] == 0) & (lengths > 1))):  # 01
             return None
-        values = out[k : k + ends.size]
-        values[:] = digits[ends - 1]
+        values = digits[ends - 1].astype(np.int64)
         for j in range(1, longest):
             live = np.flatnonzero(lengths > j)
             values[live] += digits[ends[live] - 1 - j].astype(np.int64) * 10**j
+        values -= 1
+        if top is not None and (values.min() < 0 or int(values.max()) >= top):
+            return None
+        out[k : k + ends.size] = values
         k += ends.size
         start = end + 1
     # a trailing comma leaves an empty last item unparsed
@@ -245,13 +260,15 @@ def _parse_digits(raw: bytes, start: int, stop: int):
 def _save_integers(path, d: int, key: str, codes: np.ndarray) -> None:
     """Write {"d": d, key: codes + 1} in the bytes json.dumps(doc,
     sort_keys=True, separators=(",", ":")) + "\n" gives, turning the 0-based
-    int64 codes into 1-based digits with numpy, _CHUNK_VALUES at a time."""
+    codes (int64, or a trajectory's narrow states) into 1-based digits with
+    numpy, _CHUNK_VALUES at a time. Each chunk is widened to int64 before
+    the + 1, so a narrow 255 is written 256, not 0."""
     text = json.dumps({"d": int(d), key: []}, sort_keys=True, separators=(",", ":"))
     cut = text.index("[]") + 1
     with open(path, "wb") as fh:
         fh.write(text[:cut].encode())
         for start in range(0, codes.size, _CHUNK_VALUES):
-            ascii = _ascii(codes[start : start + _CHUNK_VALUES] + 1)
+            ascii = _ascii(codes[start : start + _CHUNK_VALUES].astype(np.int64) + 1)
             fh.write(ascii if start + _CHUNK_VALUES < codes.size else ascii[:-1])
         fh.write(text[cut:].encode() + b"\n")
 

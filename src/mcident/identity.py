@@ -48,6 +48,9 @@ REJECT = 1
 #: Hellinger distance, so it receives sqrt of this.
 HELLINGER_SEPARATION_FACTOR = 128.0
 
+# Source states per chunk of lazify_trajectory's hold times.
+HOLD_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TestConfig:
@@ -74,9 +77,13 @@ class ComponentOutcome:
 @dataclass(frozen=True)
 class TestReport:
     """verdict is 0 only when some component produced samples and its iid
-    verdict was 0; it is 1 otherwise (tester rejection or all-failed)."""
+    verdict was 0; it is 1 otherwise. reason says which decided: "tester"
+    when a component converted and the iid tester gave the verdict,
+    "no_component_converted" when every component's conversion failed and
+    the verdict is Reject."""
 
     verdict: int
+    reason: str
     partition_used: StatePartition
     tested_component: tuple | None
     per_component: tuple
@@ -109,14 +116,22 @@ def lazify_trajectory(traj: Trajectory, alpha: float, seed: int) -> Trajectory:
     number of ticks (support 1, 2, ...), which reproduces the lazy chain's
     law exactly: holds are the lazy chain's self-loops, moves follow the
     original kernel.
+
+    The hold times are drawn HOLD_CHUNK at a time from one stream, which
+    gives the same draws as one call for all of them, and each chunk of
+    states is repeated as soon as its holds are drawn: the result keeps the
+    trajectory's narrow dtype, and no int64 array is longer than a chunk.
     """
     if not (0.0 <= alpha < 1.0):
         raise BadArgs(f"alpha={alpha}")
     if alpha == 0.0:
         return traj
     rng = derive_rng(seed, "hold-times")
-    holds = rng.geometric(1.0 - alpha, size=len(traj))
-    states = np.repeat(traj.states, holds)
+    pieces = []
+    for start in range(0, len(traj), HOLD_CHUNK):
+        chunk = traj.states[start : start + HOLD_CHUNK]
+        pieces.append(np.repeat(chunk, rng.geometric(1.0 - alpha, size=len(chunk))))
+    states = np.concatenate(pieces)
     states.setflags(write=False)
     return Trajectory(d=traj.d, states=states)
 
@@ -202,6 +217,7 @@ def identity_test(
 
     return TestReport(
         verdict=REJECT if final is None else final,
+        reason="no_component_converted" if final is None else "tester",
         partition_used=part,
         tested_component=tested,
         per_component=tuple(outcomes),

@@ -22,27 +22,41 @@ from .config import Constants, DEFAULT_CONSTANTS
 from .errors import BadArgs, BadNu, TrajectoryAlphabetMismatch
 
 
+def state_dtype(d: int) -> np.dtype:
+    """The dtype of the states of a d-state trajectory: the smallest unsigned
+    integer type that holds d - 1, uint8 up to d = 256 and uint16 up to
+    65 536."""
+    return np.min_scalar_type(min(int(d), 2**64) - 1)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Finite state sequence over {0, ..., d-1}.
 
-    states is read-only; only a read-only int64 array owning its data is
-    kept uncopied.
+    states is a read-only array of state_dtype(d), one byte per state up to
+    d = 256; sample codes stay int64. A read-only array of that dtype owning
+    its data is kept uncopied; any other integer array is range-checked,
+    then cast. Floats, booleans and objects are refused, not truncated.
     """
 
     d: int
     states: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.states, dtype=np.int64)
+        if self.d < 1:
+            raise BadArgs(f"d={self.d} must be >= 1")
+        arr = np.asarray(self.states)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise BadArgs("trajectory must contain at least one state")
-        if arr.min() < 0 or arr.max() >= self.d:
+        if arr.dtype.kind not in "iu":
+            raise BadArgs(f"states must be integers, got dtype {arr.dtype}")
+        if int(arr.min()) < 0 or int(arr.max()) >= self.d:
             raise TrajectoryAlphabetMismatch(
                 f"states outside [0, {self.d})"
             )
-        if arr.flags.writeable or not arr.flags.owndata:
-            arr = arr.copy()
+        dtype = state_dtype(self.d)
+        if arr.dtype != dtype or arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.astype(dtype)
             arr.setflags(write=False)
         object.__setattr__(self, "states", arr)
 
@@ -59,6 +73,9 @@ class Trajectory:
 BLOCKS = 1024
 BLOCK_STEPS = 256
 GUIDE = 1024
+
+# States per chunk of iid_generate's scan for anchored visits.
+VISIT_CHUNK = 1 << 18
 
 
 def simulate(P, mu, m: int, seed: int) -> Trajectory:
@@ -90,6 +107,8 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
       re-guessed path met.
 
     The states are those of stepping the whole trajectory one at a time.
+    They are written straight into an array of state_dtype(d); the lanes of
+    the three phases stay int64.
     """
     P = as_transition_matrix(P)
     mu = as_prob_vector(mu)
@@ -104,7 +123,7 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
     cum[:, -1] = np.maximum(cum[:, -1], 1.0)
     stepper = _Stepper(cum)
     rows = cum.tolist()
-    states = np.empty(m, dtype=np.int64)
+    states = np.empty(m, dtype=state_dtype(P.d))
     s = states[0] = int(rng.choice(P.d, p=mu.entries))
     # arrays of the first window, reused by the others (none is larger):
     # fresh ones cost a page fault every 4 KB
@@ -354,31 +373,58 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
 
     anchors = rng.choice(n, size=l, p=weights / weights.sum())
     counts = np.bincount(anchors, minlength=n)
-
-    # the shortest prefix X[:p], p doubling from 2l up to the last state with
-    # a successor, that holds every state's anchor demand
-    X = traj.states
-    usable = len(X) - 1
-    p = min(2 * l, usable)
-    while np.any((visits := np.bincount(X[:p], minlength=traj.d))[S_idx] < counts):
-        if p == usable:
-            return None
-        p = min(2 * p, usable)
+    times = _visit_times(traj, S_idx, counts)
+    if times is None:
+        return None
     # the j-th anchor on S[a], in draw order, takes the j-th visit to S[a]:
-    # both grouped by a stable sort (a radix sort on the small dtype)
-    small = np.min_scalar_type(traj.d - 1)
-    by_time = np.argsort(X[:p].astype(small), kind="stable")
-    by_draw = np.argsort(anchors.astype(small), kind="stable")
-    a = anchors[by_draw]
-    rank = np.arange(l) - (np.cumsum(counts) - counts)[a]
-    first_visit = np.cumsum(visits) - visits
+    # the anchors grouped by a stable sort (a radix sort on the small dtype)
+    by_draw = np.argsort(anchors.astype(state_dtype(n)), kind="stable")
     successors = np.empty(l, dtype=np.int64)
-    successors[by_draw] = X[by_time[first_visit[S_idx[a]] + rank] + 1]
+    successors[by_draw] = traj.states[times + 1]
 
     local = np.full(traj.d, n, dtype=np.int64)
     local[S_idx] = np.arange(n)
     b = local[successors]
     return np.where(b < n, anchors * n + b, n * n)
+
+
+def _visit_times(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray) -> np.ndarray | None:
+    """Times of the first counts[a] visits to S_idx[a] that have a
+    successor, grouped by a and in time order within a group; None when
+    some state has fewer.
+
+    The states are read VISIT_CHUNK at a time: counted up to the first chunk
+    that completes every demand, then, in a second pass over those chunks,
+    grouped by state with a stable sort (a radix sort on the narrow dtype).
+    No temporary is longer than a chunk, however long the trajectory.
+    """
+    X = traj.states
+    usable = len(X) - 1
+    need = np.zeros(traj.d, dtype=np.int64)
+    need[S_idx] = counts
+    have = np.zeros(traj.d, dtype=np.int64)
+    tallies = []
+    while np.any(have < need):
+        start = len(tallies) * VISIT_CHUNK
+        if start >= usable:
+            return None
+        tallies.append(np.bincount(X[start : min(start + VISIT_CHUNK, usable)], minlength=traj.d))
+        have += tallies[-1]
+    # the next free place in each state's group
+    slot = np.zeros(traj.d, dtype=np.int64)
+    slot[S_idx] = np.cumsum(counts) - counts
+    times = np.empty(int(counts.sum()), dtype=np.int64)
+    for k, seen in enumerate(tallies):
+        start = k * VISIT_CHUNK
+        order = np.argsort(X[start : min(start + VISIT_CHUNK, usable)], kind="stable")
+        # the first take[s] places of each state's run in the sorted chunk
+        take = np.minimum(seen, need)
+        lead = np.arange(int(take.sum())) - np.repeat(np.cumsum(take) - take, take)
+        at = np.repeat(np.cumsum(seen) - seen, take) + lead
+        times[np.repeat(slot, take) + lead] = order[at] + start
+        need -= take
+        slot += take
+    return times
 
 
 def required_visits(

@@ -7,6 +7,7 @@ bit-for-bit identical.
 """
 
 import itertools
+from collections import Counter
 from math import log
 
 import numpy as np
@@ -89,16 +90,25 @@ class TestCriterion1MainTheorem:
             mu_ref = cc.stationary_distribution(lazy_ref)
             mu_far = cc.stationary_distribution(lazy_far)
             accepts = rejects = 0
+            # Rejects of the matching and of the far trajectories, by reason
+            reasons = {"matching": Counter(), "far": Counter()}
             for t in range(trials):
                 traj = sp.simulate(lazy_ref, mu_ref, m, seed=1_000_000 + t)
                 rep = idn.identity_test(ref, traj, idn.TestConfig(eps=EPS, seed=2_000_000 + t))
                 accepts += 1 - rep.verdict
+                reasons["matching"][rep.reason] += rep.verdict
                 traj = sp.simulate(lazy_far, mu_far, m, seed=3_000_000 + t)
                 rep = idn.identity_test(ref, traj, idn.TestConfig(eps=EPS, seed=4_000_000 + t))
                 rejects += rep.verdict
+                reasons["far"][rep.reason] += rep.verdict
             ok = accepts / trials >= 0.6 and rejects / trials >= 0.6
             all_ok &= ok
-            details.append(f"{name} accept {accepts}/{trials} reject {rejects}/{trials} (m={m})")
+            by_reason = ", ".join(
+                f"{side} {c['tester']} tester {c['no_component_converted']} unconverted"
+                for side, c in reasons.items()
+            )
+            details.append(f"{name} accept {accepts}/{trials} reject {rejects}/{trials} (m={m}; "
+                           f"rejects by reason: {by_reason})")
         _line(1, all_ok, "; ".join(details))
 
 

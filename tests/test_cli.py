@@ -181,7 +181,38 @@ class TestCli:
         assert rc == 1  # all-failed conversion rejects
         rep = json.loads(rep_path.read_text())
         assert rep["verdict"] == "Reject"
+        assert rep["reason"] == "no_component_converted"
         assert rep["manifest"]["subcommand"] == "test"
+
+    def test_top_state_through_simulate_and_test(self, tmp_path, capsys):
+        # d = 256: the walk starts in state 255, written as 256; the test
+        # reads it back as 255 (a wrapped + 1 would write 0, which exits 2)
+        d = 256
+        matrix, mu = tmp_path / "P.json", tmp_path / "mu.json"
+        fio.save_matrix(cc.TransitionMatrix(np.full((d, d), 1.0 / d)), matrix)
+        fio.save_probvector(cc.ProbVector(np.eye(d)[d - 1]), mu)
+        traj_path, rep_path = tmp_path / "traj.json", tmp_path / "rep.json"
+        assert main(["simulate", "--matrix", str(matrix), "--mu", str(mu), "--steps", "3000",
+                     "--seed", "5", "--out", str(traj_path)]) == 0
+        assert traj_path.read_text().startswith('{"d":256,"states":[256,')
+        states = fio.load_trajectory(traj_path).states
+        assert states.dtype == np.uint8 and states[0] == d - 1
+        rc = main(["test", "--reference", str(matrix), "--trajectory", str(traj_path),
+                   "--eps", "0.99", "--seed", "1", "--report", str(rep_path)])
+        rep = json.loads(rep_path.read_text())
+        assert rc == 1 and rep["reason"] == "no_component_converted"
+        assert rep["trajectory_length"] == 3000
+
+    @pytest.mark.parametrize("d, value", [(3, 4), (3, 259), (256, 257), (256, 512)])
+    def test_out_of_range_state_exit_code(self, tmp_path, capsys, d, value):
+        # d + 1 and d + 256 (d - 1 modulo 256) both exit 2 with the same line
+        ref, traj = tmp_path / "P.json", tmp_path / "traj.json"
+        fio.save_matrix(cc.TransitionMatrix(np.full((d, d), 1.0 / d)), ref)
+        traj.write_text('{"d":%d,"states":[1,%d,2]}\n' % (d, value))
+        rc = main(["test", "--reference", str(ref), "--trajectory", str(traj),
+                   "--eps", "0.3", "--seed", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: states outside [0, {d})\n"
 
     def test_partition_report(self, tmp_path, rng, capsys):
         P = cp.hub_and_leaves(2, 2, rng)

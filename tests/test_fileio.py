@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mcident import fileio as fio
 from mcident import sampling as sp
-from mcident.errors import BadArgs, ChainTestError
+from mcident.errors import BadArgs, ChainTestError, TrajectoryAlphabetMismatch
 
 I64 = np.iinfo(np.int64)
 EDGES = [0, 1, -1, 9, 10, -10, 10**17, 10**18 - 1, 10**18, -(10**18), I64.min, I64.max]
@@ -185,7 +185,10 @@ class TestReader:
         key = "states" if kind == "trajectory" else "samples"
         path.write_bytes(dumps(d, key, values))
         fast, slow = both_readers(load, path)
-        assert fast == slow == (d, np.dtype(np.int64), [v - 1 for v in values])
+        # a trajectory's states load in the smallest unsigned dtype holding
+        # d - 1, samples as int64
+        dtype = sp.state_dtype(d) if kind == "trajectory" else np.dtype(np.int64)
+        assert fast == slow == (d, dtype, [v - 1 for v in values])
 
     def test_long_file_across_chunks(self, tmp_path, rng):
         # values of one to three digits, so chunks end at varying offsets
@@ -193,7 +196,42 @@ class TestReader:
         path = tmp_path / "t.json"
         fio.save_trajectory(sp.Trajectory(d=300, states=states), path)
         fast, slow = both_readers(fio.load_trajectory, path)
-        assert fast == slow == (300, np.dtype(np.int64), states.tolist())
+        assert fast == slow == (300, np.dtype(np.uint16), states.tolist())
+
+    @pytest.mark.parametrize("d", [256, 257])
+    def test_top_state_round_trip(self, tmp_path, d):
+        # state d - 1 is written as d and read back as d - 1: the + 1 of the
+        # writer must not wrap a uint8 255 to 0
+        states = np.array([d - 1, 0, d - 1, 254, 255])
+        traj = sp.Trajectory(d=d, states=states)
+        path = tmp_path / "t.json"
+        fio.save_trajectory(traj, path)
+        assert path.read_bytes() == dumps(d, "states", states + 1)
+        fast, slow = both_readers(fio.load_trajectory, path)
+        assert fast == slow == (d, sp.state_dtype(d), states.tolist())
+
+    def test_top_state_across_chunks(self, tmp_path, rng):
+        # uint8 states up to 255 over several writer and reader chunks
+        states = rng.integers(0, 256, 3 * CHUNK + 5)
+        states[[0, CHUNK, -1]] = 255
+        path = tmp_path / "t.json"
+        fio.save_trajectory(sp.Trajectory(d=256, states=states), path)
+        assert path.read_bytes() == dumps(256, "states", states + 1)
+        back = fio.load_trajectory(path).states
+        assert back.dtype == np.uint8 and np.array_equal(back, states)
+
+    @pytest.mark.parametrize("d", [3, 256])
+    @pytest.mark.parametrize("over", [1, 256])
+    @pytest.mark.parametrize("where", ["first", "last-chunk"])
+    def test_out_of_range_states_read_alike(self, tmp_path, d, over, where):
+        # d + 256 - 1 is d - 1 modulo 256: a cast before the range check would
+        # hide it; either reader refuses it with the same words
+        values = np.ones(2 * CHUNK if where == "last-chunk" else 3, dtype=np.int64)
+        values[0 if where == "first" else -1] = d + over
+        path = tmp_path / "t.json"
+        path.write_bytes(dumps(d, "states", values))
+        fast, slow = both_readers(fio.load_trajectory, path)
+        assert fast == slow == (TrajectoryAlphabetMismatch, f"states outside [0, {d})")
 
     @pytest.mark.parametrize("tail", [b"", b","], ids=["ok", "trailing-comma"])
     def test_chunk_ending_at_last_comma(self, tmp_path, tail):

@@ -5,6 +5,7 @@ from mcident import chain_core as cc
 from mcident import corpus as cp
 from mcident import identity as idn
 from mcident import sampling as sp
+from mcident._rng import derive_rng
 from mcident.errors import BadArgs, NotReversibleReference, TrajectoryAlphabetMismatch
 from mcident.metrics import chain_distance
 
@@ -102,6 +103,23 @@ class TestLazifyTrajectory:
         lazy = cc.lazy_version(P, alpha).entries
         emp = empirical_transition_matrix(out.states, 3)
         assert np.abs(emp - lazy).max() < 0.01
+
+
+    @pytest.mark.parametrize("alpha", [0.03, 0.5, 0.9])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, idn.HOLD_CHUNK + 1])
+    def test_chunked_holds_match_one_draw(self, alpha, extra):
+        # Geometric(1 - alpha) draws by numpy's search branch (alpha 0.03 and
+        # 0.5) and its inversion branch (alpha 0.9, success probability below
+        # 1/3), for lengths below, at and above one chunk
+        d = 256
+        states = np.random.default_rng(7).integers(0, d, idn.HOLD_CHUNK + extra)
+        states[-1] = d - 1
+        traj = sp.Trajectory(d=d, states=states)
+        rng = derive_rng(11, "hold-times")
+        want = np.repeat(traj.states, rng.geometric(1.0 - alpha, size=len(states)))
+        out = idn.lazify_trajectory(traj, alpha, seed=11)
+        assert out.states.dtype == np.uint8 and not out.states.flags.writeable
+        assert np.array_equal(out.states, want)
 
 
 class TestIdentityTest:

@@ -48,13 +48,62 @@ class TestTrajectoryType:
         assert not np.shares_memory(traj.states, base)
 
     def test_read_only_owned_input_is_kept(self):
-        arr = np.array([0, 1, 0], dtype=np.int64)
+        arr = np.array([0, 1, 0], dtype=np.uint8)
         arr.setflags(write=False)
         assert sp.Trajectory(d=2, states=arr).states is arr
+
+    def test_read_only_wide_input_is_narrowed(self):
+        arr = np.array([0, 1, 0], dtype=np.int64)
+        arr.setflags(write=False)
+        states = sp.Trajectory(d=2, states=arr).states
+        assert states.dtype == np.uint8 and states.tolist() == [0, 1, 0]
+        assert not states.flags.writeable
+
+    @pytest.mark.parametrize("d, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                          (65_536, np.uint16), (65_537, np.uint32)])
+    def test_smallest_unsigned_dtype(self, d, dtype):
+        states = sp.Trajectory(d=d, states=[0, d - 1]).states
+        assert states.dtype == dtype and states.tolist() == [0, d - 1]
+
+    def test_narrow_input_is_widened(self):
+        # a uint8 array for d = 300 is cast up to uint16, values kept
+        arr = np.array([255, 0, 7], dtype=np.uint8)
+        states = sp.Trajectory(d=300, states=arr).states
+        assert states.dtype == np.uint16 and states.tolist() == [255, 0, 7]
+        big = sp.Trajectory(d=300, states=np.array([299, 256, 0])).states
+        assert big.dtype == np.uint16 and big.tolist() == [299, 256, 0]
+
+    def test_rejects_float_states(self):
+        # 2.7 would otherwise be truncated to 2
+        with pytest.raises(BadArgs, match="integers"):
+            sp.Trajectory(d=3, states=[0, 2.7, 1])
+        with pytest.raises(BadArgs, match="integers"):
+            sp.Trajectory(d=3, states=np.array([0.0, 1.0]))
+
+    def test_rejects_bool_states(self):
+        with pytest.raises(BadArgs, match="integers"):
+            sp.Trajectory(d=2, states=np.array([True, False]))
+
+    def test_rejects_object_states(self):
+        with pytest.raises(BadArgs, match="integers"):
+            sp.Trajectory(d=3, states=np.array([0, 1, None], dtype=object))
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_rejects_d_below_one(self, d):
+        with pytest.raises(BadArgs, match=f"d={d} must be >= 1"):
+            sp.Trajectory(d=d, states=[1])
 
     def test_simulate_result_is_read_only(self):
         traj = sp.simulate(np.eye(2), [1.0, 0.0], 10, seed=1)
         assert not traj.states.flags.writeable
+        assert traj.states.dtype == np.uint8
+
+    def test_simulate_writes_wide_alphabets(self):
+        # a 257-cycle visits state 256, which needs uint16
+        P = np.roll(np.eye(257), 1, axis=1)
+        traj = sp.simulate(P, np.eye(257)[250], 20, seed=1)
+        assert traj.states.dtype == np.uint16
+        assert traj.states.tolist() == [(250 + t) % 257 for t in range(20)]
 
 
 class TestSimulate:
@@ -240,6 +289,24 @@ class TestIidGenerate:
                     else:
                         assert got.dtype == np.int64
                         assert got.tobytes() == want.tobytes()
+        assert results == {True, False}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_chunked_scan_matches_per_state_loop(self, monkeypatch, chunk):
+        # visits found across chunk boundaries, in chunks shorter than any
+        # run of one state and than the whole trajectory
+        monkeypatch.setattr(sp, "VISIT_CHUNK", chunk)
+        P = cc.as_transition_matrix(EXACT_CHAINS["two-blocks-1e-5"]())
+        pi = cc.stationary_distribution(P).entries
+        traj = sp.simulate(P, pi, 9_000 if chunk > 1 else 700, seed=3)
+        results = set()
+        for S in (range(P.d), [0, 2], [P.d - 1]):
+            nu = stationary_nu(P, S)
+            for l in (1, 300, 4_000, 20_000):
+                got = sp.iid_generate(traj, S, nu, l, seed=l)
+                want = loop_iid_generate(traj, S, nu, l, l)
+                results.add(want is None)
+                assert (got is None) if want is None else got.tobytes() == want.tobytes()
         assert results == {True, False}
 
     def test_matches_induced_distribution(self):

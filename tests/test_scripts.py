@@ -28,6 +28,8 @@ def run_script(name, *args):
     ("demo_pipeline.py", [],
      ["reference chain:", "trajectory budget:", "matching trajectory ->",
       "far trajectory ->"]),
+    ("reach.py", ["--quick"],
+     ["== one trial per d", "d=   4", "peak RSS", "== CLI round trip", "file"]),
 ])
 def test_script_runs(name, args, headers):
     proc = run_script(name, *args)
