@@ -9,9 +9,11 @@ identity_test, and the child's peak RSS (ru_maxrss). The CLI round trip runs
 `mcident simulate --out` and `mcident test --lazify assume` on the same
 chain, each in its own interpreter, and adds the trajectory file's size.
 
-Usage: python scripts/reach.py [--d 12 16 24] [--cli-d 24] [--seed 0]
-                               [--json out.json] [--workdir DIR] [--quick]
---quick runs d = 4 at a tenth of its budget, as a smoke test.
+Every chain and run is seeded with 0, and the round trip is at d = 24.
+
+Usage: python scripts/reach.py [--d 12 16 24] [--json out.json] [--workdir DIR] [--quick]
+--quick runs d = 4 at a tenth of its budget, trial and round trip alike, as a
+smoke test.
 """
 
 import argparse
@@ -33,11 +35,15 @@ from mcident import identity as idn
 from mcident import sampling as sp
 
 EPS = 0.3
+SEED = 0
+CLI_D = 24
+QUICK_D = 4
+QUICK_SCALE = 0.1
 
 
-def chains(d: int, seed: int):
+def chains(d: int):
     """The reference random_reversible(d) and its lazy version."""
-    P = cp.random_reversible(d, np.random.default_rng(seed))
+    P = cp.random_reversible(d, np.random.default_rng(SEED))
     return P, cc.lazy_version(P, EPS**2 / (2 * np.sqrt(2)))
 
 
@@ -46,15 +52,15 @@ def budget(P, scale: float) -> int:
     return max(2, int(idn.trajectory_budget(P.d, float(pibar.min()), EPS) * scale))
 
 
-def trial(d: int, seed: int, scale: float) -> dict:
+def trial(d: int, scale: float) -> dict:
     """One trial in this process: its figures, without the peak RSS."""
-    P, lazy = chains(d, seed)
+    P, lazy = chains(d)
     m = budget(P, scale)
     start = time.perf_counter()
-    traj = sp.simulate(lazy, cc.stationary_distribution(lazy), m, seed=seed)
+    traj = sp.simulate(lazy, cc.stationary_distribution(lazy), m, seed=SEED)
     simulate_s = time.perf_counter() - start
     start = time.perf_counter()
-    report = idn.identity_test(P, traj, idn.TestConfig(eps=EPS, seed=seed), lazify="assume")
+    report = idn.identity_test(P, traj, idn.TestConfig(eps=EPS, seed=SEED), lazify="assume")
     return {"d": d, "steps": m, "state_dtype": traj.states.dtype.name,
             "simulate_s": simulate_s, "identity_test_s": time.perf_counter() - start,
             "verdict": "Reject" if report.verdict else "Accept"}
@@ -75,9 +81,9 @@ def run_child(argv) -> tuple[str, float, float]:
     return out, seconds, usage.ru_maxrss / 1024.0  # ru_maxrss is in KB on Linux
 
 
-def cli_round_trip(d: int, seed: int, scale: float, workdir: Path) -> dict:
+def cli_round_trip(d: int, scale: float, workdir: Path) -> dict:
     """simulate --out, then test --lazify assume, each in a fresh interpreter."""
-    P, lazy = chains(d, seed)
+    P, lazy = chains(d)
     m = budget(P, scale)
     reference, matrix = workdir / "reference.json", workdir / "lazy.json"
     trajectory, report = workdir / "trajectory.json", workdir / "report.json"
@@ -87,11 +93,11 @@ def cli_round_trip(d: int, seed: int, scale: float, workdir: Path) -> dict:
     row = {"d": d, "steps": m}
     _, row["simulate_s"], row["simulate_rss_mb"] = run_child(
         cli + ["simulate", "--matrix", str(matrix), "--mu", "stationary", "--steps", str(m),
-               "--seed", str(seed), "--out", str(trajectory)])
+               "--seed", str(SEED), "--out", str(trajectory)])
     row["file_mb"] = trajectory.stat().st_size / 1e6
     _, row["test_s"], row["test_rss_mb"] = run_child(
         cli + ["test", "--reference", str(reference), "--trajectory", str(trajectory),
-               "--eps", str(EPS), "--seed", str(seed), "--lazify", "assume",
+               "--eps", str(EPS), "--seed", str(SEED), "--lazify", "assume",
                "--report", str(report)])
     row["verdict"] = json.loads(report.read_text())["verdict"]
     return row
@@ -101,41 +107,36 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--d", type=int, nargs="+", default=[12, 16, 24])
-    ap.add_argument("--cli-d", type=int, default=24, help="d of the CLI round trip; 0 skips it")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", help="write the rows to this file")
     ap.add_argument("--workdir", help="directory for the CLI round trip's files")
     ap.add_argument("--quick", action="store_true")
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
-    ap.add_argument("--scale", type=float, default=1.0, help=argparse.SUPPRESS)
     args = ap.parse_args()
+    scale = QUICK_SCALE if args.quick else 1.0
     if args.child is not None:
-        row = trial(args.child, args.seed, args.scale)
+        row = trial(args.child, scale)
         row["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(json.dumps(row))
         return
-    if args.quick:
-        args.d, args.cli_d, args.scale = [4], 4, 0.1
+    ds, cli_d = ([QUICK_D], QUICK_D) if args.quick else (args.d, CLI_D)
 
     trials = []
     print("== one trial per d: simulate + identity_test(lazify='assume'), eps 0.3")
-    for d in args.d:
-        out, _, _ = run_child([sys.executable, __file__, "--child", str(d), "--seed",
-                               str(args.seed), "--scale", str(args.scale)])
+    for d in ds:
+        out, _, _ = run_child([sys.executable, __file__, "--child", str(d)]
+                              + ["--quick"] * args.quick)
         row = json.loads(out)
         trials.append(row)
         print(f"d={d:4d}  steps {row['steps']:>11,}  {row['state_dtype']:<6}  "
               f"simulate {row['simulate_s']:7.2f} s  identity_test {row['identity_test_s']:6.2f} s  "
               f"peak RSS {row['peak_rss_mb']:7.1f} MB  {row['verdict']}")
-    rows = {"trials": trials}
-    if args.cli_d:
-        print("== CLI round trip: simulate --out, then test --lazify assume")
-        with tempfile.TemporaryDirectory(dir=args.workdir) as workdir:
-            row = cli_round_trip(args.cli_d, args.seed, args.scale, Path(workdir))
-        rows["cli"] = row
-        print(f"d={row['d']:4d}  steps {row['steps']:>11,}  file {row['file_mb']:.1f} MB  "
-              f"simulate {row['simulate_s']:.2f} s, peak RSS {row['simulate_rss_mb']:.1f} MB  "
-              f"test {row['test_s']:.2f} s, peak RSS {row['test_rss_mb']:.1f} MB  {row['verdict']}")
+    print("== CLI round trip: simulate --out, then test --lazify assume")
+    with tempfile.TemporaryDirectory(dir=args.workdir) as workdir:
+        row = cli_round_trip(cli_d, scale, Path(workdir))
+    rows = {"trials": trials, "cli": row}
+    print(f"d={row['d']:4d}  steps {row['steps']:>11,}  file {row['file_mb']:.1f} MB  "
+          f"simulate {row['simulate_s']:.2f} s, peak RSS {row['simulate_rss_mb']:.1f} MB  "
+          f"test {row['test_s']:.2f} s, peak RSS {row['test_rss_mb']:.1f} MB  {row['verdict']}")
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=2) + "\n")
 

@@ -92,7 +92,7 @@ def save_probvector(p: ProbVector, path) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    d, states = _load_integers(path, "states", narrow=True)
+    d, states = _load_integers(path, "states")
     return Trajectory(d=d, states=states)
 
 
@@ -180,12 +180,12 @@ def _integers(doc: dict, key: str, path) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _load_integers(path, key: str, narrow: bool = False) -> tuple[int, np.ndarray]:
+def _load_integers(path, key: str) -> tuple[int, np.ndarray]:
     """d and the 0-based array doc[key] of a trajectory or samples file,
-    read-only and owning its data: int64, or with narrow (a trajectory's
-    states) state_dtype(d) when the numpy reader reads them."""
+    read-only and owning its data: int64, or for a trajectory's "states"
+    state_dtype(d) when the numpy reader reads them."""
     raw = Path(path).read_bytes()
-    compact = _read_compact(raw, key, narrow)
+    compact = _read_compact(raw, key)
     if compact is None:
         doc = _read(path)
         d = _dimension(doc, path)
@@ -197,11 +197,11 @@ def _load_integers(path, key: str, narrow: bool = False) -> tuple[int, np.ndarra
     return d, values
 
 
-def _read_compact(raw: bytes, key: str, narrow: bool):
+def _read_compact(raw: bytes, key: str):
     """(d, doc[key] - 1) without building a Python list, when the span from
     the first '[' to the last ']' of raw is a list of non-negative JSON
     integers of at most 18 digits with no whitespace, that list is doc[key]
-    and d is an integer; with narrow, only when every value is also in
+    and d is an integer; for "states", only when every value is also in
     [1, d], and the result is then of state_dtype(d). None for any other
     input, which json.load reads instead."""
     lo, hi = raw.find(b"["), raw.rfind(b"]")
@@ -215,9 +215,9 @@ def _read_compact(raw: bytes, key: str, narrow: bool):
     if not isinstance(doc, dict) or doc.get(key) != []:
         return None
     d = doc.get("d")
-    if not isinstance(d, int) or isinstance(d, bool) or narrow and d < 1:
+    if not isinstance(d, int) or isinstance(d, bool):
         return None
-    values = _parse_digits(raw, lo + 1, hi, d if narrow else None)
+    values = _parse_digits(raw, lo + 1, hi, d if key == "states" else None)
     return None if values is None else (d, values)
 
 

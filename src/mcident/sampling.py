@@ -396,27 +396,29 @@ def _visit_times(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray) -> np.
     The states are read VISIT_CHUNK at a time: counted up to the first chunk
     that completes every demand, then, in a second pass over those chunks,
     grouped by state with a stable sort (a radix sort on the narrow dtype).
-    No temporary is longer than a chunk, however long the trajectory.
+    Each chunk is counted again in the second pass rather than keeping its
+    first count, so no temporary is longer than a chunk or than d, however
+    long the trajectory.
     """
     X = traj.states
     usable = len(X) - 1
     need = np.zeros(traj.d, dtype=np.int64)
     need[S_idx] = counts
     have = np.zeros(traj.d, dtype=np.int64)
-    tallies = []
+    stop = 0  # the end of the chunks scanned
     while np.any(have < need):
-        start = len(tallies) * VISIT_CHUNK
-        if start >= usable:
+        if stop >= usable:
             return None
-        tallies.append(np.bincount(X[start : min(start + VISIT_CHUNK, usable)], minlength=traj.d))
-        have += tallies[-1]
+        start, stop = stop, min(stop + VISIT_CHUNK, usable)
+        have += np.bincount(X[start:stop], minlength=traj.d)
     # the next free place in each state's group
     slot = np.zeros(traj.d, dtype=np.int64)
     slot[S_idx] = np.cumsum(counts) - counts
     times = np.empty(int(counts.sum()), dtype=np.int64)
-    for k, seen in enumerate(tallies):
-        start = k * VISIT_CHUNK
-        order = np.argsort(X[start : min(start + VISIT_CHUNK, usable)], kind="stable")
+    for start in range(0, stop, VISIT_CHUNK):
+        chunk = X[start : min(start + VISIT_CHUNK, stop)]
+        seen = np.bincount(chunk, minlength=traj.d)
+        order = np.argsort(chunk, kind="stable")
         # the first take[s] places of each state's run in the sorted chunk
         take = np.minimum(seen, need)
         lead = np.arange(int(take.sum())) - np.repeat(np.cumsum(take) - take, take)
