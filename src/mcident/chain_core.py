@@ -12,16 +12,18 @@ Conventions adopted here and relied on elsewhere:
   aperiodicity is restored via lazy_version when a chain is near-periodic.
 * Irreducibility and reversibility are decided with explicit numerical
   tolerances since exact set membership is meaningless in floating point.
+  Irreducibility and the period come from a breadth-first search over the
+  support graph (entries above SUPPORT_TOL) in numpy; this module, and the
+  package's import, load no scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     AlphaOutOfRange,
@@ -39,12 +41,6 @@ SUPPORT_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-8
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float, copy=True)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic d x d matrix over the state space {0, ..., d-1}.
@@ -57,18 +53,19 @@ class TransitionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise MalformedMatrix(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = arr.min(), arr.max()
+        if not (isfinite(lo) and isfinite(hi)):
             raise MalformedMatrix("non-finite entries")
-        if arr.min() < -ROW_SUM_TOL or arr.max() > 1.0 + ROW_SUM_TOL:
+        if lo < -ROW_SUM_TOL or hi > 1.0 + ROW_SUM_TOL:
             raise MalformedMatrix("entries must lie in [0, 1]")
         rows = arr.sum(axis=1)
         bad = np.abs(rows - 1.0).max()
         if bad > ROW_SUM_TOL:
             raise MalformedMatrix(f"row sums deviate from 1 by {bad:.3e}")
-        object.__setattr__(self, "entries", _frozen(np.clip(arr, 0.0, 1.0)))
+        object.__setattr__(self, "entries", _frozen_clipped(arr))
 
     @property
     def d(self) -> int:
@@ -76,9 +73,16 @@ class TransitionMatrix:
 
     @cached_property
     def irreducible(self) -> bool:
-        """Whether the support graph (entries above SUPPORT_TOL) is strongly connected."""
-        graph = csr_matrix(_support(self.entries))
-        return connected_components(graph, directed=True, connection="strong")[0] == 1
+        """Whether the support graph (entries above SUPPORT_TOL) is strongly
+        connected: state 0 reaches every state, and every state reaches 0."""
+        if (self._levels < 0).any():
+            return False
+        return bool((_bfs_levels(_support(self.entries).T) >= 0).all())
+
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        """Breadth-first levels from state 0 on the support graph; see _bfs_levels."""
+        return _bfs_levels(_support(self.entries))
 
     @cached_property
     def stationary(self) -> "ProbVector":
@@ -125,14 +129,15 @@ class ProbVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+        arr = np.array(self.entries, dtype=float)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise MalformedDistribution(f"expected a vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or arr.min() < -ROW_SUM_TOL:
+        lo, hi = arr.min(), arr.max()
+        if not (isfinite(lo) and isfinite(hi)) or lo < -ROW_SUM_TOL:
             raise MalformedDistribution("entries must be nonnegative")
         if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
             raise MalformedDistribution(f"mass {arr.sum()!r} != 1")
-        object.__setattr__(self, "entries", _frozen(np.clip(arr, 0.0, 1.0)))
+        object.__setattr__(self, "entries", _frozen_clipped(arr))
 
     @property
     def d(self) -> int:
@@ -152,6 +157,13 @@ class ChainClass:
             raise ValueError("ergodic requires irreducible")
 
 
+def _frozen_clipped(arr: np.ndarray) -> np.ndarray:
+    """arr, an owned copy already checked, clipped to [0, 1] in place and made read-only."""
+    np.clip(arr, 0.0, 1.0, out=arr)
+    arr.setflags(write=False)
+    return arr
+
+
 def as_transition_matrix(P) -> TransitionMatrix:
     """Coerce an array-like to TransitionMatrix (no-op if already one)."""
     if isinstance(P, TransitionMatrix):
@@ -169,31 +181,37 @@ def _support(P: np.ndarray) -> np.ndarray:
     return P > SUPPORT_TOL
 
 
-def _period(P: np.ndarray) -> int:
+def _bfs_levels(supp: np.ndarray) -> np.ndarray:
+    """Breadth-first search from state 0 over the boolean adjacency supp:
+    level[v] is the length of a shortest path 0 -> v, or -1 where v is
+    unreachable.
+
+    The frontier is an index array, and each level gathers only its rows of
+    supp, so the whole search reads each row once.
+    """
+    level = np.full(supp.shape[0], -1, dtype=np.intp)
+    level[0] = 0
+    frontier = np.zeros(1, dtype=np.intp)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        reached = np.logical_or.reduce(supp[frontier]).nonzero()[0]
+        frontier = reached[level[reached] < 0]
+        level[frontier] = depth
+    return level
+
+
+def _period(P: TransitionMatrix) -> int:
     """Period of a strongly connected support graph (gcd of cycle lengths).
 
-    BFS from state 0 assigns levels; the gcd over edges (u, v) of
-    level[u] + 1 - level[v] is the period.
+    With the breadth-first levels from state 0 (P._levels), every cycle's
+    length is a sum of level[u] + 1 - level[v] over its edges (u, v), and a
+    tree edge contributes 0; so the gcd of that quantity over all edges is
+    the period.
     """
-    from math import gcd
-
-    supp = _support(P)
-    d = P.shape[0]
-    level = np.full(d, -1, dtype=int)
-    level[0] = 0
-    queue = [0]
-    edges = []
-    while queue:
-        u = queue.pop()
-        for v in np.flatnonzero(supp[u]):
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
-            edges.append((u, int(v)))
-    g = 0
-    for u, v in edges:
-        g = gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 1
+    level = P._levels
+    u, v = np.divmod(np.flatnonzero(_support(P.entries)), P.d)
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
 
 
 def validate(P) -> ChainClass:
@@ -212,7 +230,7 @@ def validate(P) -> ChainClass:
             reversible = True
         except NotReversible:
             pass
-        ergodic = _period(P.entries) == 1
+        ergodic = _period(P) == 1
     return ChainClass(irreducible=P.irreducible, reversible=reversible, ergodic=ergodic)
 
 

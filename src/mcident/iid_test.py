@@ -26,6 +26,11 @@ from ._rng import require_seed
 from .config import Constants, DEFAULT_CONSTANTS
 from .errors import AlphabetMismatch, BadArgs, TooFewSamples
 
+# Histogram cells the bootstrap draws and reduces at once: 2**17 cells keep
+# every acceptance-corpus bootstrap (at most 1600 x 65) in one block, and a
+# larger one in blocks of about 1 MB per int64 array.
+BOOTSTRAP_BLOCK_CELLS = 1 << 17
+
 
 @dataclass(frozen=True)
 class TestVerdict:
@@ -93,7 +98,10 @@ def iid_test(
     probability zero (including codes outside [0, K)) is an impossible event
     under the null and forces decision 1. The bootstrap draws ceil(20/delta)
     null histograms from pbar at the same sample size and thresholds at the
-    (1 - delta/2) quantile.
+    (1 - delta/2) quantile. The null histograms are drawn and reduced a
+    block of rows at a time; consecutive draws from one generator give the
+    same rows as a single draw, so the threshold does not depend on the
+    block.
     """
     p = np.asarray(pbar, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -120,8 +128,11 @@ def iid_test(
     denom = np.maximum(p, 1.0 / K)
     rng = np.random.default_rng(seed)
     B = ceil(20.0 / delta)
-    null_hists = rng.multinomial(m, p, size=B)
-    null_stats = _statistic(null_hists, p, denom)
+    rows = max(1, BOOTSTRAP_BLOCK_CELLS // K)
+    null_stats = np.concatenate([
+        _statistic(rng.multinomial(m, p, size=min(rows, B - start)), p, denom)
+        for start in range(0, B, rows)
+    ])
     threshold = float(np.quantile(null_stats, 1.0 - delta / 2.0, method="higher"))
 
     if impossible:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, log
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from ._rng import derive_rng, require_seed
 from .chain_core import (
@@ -62,9 +61,13 @@ class MetricLP:
     objective: float
 
 
-def _triangle_rows(n: int) -> csr_matrix:
+def _triangle_rows(n: int):
     """Rows x_ab - x_aw - x_wb <= 0 for every pair a < b and third node w, in
-    (a, b, w) order, over the pair variables of np.triu_indices(n, 1)."""
+    (a, b, w) order, over the pair variables of np.triu_indices(n, 1), as a
+    scipy.sparse csr_matrix."""
+    # Deferred, as solve_lp defers scipy.optimize: only a cut LP needs scipy.
+    from scipy.sparse import csr_matrix
+
     a, b = np.triu_indices(n, 1)
     pair = np.zeros((n, n), dtype=np.intp)
     pair[a, b] = pair[b, a] = np.arange(len(a))

@@ -1,7 +1,11 @@
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from mcident import chain_core as cc
 from mcident import corpus as cp
@@ -9,6 +13,7 @@ from mcident import metrics as mt
 from mcident.errors import (
     AlphaOutOfRange,
     EmptySubset,
+    MalformedDistribution,
     MalformedMatrix,
     NegativeEntry,
     NotIrreducible,
@@ -54,6 +59,36 @@ class TestTypes:
         with pytest.raises(ValueError):
             cc.ChainClass(irreducible=False, reversible=False, ergodic=True)
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[np.nan, 1.0], [0.5, 0.5]], "non-finite entries"),
+            ([[np.inf, 0.0], [0.5, 0.5]], "non-finite entries"),
+            ([[-np.inf, 1.0], [0.5, 0.5]], "non-finite entries"),
+            # finite, but min + max overflows to inf
+            ([[1e308, 1e308], [0.5, 0.5]], "entries must lie in"),
+            ([[-1e308, 1.0], [0.5, 0.5]], "entries must lie in"),
+        ],
+    )
+    def test_matrix_check_messages(self, entries, message):
+        with pytest.raises(MalformedMatrix, match=message):
+            cc.TransitionMatrix(np.array(entries))
+
+    @pytest.mark.parametrize("entries", [[np.nan, 1.0], [np.inf, 0.0], [-1e308, 1.0]])
+    def test_prob_vector_check_messages(self, entries):
+        with pytest.raises(MalformedDistribution, match="entries must be nonnegative"):
+            cc.ProbVector(np.array(entries))
+
+    def test_entries_are_an_owned_clipped_copy(self):
+        arr = np.array([[1.0 + 1e-11, -1e-11], [0.5, 0.5]])
+        P = cc.TransitionMatrix(arr)
+        assert np.array_equal(P.entries, [[1.0, 0.0], [0.5, 0.5]])
+        assert arr[0, 1] == -1e-11 and arr.flags.writeable
+        vec = np.array([1.0 + 1e-11, -1e-11])
+        v = cc.ProbVector(vec)
+        assert np.array_equal(v.entries, [1.0, 0.0]) and not v.entries.flags.writeable
+        assert vec[1] == -1e-11
+
 
 class TestValidate:
     def test_identity_two_absorbing_states(self):
@@ -75,6 +110,81 @@ class TestValidate:
     def test_single_state(self):
         cls = cc.validate([[1.0]])
         assert cls.irreducible and cls.reversible and cls.ergodic
+
+
+def stack_period(P: np.ndarray) -> int:
+    """Period by a depth-first stack search and a Python loop over edges."""
+    supp = P > cc.SUPPORT_TOL
+    level = np.full(P.shape[0], -1, dtype=int)
+    level[0] = 0
+    stack = [0]
+    edges = []
+    while stack:
+        u = stack.pop()
+        for v in np.flatnonzero(supp[u]):
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                stack.append(int(v))
+            edges.append((u, int(v)))
+    g = 0
+    for u, v in edges:
+        g = gcd(g, level[u] + 1 - level[v])
+    return abs(g) if g != 0 else 1
+
+
+def strongly_connected(P: np.ndarray) -> bool:
+    graph = csr_matrix(P > cc.SUPPORT_TOL)
+    return connected_components(graph, directed=True, connection="strong")[0] == 1
+
+
+class TestClassification:
+    """Breadth-first irreducibility and period against scipy's strong
+    components and a depth-first stack search."""
+
+    def test_random_supports(self):
+        r = np.random.default_rng(2024)
+        irreducible = 0
+        for _ in range(3000):
+            d = int(r.integers(1, 13))
+            supp = r.random((d, d)) < r.uniform(0.05, 0.6)
+            supp[np.arange(d), r.integers(0, d, size=d)] = True  # no empty row
+            W = np.where(supp, r.uniform(0.1, 1.0, (d, d)), 0.0)
+            # entries at or below SUPPORT_TOL are not edges
+            W[(r.random((d, d)) < 0.1) & ~supp] = cc.SUPPORT_TOL
+            P = cc.TransitionMatrix(W / W.sum(axis=1, keepdims=True))
+            assert P.irreducible == strongly_connected(P.entries)
+            if P.irreducible:
+                irreducible += 1
+                assert cc._period(P) == stack_period(P.entries)
+        assert 300 < irreducible < 2700
+
+    def test_bipartite_period_two(self, rng):
+        W = np.zeros((7, 7))
+        W[:3, 3:] = rng.uniform(0.1, 1.0, (3, 4))
+        W[3:, :3] = W[:3, 3:].T
+        P = cc.TransitionMatrix(W / W.sum(axis=1, keepdims=True))
+        assert P.irreducible and cc._period(P) == 2 == stack_period(P.entries)
+        cls = cc.validate(P)
+        assert cls.reversible and not cls.ergodic
+
+    def test_long_cycle(self):
+        P = cc.TransitionMatrix(np.roll(np.eye(257), 1, axis=1))
+        assert P.irreducible and cc._period(P) == 257 == stack_period(P.entries)
+        assert P._levels.max() == 256
+
+    def test_long_path(self, rng):
+        P = cp.birth_death(1000, rng)
+        assert P.irreducible and strongly_connected(P.entries)
+        assert np.array_equal(P._levels, np.arange(1000))
+        assert cc._period(P) == 1 == stack_period(P.entries)
+        one_way = np.triu(P.entries)
+        one_way[-1, -1] = 1.0
+        Q = cc.TransitionMatrix(one_way / one_way.sum(axis=1, keepdims=True))
+        assert Q._levels.max() == 999 and not Q.irreducible
+
+    def test_single_state(self):
+        P = cc.TransitionMatrix([[1.0]])
+        assert P.irreducible and cc._period(P) == 1 and P._levels.tolist() == [0]
 
 
 class TestStationaryDistribution:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,23 @@ class TestInvariants:
         pbar = np.full(K, 0.25)
         s = rng.choice(K, size=iid_sample_size(K, 0.25, 0.1))
         assert iid_test(s, pbar, 0.25, 0.1, seed=9) == iid_test(s, pbar, 0.25, 0.1, seed=9)
+
+    @pytest.mark.parametrize(
+        "K, delta, seed",
+        [(1, 0.1, 0), (3, 0.05, 1), (65, 1 / 80, 2), (65, 1 / 80, 3), (577, 0.01, 4), (1025, 0.02, 5)],
+    )
+    def test_blocked_bootstrap_matches_one_draw(self, monkeypatch, K, delta, seed):
+        # every block size gives the verdict of one multinomial draw of all B rows
+        module = sys.modules["mcident.iid_test"]
+        r = np.random.default_rng(seed)
+        pv = r.dirichlet(np.ones(K))
+        m = iid_sample_size(K, 0.9, delta) + seed
+        s = r.choice(K, size=m, p=pv)
+        verdicts = []
+        for cells in (K, 7 * K + 3, 700 * K, 10**9):
+            monkeypatch.setattr(module, "BOOTSTRAP_BLOCK_CELLS", cells)
+            verdicts.append(iid_test(s, pv, 0.9, delta, seed=seed))
+        assert all(v == verdicts[-1] for v in verdicts)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
