@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from math import log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +384,24 @@ class TestSpectralCertification:
         assert cert["spectral_phi_lower_bound"] < certs["component_threshold"] <= cert["lp_phi_lower_bound"]
         _, ratio = pt.fiedler_sweep(P, np.arange(6))
         assert P.pi.sum() * ratio / 2.0 >= certs["component_threshold"]
+
+    def test_partition_leaves_scipy_optimize_unloaded(self):
+        # a certified partition and one that splits by sweep solve no LP, so
+        # they load no scipy module at all, scipy.optimize included
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = (
+            "import sys, numpy as np\n"
+            "from mcident import corpus, partition\n"
+            "partition.partition_states(corpus.random_reversible(8, np.random.default_rng(8)), beta=0.1, seed=0)\n"
+            "P = corpus.planted_two_block((6, 6), np.random.default_rng(0))\n"
+            "part = partition.partition_states(P, beta=0.1, seed=0)\n"
+            "assert len(part.components) == 2\n"
+            "assert [s['by'] for s in part.certificates['splits']] == ['sweep'], part.certificates['splits']\n"
+            "print('scipy.optimize' in sys.modules, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False []"
 
     def test_rejects_seed_outside_range(self):
         P = cp.random_reversible(4, np.random.default_rng(4))
