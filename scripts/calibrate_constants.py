@@ -11,7 +11,6 @@ Usage: python scripts/calibrate_constants.py [--seed 7] [--trials 100]
 """
 
 import argparse
-import itertools
 from math import log
 
 import numpy as np
@@ -23,7 +22,7 @@ from mcident import partition as pt
 from mcident import sampling as sp
 from mcident.config import DEFAULT_CONSTANTS
 from mcident.iid_test import iid_sample_size, iid_test
-from mcident.metrics import hellinger
+from mcident.metrics import hellinger, min_cut_metric_ratio
 
 # rounding approximation budget: the sweep cut's ratio should stay within
 # C_ROUND * log d of the brute-force optimum at the 95th percentile
@@ -115,12 +114,7 @@ def rounding_factor(seed, trials):
         P = cp.random_reversible(d, r)
         I = tuple(range(d))
         S = pt.find_comp(P, pt.solve_spccc_lp(P, I), seed=k)
-        best = min(
-            pt.cut_metric_ratio(P, C, I)
-            for size in range(1, d)
-            for C in itertools.combinations(range(d), size)
-        )
-        factors.append(pt.cut_metric_ratio(P, S, I) / best / log(d))
+        factors.append(pt.cut_metric_ratio(P, S, I) / min_cut_metric_ratio(P, I) / log(d))
     print(f"  mean {np.mean(factors):.3f}  p95 {np.quantile(factors, 0.95):.3f}  "
           f"max {np.max(factors):.3f}  (budget C_ROUND={C_ROUND})")
 

@@ -70,8 +70,11 @@ class ComponentOutcome:
     states: tuple
     mass: float
     sample_count: int
-    failed: bool
     verdict: TestVerdict | None
+
+    @property
+    def failed(self) -> bool:
+        return self.verdict is None
 
 
 @dataclass(frozen=True)
@@ -206,11 +209,7 @@ def identity_test(
                 seed=int(derive_rng(cfg.seed, "tester", idx).integers(2**63)),
                 constants=cfg.constants,
             )
-        outcomes.append(
-            ComponentOutcome(
-                states=S, mass=mass, sample_count=l, failed=samples is None, verdict=verdict
-            )
-        )
+        outcomes.append(ComponentOutcome(states=S, mass=mass, sample_count=l, verdict=verdict))
         if verdict is not None:
             tested, final = S, verdict.decision
             break

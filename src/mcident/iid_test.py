@@ -18,7 +18,7 @@ Everything is deterministic given (samples, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log, sqrt
+from math import ceil, isfinite, log, sqrt
 
 import numpy as np
 
@@ -50,7 +50,10 @@ def iid_sample_size(
         raise BadArgs(f"support={support}")
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
         raise BadArgs(f"eps={eps}, delta={delta}")
-    return int(ceil(constants.c_iid * sqrt(support) * log(1.0 / delta) / (eps * eps)))
+    size = constants.c_iid * sqrt(support) * log(1.0 / delta) / (eps * eps)
+    if not isfinite(size):
+        raise BadArgs(f"sample size {size} is not finite (c_iid={constants.c_iid})")
+    return int(ceil(size))
 
 
 def _split_halves(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

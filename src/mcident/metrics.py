@@ -1,9 +1,9 @@
 """Distances between distributions and chains, induced laws.
 
-Also holds the two brute-force minima that partition._certify checks a
-partition with: min_internal_cut_ratio (component expansion) and
-min_escape_ratio (tail leakage). Each enumerates 2^|S| subsets, so
-_certify calls them only for d <= partition.CERTIFICATION_LIMIT.
+Also holds brute-force minima over 2^|S| subsets: min_internal_cut_ratio
+(component expansion) and min_escape_ratio (tail leakage), which
+partition._certify runs only for d <= partition.CERTIFICATION_LIMIT, and
+min_cut_metric_ratio, the sparsest cut that the rounding is measured against.
 """
 
 from __future__ import annotations
@@ -125,19 +125,32 @@ def _masks(n_states: int, indices: np.ndarray, include_full: bool = False):
         yield members
 
 
+def _proper_cuts(P: TransitionMatrix, S_idx: np.ndarray, M: np.ndarray):
+    """Yield (sum of M over R x (S - R), pi(R)) for chunks of nonempty proper R of S."""
+    inside = np.zeros(P.d)
+    inside[S_idx] = 1.0
+    for m in _masks(P.d, S_idx):
+        yield np.einsum("ki,ij,kj->k", m, M, inside - m), m @ P.pi
+
+
 def min_internal_cut_ratio(P: TransitionMatrix, S_idx: np.ndarray) -> float:
     """Exact min over nonempty proper R of S of Q(R, S - R) / min(pi(R), pi(S - R)),
     by 2^|S| enumeration (the caller bounds |S|)."""
-    pi, Q = P.pi, P.Q
-    inside = np.zeros(P.d)
-    inside[S_idx] = 1.0
-    pi_S = pi[S_idx].sum()
-    worst = np.inf
-    for m in _masks(P.d, S_idx):
-        cross = np.einsum("ki,ij,kj->k", m, Q, inside - m)
-        mass = m @ pi
-        worst = min(worst, float((cross / np.minimum(mass, pi_S - mass)).min()))
-    return worst
+    pi_S = P.pi[S_idx].sum()
+    cuts = _proper_cuts(P, S_idx, P.Q)
+    return min(float((cross / np.minimum(mass, pi_S - mass)).min()) for cross, mass in cuts)
+
+
+def min_cut_metric_ratio(P, I) -> float:
+    """Exact min of partition.cut_metric_ratio over nonempty proper S of I, by
+    2^|I| enumeration (the caller bounds |I|)."""
+    P = as_transition_matrix(P)
+    I_idx = _as_subset(I, P.d)
+    if len(I_idx) < 2:
+        raise BadSubset("need |I| >= 2")
+    pi_I = P.pi[I_idx].sum()
+    cuts = _proper_cuts(P, I_idx, P.Q + P.Q.T)
+    return min(float((cross / (2.0 * mass * (pi_I - mass))).min()) for cross, mass in cuts)
 
 
 def min_escape_ratio(P: TransitionMatrix, T_idx: np.ndarray) -> float:

@@ -13,6 +13,10 @@ optimum is also a sound lower bound (through the factor-2 sandwich between
 the normalized cut ratio and the bottleneck ratio), and when it too is
 small, rounding (embedding + sweep cuts) produces the sparse cut that
 splits I.
+
+Both sweeps keep the best prefix cut of an order of I, scored by
+_prefix_ratios in O(C |I|^2) for C orders: one for the Fiedler sweep, one
+per embedding coordinate for the rounding.
 """
 
 from __future__ import annotations
@@ -136,6 +140,21 @@ def spectral_phi_lower_bound(P: TransitionMatrix, I_idx: np.ndarray) -> float:
     return float(1.0 - lam[-2]) / 2.0
 
 
+def _prefix_ratios(P: TransitionMatrix, I_idx: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """cut_metric_ratio of the prefix I_idx[orders[c, :j + 1]] at (c, j), for
+    each row c of orders, a (C, |I|) array of orderings, and each j < |I| - 1:
+    prefix sums over Q + Q^T permuted into each order, in O(C |I|^2)."""
+    J = I_idx[orders]
+    Q_J = P.Q[J[:, :, None], J[:, None, :]]
+    Qs = Q_J + Q_J.transpose(0, 2, 1)
+    later = np.arange(J.shape[1])[:, None] < np.arange(J.shape[1])
+    # Moving a state to the left side adds its edges to the right side (the
+    # later states) to the cut and removes its edges to the earlier states.
+    gain = np.where(later, Qs, 0.0).sum(axis=-1) - np.where(later.T, Qs, 0.0).sum(axis=-1)
+    left = np.cumsum(P.pi[J], axis=-1)[:, :-1]
+    return np.cumsum(gain, axis=-1)[:, :-1] / (2.0 * left * (P.pi[I_idx].sum() - left))
+
+
 def fiedler_sweep(P: TransitionMatrix, I_idx: np.ndarray) -> tuple[np.ndarray, float]:
     """Sparsest prefix cut of I in the order of the restriction's Fiedler
     vector; returns (the prefix as sorted states, its cut_metric_ratio).
@@ -143,26 +162,19 @@ def fiedler_sweep(P: TransitionMatrix, I_idx: np.ndarray) -> tuple[np.ndarray, f
     The eigenvector for lambda_2 of the pi-symmetrized restriction that
     spectral_phi_lower_bound builds, divided by sqrt(pi_I), is the right
     eigenvector f of P_I. The states of I are ordered by f, index breaking
-    ties, and every one of the |I| - 1 prefixes is scored with prefix sums
-    over the permuted Q + Q^T, in O(|I|^2); the first minimum wins. Cheeger's
-    hard direction (Levin-Peres-Wilmer, Thm 13.10 and its proof; Chung,
-    Spectral Graph Theory, ch. 2) bounds the bottleneck ratio of that cut
-    by sqrt(2 (1 - lambda_2)).
+    ties, and _prefix_ratios scores every one of the |I| - 1 prefixes in
+    O(|I|^2); the first minimum wins. Cheeger's hard direction
+    (Levin-Peres-Wilmer, Thm 13.10 and its proof; Chung, Spectral Graph
+    Theory, ch. 2) bounds the bottleneck ratio of that cut by
+    sqrt(2 (1 - lambda_2)).
     """
     pi_I = P.pi[I_idx]
     _, vecs = np.linalg.eigh(_symmetrized(_restriction(P, I_idx), pi_I))
     f = vecs[:, -2] / np.sqrt(pi_I)
     order = np.lexsort((np.arange(len(I_idx)), f))
-    J = I_idx[order]
-    Q_J = P.Q[np.ix_(J, J)]
-    Qs = Q_J + Q_J.T
-    # Moving J[j] to the left side adds its edges to the right side to the
-    # cut and removes its edges to the left side.
-    cut = np.cumsum(np.triu(Qs, 1).sum(axis=1) - np.tril(Qs, -1).sum(axis=1))[:-1]
-    left = np.cumsum(pi_I[order])[:-1]
-    ratio = cut / (2.0 * left * (pi_I.sum() - left))
+    ratio = _prefix_ratios(P, I_idx, order[None, :])[0]
     j = int(np.argmin(ratio))
-    return np.sort(J[: j + 1]), float(ratio[j])
+    return np.sort(I_idx[order[: j + 1]]), float(ratio[j])
 
 
 def cut_metric_ratio(P, S, I) -> float:
@@ -208,9 +220,10 @@ def bourgain_embed(lp: MetricLP, seed: int, constants: Constants = DEFAULT_CONST
 def round_to_cut(embedding: np.ndarray, P, I) -> tuple:
     """Best sweep cut over all embedding coordinates.
 
-    Each coordinate is swept at every strictly increasing value boundary and
-    the candidate cut scored by its normalized metric ratio; the minimizer
-    wins, earliest (coordinate, boundary) on ties, and its lower side is
+    Each coordinate orders I by value, index breaking ties, and one batched
+    _prefix_ratios call scores the cuts at every strictly increasing value
+    boundary, O(C |I|^2) for C coordinates; the minimizer wins, earliest
+    (coordinate, boundary) on ties within 1e-15, and its lower side is
     returned. Raises DegenerateEmbedding when every coordinate is constant,
     instructing the caller to re-seed.
     """
@@ -218,28 +231,17 @@ def round_to_cut(embedding: np.ndarray, P, I) -> tuple:
     I_idx = _as_subset(I, P.d)
     if embedding.shape[0] != len(I_idx):
         raise BadSubset("embedding rows must match sorted(I)")
-    Qs = P.Q + P.Q.T
-    pi_I = P.pi[I_idx]
-    Q_I = Qs[np.ix_(I_idx, I_idx)]
-
+    orders = np.argsort(embedding.T, axis=-1, kind="stable")
+    ratios = _prefix_ratios(P, I_idx, orders)
+    boundary = np.diff(np.sort(embedding.T, axis=-1), axis=-1) > 0.0
     best = None
-    k = len(I_idx)
-    for cidx in range(embedding.shape[1]):
-        vals = embedding[:, cidx]
-        order = np.lexsort((np.arange(k), vals))
-        sv = vals[order]
-        boundaries = np.flatnonzero(np.diff(sv) > 0.0) + 1
-        for cut in boundaries:
-            left = order[:cut]
-            right = order[cut:]
-            num = Q_I[np.ix_(left, right)].sum()
-            den = 2.0 * pi_I[left].sum() * pi_I[right].sum()
-            ratio = num / den
-            if best is None or ratio < best[0] - 1e-15:
-                best = (ratio, left)
+    for flat, ratio in zip(np.flatnonzero(boundary).tolist(), ratios[boundary].tolist()):
+        if best is None or ratio < best[0] - 1e-15:
+            best = (ratio, flat)
     if best is None:
         raise DegenerateEmbedding("all embedded points coincide; retry with a fresh seed")
-    return tuple(sorted(int(I_idx[i]) for i in best[1]))
+    c, j = divmod(best[1], boundary.shape[1])
+    return tuple(int(i) for i in np.sort(I_idx[orders[c, : j + 1]]))
 
 
 def find_comp(P, lp: MetricLP, seed: int, constants: Constants = DEFAULT_CONSTANTS) -> tuple:

@@ -370,6 +370,8 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
     rng = np.random.default_rng(require_seed(seed))
     if l == 0:
         return np.empty(0, dtype=np.int64)
+    if l > len(traj) - 1:  # more anchors than usable visits: draw nothing
+        return None
 
     anchors = rng.choice(n, size=l, p=weights / weights.sum())
     counts = np.bincount(anchors, minlength=n)

@@ -12,7 +12,6 @@ from math import log
 
 import numpy as np
 import pytest
-from conftest import brute_min_ratio
 from scipy import stats
 
 from mcident import chain_core as cc
@@ -77,6 +76,12 @@ def corpus():
     return entries
 
 
+def decided_margin(rep):
+    """[statistic - threshold] of the component the iid tester decided, or []
+    when no component converted."""
+    return [o.verdict.statistic - o.verdict.threshold for o in rep.per_component if o.verdict is not None]
+
+
 class TestCriterion1MainTheorem:
     def test_accept_and_reject_rates(self, corpus):
         trials = 100
@@ -92,23 +97,31 @@ class TestCriterion1MainTheorem:
             accepts = rejects = 0
             # Rejects of the matching and of the far trajectories, by reason
             reasons = {"matching": Counter(), "far": Counter()}
+            # statistic - threshold of each trial the iid tester decided
+            margins = {"matching": [], "far": []}
             for t in range(trials):
                 traj = sp.simulate(lazy_ref, mu_ref, m, seed=1_000_000 + t)
                 rep = idn.identity_test(ref, traj, idn.TestConfig(eps=EPS, seed=2_000_000 + t))
                 accepts += 1 - rep.verdict
                 reasons["matching"][rep.reason] += rep.verdict
+                margins["matching"] += decided_margin(rep)
                 traj = sp.simulate(lazy_far, mu_far, m, seed=3_000_000 + t)
                 rep = idn.identity_test(ref, traj, idn.TestConfig(eps=EPS, seed=4_000_000 + t))
                 rejects += rep.verdict
                 reasons["far"][rep.reason] += rep.verdict
+                margins["far"] += decided_margin(rep)
             ok = accepts / trials >= 0.6 and rejects / trials >= 0.6
             all_ok &= ok
             by_reason = ", ".join(
                 f"{side} {c['tester']} tester {c['no_component_converted']} unconverted"
                 for side, c in reasons.items()
             )
+            by_margin = ", ".join(
+                f"{side} min {min(v):.3g} median {np.median(v):.3g}" if v else f"{side} none tested"
+                for side, v in margins.items()
+            )
             details.append(f"{name} accept {accepts}/{trials} reject {rejects}/{trials} (m={m}; "
-                           f"rejects by reason: {by_reason})")
+                           f"rejects by reason: {by_reason}; statistic - threshold: {by_margin})")
         _line(1, all_ok, "; ".join(details))
 
 
@@ -143,7 +156,7 @@ class TestCriterion3RoundingApproximation:
             I = tuple(range(d))
             S = pt.find_comp(P, pt.solve_spccc_lp(P, I), seed=k)
             got = pt.cut_metric_ratio(P, S, I)
-            factors.append(got / brute_min_ratio(P, I) / log(d))
+            factors.append(got / mt.min_cut_metric_ratio(P, I) / log(d))
         p95 = float(np.quantile(factors, 0.95))
         _line(3, p95 <= C_ROUND,
               f"rounding factor p95 = {p95:.3f} x log d (budget {C_ROUND})")

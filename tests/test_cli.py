@@ -261,6 +261,26 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0 and doc["constants"]["c_iid"] == 8.0
 
+    @pytest.mark.parametrize("c_iid, rc, reason", [
+        (1e6, 1, "no_component_converted"),
+        (1e300, 1, "no_component_converted"),
+        (1e307, 2, None),
+    ])
+    def test_huge_c_iid(self, chain_file, tmp_path, capsys, c_iid, rc, reason):
+        # a sample size no 2000-step trajectory can serve rejects with nothing
+        # drawn; one that is not even finite is a usage error
+        P, path = chain_file
+        traj, cfg, rep = tmp_path / "t.json", tmp_path / "cfg.json", tmp_path / "rep.json"
+        fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
+        cfg.write_text(json.dumps({"c_iid": c_iid}))
+        assert main(["--config", str(cfg), "test", "--reference", str(path), "--trajectory",
+                     str(traj), "--eps", "0.3", "--seed", "1", "--report", str(rep)]) == rc
+        err = capsys.readouterr().err
+        if reason is None:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and json.loads(rep.read_text())["reason"] == reason
+
     @pytest.mark.parametrize("cfg", [{"c2": "2"}, {"c2": -1}, {"c_hist": 4.0}, {"c_round": 4.0}])
     def test_bad_constant_exit_code(self, tmp_path, capsys, cfg):
         path = tmp_path / "cfg.json"

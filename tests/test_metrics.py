@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from mcident import chain_core as cc
 from mcident import corpus as cp
 from mcident import metrics as mt
-from mcident.errors import ShapeMismatch, ZeroDenominator, ZeroMassSubset
+from mcident import partition as pt
+from mcident.errors import BadSubset, ShapeMismatch, ZeroDenominator, ZeroMassSubset
 
 
 def two_state_distance_oracle(P, Pbar):
@@ -183,6 +184,27 @@ class TestCheegerBruteforce:
             gap = cc.spectral_gap(P)
             phi = mt.min_internal_cut_ratio(P, np.arange(P.d))
             assert gap >= phi * phi / 2.0 - 1e-12
+
+
+class TestMinCutMetricRatio:
+    def test_matches_enumeration(self):
+        # against the validating cut_metric_ratio, one subset at a time, on
+        # the whole state space and on proper subsets I
+        r = np.random.default_rng(31)
+        for k in range(12):
+            d = int(r.integers(2, 9))
+            P = cp.random_reversible(d, r)
+            I = list(range(d)) if k % 2 else sorted(r.choice(d, size=int(r.integers(2, d + 1)), replace=False))
+            best = min(
+                pt.cut_metric_ratio(P, S, I)
+                for size in range(1, len(I))
+                for S in itertools.combinations(I, size)
+            )
+            assert mt.min_cut_metric_ratio(P, I) == pytest.approx(best, rel=1e-12)
+
+    def test_needs_two_states(self, rng):
+        with pytest.raises(BadSubset):
+            mt.min_cut_metric_ratio(cp.random_reversible(3, rng), [1])
 
 
 class TestMinEscapeRatio:

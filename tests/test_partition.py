@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import brute_min_ratio
 
 from mcident import chain_core as cc
 from mcident import corpus as cp
@@ -38,7 +37,7 @@ class TestSpcccLP:
             r = np.random.default_rng(300 + k)
             P = cp.random_reversible(6, r)
             lp = pt.solve_spccc_lp(P, ALL6)
-            assert lp.objective <= brute_min_ratio(P, ALL6) + 1e-9
+            assert lp.objective <= mt.min_cut_metric_ratio(P, ALL6) + 1e-9
 
     def test_feasibility_invariants(self, rng):
         P = cp.random_reversible(6, rng)
@@ -104,7 +103,57 @@ class TestBourgainEmbed:
         assert ok >= 95
 
 
+def loop_round_to_cut(embedding, P, I):
+    """Per-boundary reference for round_to_cut: each coordinate is swept at
+    every strictly increasing value boundary, and each cut's ratio is summed
+    directly over its block of Q + Q^T; the earliest (coordinate, boundary)
+    wins on ties within 1e-15."""
+    I_idx = np.asarray(sorted(I))
+    pi_I = P.pi[I_idx]
+    Q_I = (P.Q + P.Q.T)[np.ix_(I_idx, I_idx)]
+    k = len(I_idx)
+    best = None
+    for cidx in range(embedding.shape[1]):
+        vals = embedding[:, cidx]
+        order = np.lexsort((np.arange(k), vals))
+        for cut in np.flatnonzero(np.diff(vals[order]) > 0.0) + 1:
+            left, right = order[:cut], order[cut:]
+            ratio = Q_I[np.ix_(left, right)].sum() / (2.0 * pi_I[left].sum() * pi_I[right].sum())
+            if best is None or ratio < best[0] - 1e-15:
+                best = (ratio, left)
+    return tuple(sorted(int(I_idx[i]) for i in best[1]))
+
+
 class TestRoundToCut:
+    def test_matches_loop_reference(self):
+        # seeded LP embeddings of random chains and of chains whose cuts tie
+        # (planted blocks, leaves, birth-death paths, uniform cycles), and
+        # each embedding with its first coordinate repeated
+        r = np.random.default_rng(83)
+        chains = [cp.random_reversible(int(r.integers(4, 11)), r) for _ in range(12)]
+        chains += [cp.planted_two_block((3, 4), r), cp.hub_and_leaves(2, 3, r), cp.birth_death(7, r),
+                   cycle(6), cc.lazy_version(cycle(8), 0.5)]
+        for P in chains:
+            I = tuple(range(P.d))
+            lp = pt.solve_spccc_lp(P, I)
+            for seed in range(5):
+                emb = pt.bourgain_embed(lp, seed)
+                assert pt.round_to_cut(emb, P, I) == loop_round_to_cut(emb, P, I)
+                twice = np.concatenate([emb[:, :1], emb], axis=1)
+                assert pt.round_to_cut(twice, P, I) == loop_round_to_cut(twice, P, I)
+
+    def test_earliest_coordinate_wins_a_tie(self):
+        # a coordinate and its negation give complementary cuts of equal ratio;
+        # the one listed first decides which side is returned
+        P = cp.random_reversible(7, np.random.default_rng(5))
+        I = tuple(range(7))
+        emb = pt.bourgain_embed(pt.solve_spccc_lp(P, I), seed=3)
+        x = emb[:, np.argmax(np.ptp(emb, axis=0))]
+        S = pt.round_to_cut(x[:, None], P, I)
+        assert pt.round_to_cut(-x[:, None], P, I) == tuple(sorted(set(I) - set(S)))
+        for emb in (np.stack([x, -x], axis=1), np.stack([-x, x], axis=1)):
+            assert pt.round_to_cut(emb, P, I) == loop_round_to_cut(emb, P, I) == pt.round_to_cut(emb[:, :1], P, I)
+
     def test_planted_blocks_recovered(self, rng):
         P = cp.planted_two_block((3, 3), rng)
         S = pt.find_comp(P, pt.solve_spccc_lp(P, ALL6), seed=11)
@@ -133,7 +182,7 @@ class TestRoundToCut:
             P = cp.random_reversible(d, r)
             I = tuple(range(d))
             S = pt.find_comp(P, pt.solve_spccc_lp(P, I), seed=k)
-            factors.append(pt.cut_metric_ratio(P, S, I) / brute_min_ratio(P, I))
+            factors.append(pt.cut_metric_ratio(P, S, I) / mt.min_cut_metric_ratio(P, I))
         assert float(np.quantile(factors, 0.95)) <= 4.0 * log(4)
 
     def test_deterministic_given_seed(self, rng):
@@ -164,7 +213,7 @@ class TestFiedlerSweep:
         assert list(S) in (list(block), list(np.setdiff1d(I, block)))
         assert ratio == pytest.approx(pt.cut_metric_ratio(P, S, I), rel=0, abs=1e-12)
         if h <= 5:
-            assert ratio == pytest.approx(brute_min_ratio(P, I), rel=1e-9)
+            assert ratio == pytest.approx(mt.min_cut_metric_ratio(P, I), rel=1e-9)
 
     def test_best_prefix_of_right_eigenvector(self):
         # the right eigenvector of the restriction, from a general eig with no
@@ -200,7 +249,7 @@ class TestFiedlerSweep:
             rest = np.setdiff1d(I, S)
             phi = ratio * max(P.pi[S].sum(), P.pi[rest].sum())
             assert phi <= np.sqrt(4.0 * pt.spectral_phi_lower_bound(P, I)) + 1e-12
-            assert ratio >= brute_min_ratio(P, I) - 1e-12
+            assert ratio >= mt.min_cut_metric_ratio(P, I) - 1e-12
 
 
 class TestPartitionStates:
