@@ -3,7 +3,7 @@
 
 Reproduces the measurements behind the defaults in mcident.config:
   * iid tester operating characteristics across c_iid values,
-  * visit-count event frequency across c_vis values,
+  * visit-count event frequency across values of sampling.C_VIS,
   * end-to-end accept/reject rates across c_len values (reduced trials),
   * sweep-cut approximation factors against the C_ROUND budget.
 
@@ -11,6 +11,7 @@ Usage: python scripts/calibrate_constants.py [--seed 7] [--trials 100]
 """
 
 import argparse
+from dataclasses import replace
 from math import log
 
 import numpy as np
@@ -33,7 +34,7 @@ def tester_characteristics(seed, trials, c_iid_grid=(1.0, 2.0, 4.0, 8.0)):
     print("== iid tester: false rates at delta=0.1, eps=0.25, far gap = eps")
     rng = np.random.default_rng(seed)
     for c_iid in c_iid_grid:
-        constants = DEFAULT_CONSTANTS.override(c_iid=c_iid)
+        constants = replace(DEFAULT_CONSTANTS, c_iid=c_iid)
         rows = []
         for K in (4, 16, 50):
             pv = np.ones(K) / K
@@ -66,13 +67,12 @@ def tester_characteristics(seed, trials, c_iid_grid=(1.0, 2.0, 4.0, 8.0)):
 def visit_event(seed, trials, c_vis_grid=(10.0, 20.0, 40.0)):
     print("== visit-count event frequency at delta=0.1 (target >= 0.9)")
     for c_vis in c_vis_grid:
-        constants = DEFAULT_CONSTANTS.override(c_vis=c_vis)
         hits = total = 0
         for k in range(20):
             r = np.random.default_rng(seed + k)
             P = cp.random_reversible(int(r.integers(3, 9)), r)
             pi = cc.stationary_distribution(P).entries
-            m = sp.required_visits(float(pi.min()), cc.spectral_gap(P), 0.1, constants)
+            m = sp.required_visits(float(pi.min()), cc.spectral_gap(P), 0.1, c_vis)
             for t in range(max(trials // 20, 3)):
                 traj = sp.simulate(P, pi, m, seed=seed + 97 * k + t)
                 counts = np.bincount(traj.states, minlength=P.d)
@@ -90,7 +90,7 @@ def end_to_end(seed, trials, c_len_grid=(1.0, 2.0, 4.0)):
     pibar = cc.stationary_distribution(ref).entries
     n = max(trials // 4, 10)
     for c_len in c_len_grid:
-        constants = DEFAULT_CONSTANTS.override(c_len=c_len)
+        constants = replace(DEFAULT_CONSTANTS, c_len=c_len)
         m = idn.trajectory_budget(4, float(pibar.min()), 0.3, constants)
         acc = rej = 0
         for t in range(n):

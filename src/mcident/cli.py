@@ -5,9 +5,10 @@ randomized subcommand requires an explicit --seed in [0, 2**64) (reports
 must be reproducible; there is no wall-clock default). Reports are JSON documents
 embedding the run manifest: subcommand, flags, resolved constants, seed,
 tool version and input file digests. Exit codes: 0 success or Accept,
-1 Reject (test subcommand), 2 usage or input error, 3 failed partition
-certification, 4 internal error (an unexpected exception, reported as one
-line without a traceback; never a verdict).
+1 Reject (test subcommand), 2 usage or input error, or a request that does
+not fit in memory, 3 failed partition certification, 4 internal error (an
+unexpected exception, reported as one line without a traceback; never a
+verdict).
 """
 
 from __future__ import annotations
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
         return 3
     except (ChainTestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. simulate --steps 10**15
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect must not exit 1, which means Reject
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

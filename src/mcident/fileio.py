@@ -14,10 +14,12 @@ tools with print-rounded floats still load. A loaded trajectory holds its
 states in sampling.state_dtype(d), one byte per state up to d = 256;
 loaded samples are int64 codes.
 
-The save_* helpers write one line of JSON with sorted keys and no spaces,
-the bytes of json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n".
-Trajectory and sample arrays are turned into digits with numpy, a chunk of
-values at a time, never into a Python list. A trajectory or samples file
+The writers save_matrix, save_probvector and save_trajectory write one line
+of JSON with sorted keys and no spaces, the bytes of json.dumps(doc,
+sort_keys=True, separators=(",", ":")) + "\n". Trajectory arrays are turned
+into digits with numpy, a chunk of values at a time, never into a Python
+list. Samples files are read, not written: no subcommand produces one, and
+json.dumps gives the same layout. A trajectory or samples file
 whose only array is its states or samples, written as non-negative integers
 of at most 18 digits with no whitespace, is parsed the same way (the rest of
 the file, the array emptied, goes through json.loads), and a trajectory's
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain_core import ProbVector, TransitionMatrix
-from .errors import BadArgs, ChainTestError, MalformedDistribution, MalformedMatrix
+from .errors import ChainTestError, MalformedDistribution, MalformedMatrix
 from .sampling import Trajectory, state_dtype
 
 _FILE_TOL = 1e-8
@@ -48,7 +50,7 @@ _FILE_TOL = 1e-8
 # reader: their temporaries stay this size however long the array is.
 _CHUNK_VALUES, _CHUNK_BYTES = 1 << 16, 1 << 17
 _POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
-_ZERO, _COMMA, _MINUS = ord("0"), ord(","), ord("-")
+_ZERO, _COMMA = ord("0"), ord(",")
 
 
 def load_matrix(path) -> TransitionMatrix:
@@ -97,19 +99,25 @@ def load_trajectory(path) -> Trajectory:
 
 
 def save_trajectory(traj: Trajectory, path) -> None:
-    _save_integers(path, traj.d, "states", traj.states)
+    """Write {"d": d, "states": states + 1} in the bytes json.dumps(doc,
+    sort_keys=True, separators=(",", ":")) + "\n" gives, turning the 0-based
+    states into 1-based digits with numpy, _CHUNK_VALUES at a time. Each
+    chunk is widened to uint64 before the + 1, so a narrow 255 is written
+    256, not 0 (only a state of 2**64 - 1 would still wrap)."""
+    states = traj.states
+    text = json.dumps({"d": int(traj.d), "states": []}, sort_keys=True, separators=(",", ":"))
+    cut = text.index("[]") + 1
+    with open(path, "wb") as fh:
+        fh.write(text[:cut].encode())
+        for start in range(0, states.size, _CHUNK_VALUES):
+            ascii = _ascii(states[start : start + _CHUNK_VALUES].astype(np.uint64) + np.uint64(1))
+            fh.write(ascii if start + _CHUNK_VALUES < states.size else ascii[:-1])
+        fh.write(text[cut:].encode() + b"\n")
 
 
 def load_samples(path) -> tuple[int, np.ndarray]:
     """Integer-alphabet samples; returns (alphabet size, 0-based int64 codes)."""
     return _load_integers(path, "samples")
-
-
-def save_samples(d: int, samples, path) -> None:
-    codes = np.asarray(samples, dtype=np.int64)
-    if codes.ndim != 1:
-        raise BadArgs(f"samples must be one-dimensional, got shape {codes.shape}")
-    _save_integers(path, d, "samples", codes)
 
 
 def file_digest(path) -> str:
@@ -257,46 +265,24 @@ def _parse_digits(raw: bytes, start: int, stop: int, top: int | None):
     return out if k == out.size else None
 
 
-def _save_integers(path, d: int, key: str, codes: np.ndarray) -> None:
-    """Write {"d": d, key: codes + 1} in the bytes json.dumps(doc,
-    sort_keys=True, separators=(",", ":")) + "\n" gives, turning the 0-based
-    codes (int64, or a trajectory's narrow states) into 1-based digits with
-    numpy, _CHUNK_VALUES at a time. Each chunk is widened to int64 before
-    the + 1, so a narrow 255 is written 256, not 0."""
-    text = json.dumps({"d": int(d), key: []}, sort_keys=True, separators=(",", ":"))
-    cut = text.index("[]") + 1
-    with open(path, "wb") as fh:
-        fh.write(text[:cut].encode())
-        for start in range(0, codes.size, _CHUNK_VALUES):
-            ascii = _ascii(codes[start : start + _CHUNK_VALUES].astype(np.int64) + 1)
-            fh.write(ascii if start + _CHUNK_VALUES < codes.size else ascii[:-1])
-        fh.write(text[cut:].encode() + b"\n")
-
-
 def _ascii(values: np.ndarray) -> np.ndarray:
-    """The decimal digits of int64 values as uint8 text, each followed by a
+    """The decimal digits of uint64 values as uint8 text, each followed by a
     comma. Each value is laid out right-aligned in a row as wide as the
     widest; the rows are joined, less their unused leading bytes."""
-    neg = values < 0
-    sign = bool(neg.any())
-    mag = values.view(np.uint64)
-    if sign:
-        mag = np.where(neg, np.negative(mag), mag)  # |int64 min| = 2**63 fits
-    ndigits = np.ones(mag.size, dtype=np.int64)
-    for power in _POW10[_POW10 <= mag.max()]:
-        ndigits += mag >= power
+    ndigits = np.ones(values.size, dtype=np.int64)
+    for power in _POW10[_POW10 <= values.max()]:
+        ndigits += values >= power
     widest = int(ndigits.max())
-    rows = np.empty((mag.size, widest + sign + 1), dtype=np.uint8)
+    rows = np.empty((values.size, widest + 1), dtype=np.uint8)
     rows[:, -1] = _COMMA
-    for col in range(rows.shape[1] - 2, rows.shape[1] - 2 - widest, -1):
-        quotient = mag // np.uint64(10)  # numpy divides by a scalar faster than it takes %
-        rows[:, col] = mag - quotient * np.uint64(10) + np.uint64(_ZERO)
-        mag = quotient
-    if not sign and ndigits.min() == widest:
+    for col in range(widest - 1, -1, -1):
+        quotient = values // np.uint64(10)  # numpy divides by a scalar faster than it takes %
+        rows[:, col] = values - quotient * np.uint64(10) + np.uint64(_ZERO)
+        values = quotient
+    if ndigits.min() == widest:
         return rows.ravel()
-    first = rows.shape[1] - 1 - ndigits - neg  # column of each value's first byte
-    rows[neg, first[neg]] = _MINUS
-    return np.compress((np.arange(rows.shape[1]) >= first[:, None]).ravel(), rows)
+    first = widest - ndigits  # column of each value's first byte
+    return np.compress((np.arange(widest + 1) >= first[:, None]).ravel(), rows)
 
 
 def _write(path, doc) -> None:

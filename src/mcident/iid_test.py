@@ -101,10 +101,11 @@ def iid_test(
     probability zero (including codes outside [0, K)) is an impossible event
     under the null and forces decision 1. The bootstrap draws ceil(20/delta)
     null histograms from pbar at the same sample size and thresholds at the
-    (1 - delta/2) quantile. The null histograms are drawn and reduced a
-    block of rows at a time; consecutive draws from one generator give the
-    same rows as a single draw, so the threshold does not depend on the
-    block.
+    (1 - delta/2) quantile; a delta for which those statistics would not fit
+    one float64 array raises BadArgs. The null histograms are drawn and
+    reduced a block of rows at a time; consecutive draws from one generator
+    give the same rows as a single draw, so the threshold does not depend on
+    the block.
     """
     p = np.asarray(pbar, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -116,6 +117,10 @@ def iid_test(
     K = len(p)
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
         raise BadArgs(f"eps={eps}, delta={delta}")
+    # the B null statistics must fit one float64 array
+    if 20.0 / delta > np.iinfo(np.intp).max // 8:
+        raise BadArgs(f"delta={delta} asks for {20.0 / delta:.3g} bootstrap draws")
+    B = ceil(20.0 / delta)
     seed = require_seed(seed)
 
     codes = np.asarray(samples, dtype=np.int64)
@@ -130,12 +135,11 @@ def iid_test(
 
     denom = np.maximum(p, 1.0 / K)
     rng = np.random.default_rng(seed)
-    B = ceil(20.0 / delta)
     rows = max(1, BOOTSTRAP_BLOCK_CELLS // K)
-    null_stats = np.concatenate([
-        _statistic(rng.multinomial(m, p, size=min(rows, B - start)), p, denom)
-        for start in range(0, B, rows)
-    ])
+    null_stats = np.empty(B)
+    for start in range(0, B, rows):
+        block = rng.multinomial(m, p, size=min(rows, B - start))
+        null_stats[start : start + len(block)] = _statistic(block, p, denom)
     threshold = float(np.quantile(null_stats, 1.0 - delta / 2.0, method="higher"))
 
     if impossible:

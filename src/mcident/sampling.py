@@ -18,7 +18,6 @@ import numpy as np
 
 from ._rng import require_seed
 from .chain_core import as_prob_vector, as_transition_matrix, _as_subset
-from .config import Constants, DEFAULT_CONSTANTS
 from .errors import BadArgs, BadNu, TrajectoryAlphabetMismatch
 
 
@@ -395,30 +394,22 @@ def _visit_times(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray) -> np.
     successor, grouped by a and in time order within a group; None when
     some state has fewer.
 
-    The states are read VISIT_CHUNK at a time: counted up to the first chunk
-    that completes every demand, then, in a second pass over those chunks,
-    grouped by state with a stable sort (a radix sort on the narrow dtype).
-    Each chunk is counted again in the second pass rather than keeping its
-    first count, so no temporary is longer than a chunk or than d, however
-    long the trajectory.
+    The states are read VISIT_CHUNK at a time, up to the chunk that
+    completes every demand. Each chunk is counted, grouped by state with a
+    stable sort (a radix sort on the narrow dtype), and its first visits to
+    every state still short of its demand are taken, so no temporary is
+    longer than a chunk or than d, however long the trajectory.
     """
     X = traj.states
     usable = len(X) - 1
     need = np.zeros(traj.d, dtype=np.int64)
     need[S_idx] = counts
-    have = np.zeros(traj.d, dtype=np.int64)
-    stop = 0  # the end of the chunks scanned
-    while np.any(have < need):
-        if stop >= usable:
-            return None
-        start, stop = stop, min(stop + VISIT_CHUNK, usable)
-        have += np.bincount(X[start:stop], minlength=traj.d)
     # the next free place in each state's group
     slot = np.zeros(traj.d, dtype=np.int64)
     slot[S_idx] = np.cumsum(counts) - counts
     times = np.empty(int(counts.sum()), dtype=np.int64)
-    for start in range(0, stop, VISIT_CHUNK):
-        chunk = X[start : min(start + VISIT_CHUNK, stop)]
+    for start in range(0, usable, VISIT_CHUNK):
+        chunk = X[start : min(start + VISIT_CHUNK, usable)]
         seen = np.bincount(chunk, minlength=traj.d)
         order = np.argsort(chunk, kind="stable")
         # the first take[s] places of each state's run in the sorted chunk
@@ -427,19 +418,24 @@ def _visit_times(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray) -> np.
         at = np.repeat(np.cumsum(seen) - seen, take) + lead
         times[np.repeat(slot, take) + lead] = order[at] + start
         need -= take
+        if not need.any():
+            return times
         slot += take
-    return times
+    return None
 
 
-def required_visits(
-    pi_S_star: float,
-    gamma: float,
-    delta: float,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> int:
+# Multiplier of the visit-count bound of required_visits. A lemma of the
+# analysis that no run evaluates, so not a field of Constants; 40 gives an
+# event frequency >= 1 - delta on the calibration corpus of
+# scripts/calibrate_constants.py (20 reversible chains, d <= 8), which
+# sweeps 10, 20 and 40.
+C_VIS = 40.0
+
+
+def required_visits(pi_S_star: float, gamma: float, delta: float, c_vis: float = C_VIS) -> int:
     """Visits that make every state of the component observable: the number
     of steps after which each state i has been seen at least pi(i)/2 times
     that many, with probability 1 - delta."""
     if not (0.0 < pi_S_star < 1.0) or gamma <= 0.0 or not (0.0 < delta < 1.0):
         raise BadArgs(f"pi_S_star={pi_S_star}, gamma={gamma}, delta={delta}")
-    return int(ceil(constants.c_vis * log(1.0 / (delta * pi_S_star)) / (pi_S_star * gamma)))
+    return int(ceil(c_vis * log(1.0 / (delta * pi_S_star)) / (pi_S_star * gamma)))

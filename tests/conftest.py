@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,3 +16,10 @@ def empirical_transition_matrix(states: np.ndarray, d: int) -> np.ndarray:
     rows = counts.sum(axis=1, keepdims=True)
     rows[rows == 0] = 1.0
     return counts / rows
+
+
+def write_samples(path, d: int, codes) -> None:
+    """A samples file of the 0-based codes, in the compact layout the
+    trajectory writer uses: json.dumps with sorted keys and no spaces."""
+    doc = {"d": int(d), "samples": [int(c) + 1 for c in codes]}
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")

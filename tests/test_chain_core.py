@@ -232,6 +232,68 @@ class TestStationaryDistribution:
         assert pi.min() > 0
 
 
+def fallback_chains(rng):
+    """Entries of well-conditioned irreducible chains, the first three
+    reversible and the rest not."""
+    reversible = [cp.random_reversible(6, rng), cp.birth_death(7, rng),
+                  cp.planted_two_block((3, 4), rng, cross_weight=1e-3)]
+    return [P.entries for P in reversible] + [
+        cp.random_irreducible(5, rng).entries,
+        np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.3, 0.0, 0.7]]),
+        np.array(THREE_CYCLE, dtype=float),
+    ]
+
+
+class TestStationarySvdFallback:
+    """The SVD null-space solve that runs when the bordered solve raises or
+    misses its residual."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(cc.np.linalg, "svd", counted)
+        return calls
+
+    @pytest.mark.parametrize("failure", ["raises", "wrong-vector"])
+    def test_matches_direct_solve(self, rng, monkeypatch, svd_calls, failure):
+        chains = fallback_chains(rng)
+        direct = [cc.TransitionMatrix(P).pi for P in chains]
+        assert svd_calls == []
+
+        def solve(A, b):
+            if failure == "raises":
+                raise np.linalg.LinAlgError("singular matrix")
+            # positive, of unit mass, and not a fixed point of any chain here
+            return np.arange(1.0, len(b) + 1.0) / (len(b) * (len(b) + 1) / 2)
+
+        monkeypatch.setattr(cc.np.linalg, "solve", solve)
+        for P, pi in zip(chains, direct):
+            back = cc.TransitionMatrix(P).pi
+            assert np.abs(back - pi).max() <= 1e-12
+            assert np.abs(back @ P - back).max() <= 1e-10
+        assert len(svd_calls) == len(chains)
+
+    def test_residual_guard_raises(self, rng, monkeypatch):
+        # both solves give a vector that is not stationary
+        def solve(A, b):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        def svd(a, *args, **kwargs):
+            return None, None, np.arange(1.0, len(a) + 1.0)[None, :]
+
+        monkeypatch.setattr(cc.np.linalg, "solve", solve)
+        monkeypatch.setattr(cc.np.linalg, "svd", svd)
+        for P in fallback_chains(rng):
+            with pytest.raises(NotIrreducible, match="stationary solve failed"):
+                cc.TransitionMatrix(P).pi
+
+
 def edge_measure(P, nu):
     """diag(nu) P: the law of one transition anchored in the whole state space."""
     d = len(nu)

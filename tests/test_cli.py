@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from mcident import fileio as fio
 from mcident import sampling as sp
 from mcident.cli import main
 from mcident.errors import MalformedMatrix
+
+from conftest import write_samples
 
 
 @pytest.fixture
@@ -38,7 +44,7 @@ def run_with_bad_input(chain_file, tmp_path, command, flag, make_bad):
     fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
     fio.save_probvector(P.stationary, mu)
     fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), pbar)
-    fio.save_samples(4, np.arange(4000) % 4, samples)
+    write_samples(samples, 4, np.arange(4000) % 4)
     out = tmp_path / "out.json"
     inputs, argv = {
         "test": ({"--reference": path, "--trajectory": traj},
@@ -97,16 +103,14 @@ class TestFileFormats:
 
     def test_samples_round_trip(self, tmp_path):
         path = tmp_path / "s.json"
-        fio.save_samples(4, [0, 3, 1], path)
+        write_samples(path, 4, [0, 3, 1])
         d, samples = fio.load_samples(path)
         assert d == 4 and samples.dtype == np.int64 and samples.tolist() == [0, 3, 1]
 
     def test_integer_file_layout(self, tmp_path):
-        traj_path, samples_path = tmp_path / "traj.json", tmp_path / "s.json"
+        traj_path = tmp_path / "traj.json"
         fio.save_trajectory(sp.Trajectory(d=3, states=np.array([0, 2])), traj_path)
-        fio.save_samples(5, np.array([4, 0]), samples_path)
         assert traj_path.read_text() == '{"d":3,"states":[1,3]}\n'
-        assert samples_path.read_text() == '{"d":5,"samples":[5,1]}\n'
 
     @pytest.mark.parametrize("kind", ["matrix", "probvector", "trajectory", "samples"])
     def test_any_json_layout_loads(self, tmp_path, rng, kind):
@@ -119,7 +123,7 @@ class TestFileFormats:
                            fio.load_probvector),
             "trajectory": (lambda path: fio.save_trajectory(sp.simulate(P, P.stationary, 50, seed=1),
                                                             path), fio.load_trajectory),
-            "samples": (lambda path: fio.save_samples(4, np.arange(50) % 4, path), fio.load_samples),
+            "samples": (lambda path: write_samples(path, 4, np.arange(50) % 4), fio.load_samples),
         }[kind]
         compact = tmp_path / "compact.json"
         save(compact)
@@ -232,7 +236,7 @@ class TestCli:
         pv = np.array([0.4, 0.3, 0.2, 0.1])
         fio.save_probvector(cc.ProbVector(pv), tmp_path / "pbar.json")
         samples = rng.choice(4, size=4000, p=pv)
-        fio.save_samples(4, samples, tmp_path / "s.json")
+        write_samples(tmp_path / "s.json", 4, samples)
         rep = tmp_path / "iid.json"
         rc = main([
             "iidtest", "--pbar", str(tmp_path / "pbar.json"),
@@ -255,6 +259,7 @@ class TestCli:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["constants"]["c_iid"] == 4.0
+        assert sorted(doc["constants"]) == ["bourgain_reps", "c2", "c3", "c_iid", "c_len"]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"c_iid": 8.0}))
         rc = main(["--config", str(cfg), "--constants"])
@@ -281,12 +286,17 @@ class TestCli:
         else:
             assert err == "" and json.loads(rep.read_text())["reason"] == reason
 
-    @pytest.mark.parametrize("cfg", [{"c2": "2"}, {"c2": -1}, {"c_hist": 4.0}, {"c_round": 4.0}])
+    @pytest.mark.parametrize("cfg", [{"c2": "2"}, {"c2": -1}, {"c_hist": 4.0}, {"c_round": 4.0},
+                                     {"c_vis": 40}, {"c_esc": 0.03125}])
     def test_bad_constant_exit_code(self, tmp_path, capsys, cfg):
+        # c_round, c_vis and c_esc are module constants of the gate, sampling
+        # and partition, not fields of the record
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["--config", str(path), "--constants"]) == 2
-        assert capsys.readouterr().err.startswith("bad constants config")
+        err = capsys.readouterr().err
+        assert err.startswith("bad constants config") and err.count("\n") == 1
+        assert ("unknown constant names" in err) == ("c2" not in cfg)
 
     def test_non_object_matrix_exit_code(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -406,7 +416,7 @@ class TestCli:
 
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
         config = tmp_path / "c.json"
-        config.write_bytes(b'{"c_vis": "\xe9"}')
+        config.write_bytes(b'{"c_iid": "\xe9"}')
         assert main(["--config", str(config), "props", "--seed", "1", "--pairs", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bad constants config: ") and err.count("\n") == 1
@@ -415,7 +425,7 @@ class TestCli:
     def test_negative_seed_exit_code(self, chain_file, tmp_path, capsys, command):
         _, path = chain_file
         fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
-        fio.save_samples(4, np.arange(4000) % 4, tmp_path / "s.json")
+        write_samples(tmp_path / "s.json", 4, np.arange(4000) % 4)
         argv = {
             "simulate": ["simulate", "--matrix", str(path), "--mu", "uniform",
                          "--steps", "10", "--out", str(tmp_path / "t.json")],
@@ -435,7 +445,7 @@ class TestCli:
         traj = tmp_path / "t.json"
         fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
         fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
-        fio.save_samples(4, np.arange(4000) % 4, tmp_path / "s.json")
+        write_samples(tmp_path / "s.json", 4, np.arange(4000) % 4)
         out = tmp_path / "out.json"
         argv = {
             "partition": ["partition", "--matrix", str(path), "--beta", "0.1", "--out", str(out)],
@@ -462,3 +472,33 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["simulate", "--matrix", str(path), "--mu", "uniform",
                   "--steps", "10", "--out", str(tmp_path / "t.json")])
+
+
+def run_cli(argv, timeout):
+    """mcident in a fresh interpreter: (exit code, stderr), or a failed test
+    when it runs past timeout seconds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-m", "mcident.cli", *argv], capture_output=True,
+                         text=True, env=env, timeout=timeout)
+    return out.returncode, out.stderr
+
+
+class TestOutsizedRequests:
+    def test_tiny_delta_exits_promptly(self, tmp_path):
+        # ceil(20/delta) bootstrap draws would never finish at delta = 1e-300
+        fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
+        write_samples(tmp_path / "s.json", 4, np.arange(20000) % 4)
+        rc, err = run_cli(["iidtest", "--pbar", str(tmp_path / "pbar.json"), "--samples",
+                           str(tmp_path / "s.json"), "--eps", "0.9", "--delta", "1e-300",
+                           "--seed", "1"], timeout=30)
+        assert rc == 2
+        assert err.startswith("error: delta=1e-300 ") and err.count("\n") == 1
+
+    def test_steps_beyond_memory_exit_2(self, chain_file, tmp_path):
+        _, path = chain_file
+        out = tmp_path / "t.json"
+        rc, err = run_cli(["simulate", "--matrix", str(path), "--mu", "uniform", "--steps",
+                           str(10**15), "--seed", "1", "--out", str(out)], timeout=30)
+        assert rc == 2
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert not out.exists()

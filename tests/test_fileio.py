@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from mcident import fileio as fio
 from mcident import sampling as sp
-from mcident.errors import BadArgs, ChainTestError, TrajectoryAlphabetMismatch
+from mcident.errors import ChainTestError, TrajectoryAlphabetMismatch
 
-I64 = np.iinfo(np.int64)
-EDGES = [0, 1, -1, 9, 10, -10, 10**17, 10**18 - 1, 10**18, -(10**18), I64.min, I64.max]
+from conftest import write_samples
+
+# the largest state the writer takes: it writes state + 1 as a uint64
+TOP = 2**64 - 2
+EDGES = [0, 8, 9, 254, 255, 10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63, TOP]
 CHUNK = fio._CHUNK_VALUES
 FIXTURE_OK = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -45,41 +48,38 @@ def both_readers(load, path):
 
 class TestWriter:
     @FIXTURE_OK
-    @given(values=st.lists(st.one_of(st.integers(I64.min, I64.max), st.sampled_from(EDGES)),
-                           max_size=40),
-           d=st.integers(0, 10**20))
+    @given(values=st.lists(st.one_of(st.integers(0, TOP), st.sampled_from(EDGES)),
+                           min_size=1, max_size=40),
+           d=st.integers(1, TOP + 1))
     def test_bytes_equal_json_dumps(self, tmp_path, values, d):
-        # save_samples writes codes + 1, which wraps I64.max to I64.min
-        codes = np.array(values, dtype=np.int64).reshape(-1)
-        path = tmp_path / "s.json"
-        fio.save_samples(d, codes, path)
-        assert path.read_bytes() == dumps(d, "samples", codes + 1)
+        # states of every dtype state_dtype gives, uint8 to uint64
+        states = [v % d for v in values]
+        path = tmp_path / "t.json"
+        fio.save_trajectory(sp.Trajectory(d=d, states=np.array(states, dtype=np.uint64)), path)
+        assert path.read_bytes() == dumps(d, "states", [v + 1 for v in states])
 
     @settings(FIXTURE_OK, max_examples=12)
     @given(size=st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]),
-           seed=st.integers(0, 2**32 - 1), top=st.sampled_from([9, 999, 10**18, I64.max]))
+           seed=st.integers(0, 2**32 - 1), top=st.sampled_from([9, 255, 10**18, TOP]))
     def test_chunk_boundaries(self, tmp_path, size, seed, top):
         rng = np.random.default_rng(seed)
-        values = rng.integers(-top, top, size, endpoint=True)
-        values[rng.integers(0, size, 8)] = rng.choice(EDGES, 8)
-        path = tmp_path / "s.json"
-        fio.save_samples(7, values, path)
-        assert path.read_bytes() == dumps(7, "samples", values + 1)
+        states = rng.integers(0, top, size, endpoint=True, dtype=np.uint64)
+        edges = np.array([e for e in EDGES if e <= top], dtype=np.uint64)
+        states[rng.integers(0, size, 8)] = rng.choice(edges, 8)
+        path = tmp_path / "t.json"
+        fio.save_trajectory(sp.Trajectory(d=top + 1, states=states), path)
+        assert path.read_bytes() == dumps(top + 1, "states", [int(v) + 1 for v in states])
 
-    def test_empty_samples(self, tmp_path):
-        path = tmp_path / "s.json"
-        fio.save_samples(3, np.array([], dtype=np.int64), path)
-        assert path.read_bytes() == b'{"d":3,"samples":[]}\n'
+    def test_single_state(self, tmp_path):
+        path = tmp_path / "t.json"
+        fio.save_trajectory(sp.Trajectory(d=3, states=np.array([2])), path)
+        assert path.read_bytes() == b'{"d":3,"states":[3]}\n'
 
     def test_trajectory(self, tmp_path, rng):
         traj = sp.Trajectory(d=12, states=rng.integers(0, 12, 3 * CHUNK))
         path = tmp_path / "t.json"
         fio.save_trajectory(traj, path)
         assert path.read_bytes() == dumps(12, "states", traj.states + 1)
-
-    def test_samples_must_be_one_dimensional(self, tmp_path):
-        with pytest.raises(BadArgs):
-            fio.save_samples(3, np.zeros((2, 2), dtype=np.int64), tmp_path / "s.json")
 
 
 # Compact files, and byte edits of them that either reader must see as the
@@ -248,7 +248,7 @@ class TestReader:
         # compact files load without json.load; any other layout reaches it
         traj, samples, indented = (tmp_path / name for name in ("t.json", "s.json", "i.json"))
         fio.save_trajectory(sp.Trajectory(d=3, states=np.array([0, 2, 1])), traj)
-        fio.save_samples(4, np.arange(9) % 4, samples)
+        write_samples(samples, 4, np.arange(9) % 4)
         indented.write_text(json.dumps(json.loads(traj.read_text()), indent=2))
 
         class JsonLoadCalled(Exception):

@@ -152,3 +152,10 @@ class TestValidation:
             iid_test(np.array([0]), np.array([]), 0.2, 0.1, seed=1)
         with pytest.raises(AlphabetMismatch):
             iid_test(np.array([0]), np.array([0.7, 0.7]), 0.2, 0.1, seed=1)
+
+    @pytest.mark.parametrize("delta", [1e-18, 1e-300, 5e-324])
+    def test_bootstrap_beyond_one_array(self, delta):
+        # ceil(20/delta) null statistics would not fit one float64 array; the
+        # check comes before any sample is looked at
+        with pytest.raises(BadArgs, match="bootstrap draws"):
+            iid_test(np.array([0, 1]), np.array([0.5, 0.5]), 0.9, delta, seed=1)

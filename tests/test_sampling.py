@@ -425,6 +425,12 @@ class TestRequiredVisits:
         ratio = np.log(1 / (0.01 * 0.1)) / np.log(1 / (0.1 * 0.1))
         assert b / a == pytest.approx(ratio, rel=1e-3)
 
+    def test_c_vis_multiplier(self):
+        # calibrate_constants.py sweeps c_vis; the default is sampling.C_VIS
+        assert sp.required_visits(0.1, 0.5, 0.1) == sp.required_visits(0.1, 0.5, 0.1, sp.C_VIS)
+        a = sp.required_visits(0.1, 0.5, 0.1, c_vis=10.0)
+        assert sp.required_visits(0.1, 0.5, 0.1, c_vis=40.0) == pytest.approx(4 * a, abs=4)
+
     def test_bad_args(self):
         with pytest.raises(BadArgs):
             sp.required_visits(0.0, 0.5, 0.1)
