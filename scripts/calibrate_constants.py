@@ -90,17 +90,17 @@ def end_to_end(seed, trials, c_len_grid=(1.0, 2.0, 4.0)):
     pibar = cc.stationary_distribution(ref).entries
     n = max(trials // 4, 10)
     for c_len in c_len_grid:
-        constants = replace(DEFAULT_CONSTANTS, c_len=c_len)
-        m = idn.trajectory_budget(4, float(pibar.min()), 0.3, constants)
+        m = idn.trajectory_budget(4, float(pibar.min()), 0.3,
+                                  replace(DEFAULT_CONSTANTS, c_len=c_len))
         acc = rej = 0
         for t in range(n):
             lz = cc.lazy_version(ref, alpha)
             traj = sp.simulate(lz, cc.stationary_distribution(lz), m, seed=seed + t)
-            cfg = idn.TestConfig(eps=0.3, constants=constants, seed=seed + 1000 + t)
+            cfg = idn.TestConfig(eps=0.3, seed=seed + 1000 + t)
             acc += 1 - idn.identity_test(ref, traj, cfg).verdict
             lzf = cc.lazy_version(far, alpha)
             trajf = sp.simulate(lzf, cc.stationary_distribution(lzf), m, seed=seed + 2000 + t)
-            cfg = idn.TestConfig(eps=0.3, constants=constants, seed=seed + 3000 + t)
+            cfg = idn.TestConfig(eps=0.3, seed=seed + 3000 + t)
             rej += idn.identity_test(ref, trajf, cfg).verdict
         print(f"  c_len={c_len:>4}: budget={m} accept {acc}/{n} reject {rej}/{n}")
 

@@ -142,7 +142,7 @@ def _one_based_splits(part) -> list:
 
 def _cmd_partition(args, constants) -> int:
     P = load_matrix(args.matrix)
-    part = partition_states(P, args.beta, args.seed, certify=args.certify, constants=constants)
+    part = partition_states(P, args.beta, args.seed, certify=args.certify)
     certs = json.loads(json.dumps(part.certificates))  # deep copy, JSON-safe
     for c in certs["components"]:
         c["states"] = [i + 1 for i in c["states"]]

@@ -1,22 +1,20 @@
-"""Named constants behind every asymptotic bound used by the pipeline.
+"""The named constants a caller can override.
 
 All O(.)/Omega(.) statements in the underlying guarantees carry hidden
-constants. They are surfaced here as one record with calibrated defaults so
-that every bound used at runtime is explicit and overridable (CLI --config).
+constants. The two multipliers a caller varies are one record here, with
+calibrated defaults, overridable through the CLI's --config.
 
 Calibration provenance (scripts/calibrate_constants.py):
   c_iid   iid tester sample-size multiplier; 4 achieves the two-sided
           delta + 0.04 operating characteristic on alphabets of size 4-50.
   c_len   trajectory budget multiplier; 2 makes the single-trajectory tester
           hit >= 0.6 accept/reject rates on the acceptance corpus.
-  c2, c3  partition certification constants for component expansion and
-          tail leakage; 1/64 passes the planted-model corpus.
-  bourgain_reps  repetitions per scale in the l1 embedding (times log n).
 
-The multipliers of bounds that only the analysis uses, and that no run
-reads, are module constants next to their one reader instead:
-sampling.C_VIS (the visit-count event of required_visits) and
-partition.C_ESC (the tail-escape event of tail_occupancy_check).
+Constants that no caller varies are module constants next to their one
+reader instead: sampling.C_VIS (the visit-count event of required_visits),
+partition.C2 and partition.C3 (the component and tail thresholds),
+partition.BOURGAIN_REPS (the embedding's repetitions) and partition.C_ESC
+(the tail-escape event of tail_occupancy_check).
 """
 
 from __future__ import annotations
@@ -29,9 +27,6 @@ from math import isfinite
 class Constants:
     c_iid: float = 4.0
     c_len: float = 2.0
-    c2: float = 1.0 / 64.0
-    c3: float = 1.0 / 64.0
-    bourgain_reps: float = 8.0
 
     def to_dict(self) -> dict:
         return asdict(self)

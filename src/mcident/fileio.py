@@ -103,7 +103,7 @@ def save_trajectory(traj: Trajectory, path) -> None:
     sort_keys=True, separators=(",", ":")) + "\n" gives, turning the 0-based
     states into 1-based digits with numpy, _CHUNK_VALUES at a time. Each
     chunk is widened to uint64 before the + 1, so a narrow 255 is written
-    256, not 0 (only a state of 2**64 - 1 would still wrap)."""
+    256, not 0."""
     states = traj.states
     text = json.dumps({"d": int(traj.d), "states": []}, sort_keys=True, separators=(",", ":"))
     cut = text.index("[]") + 1

@@ -180,10 +180,7 @@ def identity_test(
     d = P_ref.d
     # partition tolerance eps/16; per-component tester confidence 1/(10 d)
     part = partition_states(
-        P_ref,
-        beta=cfg.eps / 16.0,
-        seed=int(derive_rng(cfg.seed, "partition").integers(2**63)),
-        constants=cfg.constants,
+        P_ref, beta=cfg.eps / 16.0, seed=int(derive_rng(cfg.seed, "partition").integers(2**63))
     )
     delta_iid = 1.0 / (10.0 * d)
     eps_hel = cfg.eps / sqrt(HELLINGER_SEPARATION_FACTOR)

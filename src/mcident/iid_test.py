@@ -57,25 +57,19 @@ def iid_sample_size(
 
 
 def _split_halves(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic per-cell half split; odd counts alternate sides.
-
-    hist may be (K,) or (B, K); the split is applied row-wise.
-    """
-    h = np.atleast_2d(hist)
-    base = h // 2
-    odd = h % 2
+    """Deterministic per-cell half split of each row of the (B, K) hist;
+    odd counts alternate sides."""
+    base = hist // 2
+    odd = hist % 2
     cum = np.cumsum(odd, axis=1)
     extra = odd * (cum % 2 == 1)
     a = base + extra
-    b = h - a
-    if hist.ndim == 1:
-        return a[0], b[0]
-    return a, b
+    return a, hist - a
 
 
 def _collision_stat(counts: np.ndarray, p: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """Sum_i ((N_i - m p_i)^2 - N_i) / denom_i, rows are datasets."""
-    c = np.atleast_2d(counts).astype(float)
+    c = counts.astype(float)
     m = c.sum(axis=1, keepdims=True)
     z = ((c - m * p[None, :]) ** 2 - c) / denom[None, :]
     return z.sum(axis=1)
@@ -145,7 +139,7 @@ def iid_test(
     if impossible:
         statistic = float("inf")
     else:
-        statistic = float(_statistic(hist, p, denom)[0])
+        statistic = float(_statistic(hist[None, :], p, denom)[0])
     return TestVerdict(
         decision=int(statistic > threshold),
         statistic=statistic,

@@ -34,7 +34,6 @@ from .chain_core import (
     _symmetrized,
     _symmetrized_spectrum,
 )
-from .config import Constants, DEFAULT_CONSTANTS
 from .errors import (
     BadArgs,
     BadSubset,
@@ -46,6 +45,13 @@ from .sampling import simulate
 from .simplex import solve_lp
 
 CERTIFICATION_LIMIT = 12
+
+# Multipliers of the component threshold C2 beta / log^2 d and the tail
+# threshold C3 beta / log d; 1/64 passes the planted-model corpus.
+C2 = C3 = 1.0 / 64.0
+
+# Repetitions per scale of bourgain_embed, times log n.
+BOURGAIN_REPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -192,17 +198,18 @@ def cut_metric_ratio(P, S, I) -> float:
     return float(num / den)
 
 
-def bourgain_embed(lp: MetricLP, seed: int, constants: Constants = DEFAULT_CONSTANTS) -> np.ndarray:
+def bourgain_embed(lp: MetricLP, seed: int) -> np.ndarray:
     """Randomized Frechet-style l1 embedding of the LP metric.
 
-    For each scale s = 1..ceil(log2 n) and repetition r = 1..ceil(C log n),
-    sample a node subset A with inclusion probability 2^-s and emit the
-    coordinate min_{a in A} delta(i, a), scaled by the coordinate count so
-    the embedding is 1-Lipschitz into l1. Rows follow sorted(I) order.
+    For each scale s = 1..ceil(log2 n) and repetition
+    r = 1..ceil(BOURGAIN_REPS log n), sample a node subset A with inclusion
+    probability 2^-s and emit the coordinate min_{a in A} delta(i, a),
+    scaled by the coordinate count so the embedding is 1-Lipschitz into l1.
+    Rows follow sorted(I) order.
     """
     n = len(lp.I)
     scales = max(1, ceil(np.log2(n)))
-    reps = max(1, ceil(constants.bourgain_reps * log(n)))
+    reps = max(1, ceil(BOURGAIN_REPS * log(n)))
     total = scales * reps
     rng = derive_rng(seed, "bourgain")
     coords = np.zeros((n, total))
@@ -244,20 +251,18 @@ def round_to_cut(embedding: np.ndarray, P, I) -> tuple:
     return tuple(int(i) for i in np.sort(I_idx[orders[c, : j + 1]]))
 
 
-def find_comp(P, lp: MetricLP, seed: int, constants: Constants = DEFAULT_CONSTANTS) -> tuple:
+def find_comp(P, lp: MetricLP, seed: int) -> tuple:
     """l1 embedding and sweep-cut rounding of a solved cut LP; returns a
     proper nonempty subset of lp.I. Deterministic given the seed."""
-    emb = bourgain_embed(lp, seed, constants)
+    emb = bourgain_embed(lp, seed)
     return round_to_cut(emb, P, lp.I)
 
 
-def _lp_cut(P, lp: MetricLP, seed: int, round_no: int, constants: Constants) -> tuple:
+def _lp_cut(P, lp: MetricLP, seed: int, round_no: int) -> tuple:
     """find_comp on a solved LP, re-seeded while the embedding is degenerate."""
     for attempt in range(8):
         try:
-            return find_comp(
-                P, lp, derive_rng(seed, "split", round_no, attempt).integers(2**63), constants
-            )
+            return find_comp(P, lp, derive_rng(seed, "split", round_no, attempt).integers(2**63))
         except DegenerateEmbedding:
             continue
     raise DegenerateEmbedding("embedding stayed degenerate across retries")
@@ -287,16 +292,10 @@ class StatePartition:
         return out
 
 
-def partition_states(
-    P,
-    beta: float,
-    seed: int,
-    certify: bool = True,
-    constants: Constants = DEFAULT_CONSTANTS,
-) -> StatePartition:
+def partition_states(P, beta: float, seed: int, certify: bool = True) -> StatePartition:
     """Partition the states of a reversible chain at tolerance beta.
 
-    Work-list refinement with tau_comp = c2 beta / log^2 d. Every candidate
+    Work-list refinement with tau_comp = C2 beta / log^2 d. Every candidate
     subset I with |I| >= 2 first gets the spectral bound (one eigvalsh, see
     spectral_phi_lower_bound). If it reaches tau_comp, I expands and nothing
     else is computed. Otherwise I gets a Fiedler sweep (fiedler_sweep, one
@@ -328,7 +327,7 @@ def partition_states(
       (1) each component keeps internal edge mass >= 1 - beta (exact);
       (2) each component's internal bottleneck ratios are all >= tau_comp;
       (3) every subset of the tail leaks edge mass at rate
-          >= c3 beta / log d.
+          >= tau_tail = C3 beta / log d.
     A certification failure means an implementation bug, not a bad input.
     """
     P = as_transition_matrix(P)
@@ -340,8 +339,8 @@ def partition_states(
 
     d = P.d
     logd = log(max(d, 2))
-    tau_comp = constants.c2 * beta / logd**2
-    tau_tail = constants.c3 * beta / logd
+    tau_comp = C2 * beta / logd**2
+    tau_tail = C3 * beta / logd
     arr = P.entries
 
     components: list[tuple] = []
@@ -377,7 +376,7 @@ def partition_states(
                 lp = solve_spccc_lp(P, I_idx)
                 lp_bound = pi_of_I * lp.objective / 2.0
                 if lp_bound < tau_comp:
-                    split = (_lp_cut(P, lp, seed, round_no, constants), "lp", lp_bound)
+                    split = (_lp_cut(P, lp, seed, round_no), "lp", lp_bound)
         if split is None:
             low = [int(i) for i in I_idx if arr[i, I_idx].sum() < 1.0 - beta]
             if low:

@@ -42,8 +42,9 @@ class Trajectory:
     states: np.ndarray
 
     def __post_init__(self):
-        if self.d < 1:
-            raise BadArgs(f"d={self.d} must be >= 1")
+        # states stay below 2**64 - 1, so the writer's state + 1 fits a uint64
+        if not 1 <= self.d <= 2**64 - 1:
+            raise BadArgs(f"d={self.d} must be >= 1 and < 2**64")
         arr = np.asarray(self.states)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise BadArgs("trajectory must contain at least one state")

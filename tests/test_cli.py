@@ -218,6 +218,15 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: states outside [0, {d})\n"
 
+    def test_d_beyond_uint64_exit_code(self, tmp_path, capsys):
+        ref, traj = tmp_path / "P.json", tmp_path / "traj.json"
+        fio.save_matrix(cc.TransitionMatrix(np.full((2, 2), 0.5)), ref)
+        traj.write_text('{"d":%d,"states":[1,2,1]}\n' % 2**64)
+        rc = main(["test", "--reference", str(ref), "--trajectory", str(traj),
+                   "--eps", "0.3", "--seed", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: d={2**64} must be >= 1 and < 2**64\n"
+
     def test_partition_report(self, tmp_path, rng, capsys):
         P = cp.hub_and_leaves(2, 2, rng)
         mpath = tmp_path / "hub.json"
@@ -259,7 +268,7 @@ class TestCli:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["constants"]["c_iid"] == 4.0
-        assert sorted(doc["constants"]) == ["bourgain_reps", "c2", "c3", "c_iid", "c_len"]
+        assert sorted(doc["constants"]) == ["c_iid", "c_len"]
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"c_iid": 8.0}))
         rc = main(["--config", str(cfg), "--constants"])
@@ -286,17 +295,18 @@ class TestCli:
         else:
             assert err == "" and json.loads(rep.read_text())["reason"] == reason
 
-    @pytest.mark.parametrize("cfg", [{"c2": "2"}, {"c2": -1}, {"c_hist": 4.0}, {"c_round": 4.0},
-                                     {"c_vis": 40}, {"c_esc": 0.03125}])
+    @pytest.mark.parametrize("cfg", [{"c_iid": "2"}, {"c_iid": -1}, {"c_hist": 4.0},
+                                     {"c_round": 4.0}, {"c_vis": 40}, {"c_esc": 0.03125},
+                                     {"c2": 0.015625}, {"c3": 0.015625}, {"bourgain_reps": 8}])
     def test_bad_constant_exit_code(self, tmp_path, capsys, cfg):
-        # c_round, c_vis and c_esc are module constants of the gate, sampling
-        # and partition, not fields of the record
+        # c_round, c_vis, c_esc, c2, c3 and bourgain_reps are module constants
+        # of the gate, sampling and partition, not fields of the record
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["--config", str(path), "--constants"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("bad constants config") and err.count("\n") == 1
-        assert ("unknown constant names" in err) == ("c2" not in cfg)
+        assert ("unknown constant names" in err) == ("c_iid" not in cfg)
 
     def test_non_object_matrix_exit_code(self, tmp_path, capsys):
         path = tmp_path / "list.json"

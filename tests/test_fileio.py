@@ -149,6 +149,14 @@ class TestReader:
         with pytest.raises(ChainTestError, match="must be a list of integers"):
             load(path)
 
+    def test_d_beyond_uint64(self, tmp_path):
+        # the writer could not write a state of 2**64 - 1, so neither reader
+        # takes an alphabet that has one
+        path = tmp_path / "t.json"
+        path.write_bytes(b'{"d":18446744073709551616,"states":[1,2]}\n')
+        fast, slow = both_readers(fio.load_trajectory, path)
+        assert fast == slow and issubclass(fast[0], ChainTestError)
+
     @pytest.mark.parametrize("kind", COMPACT)
     def test_empty_list(self, tmp_path, kind):
         load, _ = COMPACT[kind]

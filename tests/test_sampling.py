@@ -93,6 +93,11 @@ class TestTrajectoryType:
         with pytest.raises(BadArgs, match=f"d={d} must be >= 1"):
             sp.Trajectory(d=d, states=[1])
 
+    def test_rejects_d_beyond_uint64(self):
+        # a state of 2**64 - 1 would be written as 2**64, which wraps to 0
+        with pytest.raises(BadArgs, match="< 2\\*\\*64"):
+            sp.Trajectory(d=2**64, states=np.array([2**64 - 1], dtype=np.uint64))
+
     def test_simulate_result_is_read_only(self):
         traj = sp.simulate(np.eye(2), [1.0, 0.0], 10, seed=1)
         assert not traj.states.flags.writeable
