@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Monte Carlo calibration of the named constants.
 
-Reproduces the measurements behind the defaults in mcident.config:
-  * iid tester operating characteristics across c_iid values,
+Reproduces the measurements behind the module constants:
+  * iid tester operating characteristics across values of iid_test.C_IID,
   * visit-count event frequency across values of sampling.C_VIS,
-  * end-to-end accept/reject rates across c_len values (reduced trials),
+  * end-to-end accept/reject rates across values of identity.C_LEN
+    (reduced trials),
   * sweep-cut approximation factors against the C_ROUND budget.
 
 Usage: python scripts/calibrate_constants.py [--seed 7] [--trials 100]
 """
 
 import argparse
-from dataclasses import replace
 from math import log
 
 import numpy as np
@@ -21,7 +21,6 @@ from mcident import corpus as cp
 from mcident import identity as idn
 from mcident import partition as pt
 from mcident import sampling as sp
-from mcident.config import DEFAULT_CONSTANTS
 from mcident.iid_test import iid_sample_size, iid_test
 from mcident.metrics import hellinger, min_cut_metric_ratio
 
@@ -34,14 +33,13 @@ def tester_characteristics(seed, trials, c_iid_grid=(1.0, 2.0, 4.0, 8.0)):
     print("== iid tester: false rates at delta=0.1, eps=0.25, far gap = eps")
     rng = np.random.default_rng(seed)
     for c_iid in c_iid_grid:
-        constants = replace(DEFAULT_CONSTANTS, c_iid=c_iid)
         rows = []
         for K in (4, 16, 50):
             pv = np.ones(K) / K
-            m = iid_sample_size(K, 0.25, 0.1, constants)
+            m = iid_sample_size(K, 0.25, 0.1, c_iid)
             fr = sum(
                 iid_test(rng.choice(K, size=m, p=pv), pv, 0.25, 0.1,
-                         seed=seed + t, constants=constants).decision
+                         seed=seed + t, c_iid=c_iid).decision
                 for t in range(trials)
             )
             sign = np.where(np.arange(K) % 2 == 0, 1.0, -1.0)
@@ -57,7 +55,7 @@ def tester_characteristics(seed, trials, c_iid_grid=(1.0, 2.0, 4.0, 8.0)):
             far /= far.sum()
             fa = sum(
                 1 - iid_test(rng.choice(K, size=m, p=far), pv, 0.25, 0.1,
-                             seed=seed + t, constants=constants).decision
+                             seed=seed + t, c_iid=c_iid).decision
                 for t in range(trials)
             )
             rows.append(f"K={K} m={m} FR={fr/trials:.3f} FA={fa/trials:.3f}")
@@ -90,8 +88,7 @@ def end_to_end(seed, trials, c_len_grid=(1.0, 2.0, 4.0)):
     pibar = cc.stationary_distribution(ref).entries
     n = max(trials // 4, 10)
     for c_len in c_len_grid:
-        m = idn.trajectory_budget(4, float(pibar.min()), 0.3,
-                                  replace(DEFAULT_CONSTANTS, c_len=c_len))
+        m = idn.trajectory_budget(4, float(pibar.min()), 0.3, c_len)
         acc = rej = 0
         for t in range(n):
             lz = cc.lazy_version(ref, alpha)

@@ -25,7 +25,6 @@ from .chain_core import (
     time_reversal,
     validate,
 )
-from .config import Constants, DEFAULT_CONSTANTS
 from .identity import (
     TestConfig,
     TestReport,
@@ -63,8 +62,6 @@ from .sampling import (
 __all__ = [
     "__version__",
     "ChainClass",
-    "Constants",
-    "DEFAULT_CONSTANTS",
     "InducedDistribution",
     "MetricLP",
     "ProbVector",

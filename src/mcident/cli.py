@@ -3,9 +3,9 @@
 Subcommands: simulate, partition, distance, iidtest, test, props. Every
 randomized subcommand requires an explicit --seed in [0, 2**64) (reports
 must be reproducible; there is no wall-clock default). Reports are JSON documents
-embedding the run manifest: subcommand, flags, resolved constants, seed,
-tool version and input file digests. Exit codes: 0 success or Accept,
-1 Reject (test subcommand), 2 usage or input error, or a request that does
+embedding the run manifest: subcommand, flags, seed, tool version and
+input file digests. Exit codes: 0 success or Accept, 1 Reject (test
+subcommand), 2 usage or input error, or a request that does
 not fit in memory, 3 failed partition certification, 4 internal error (an
 unexpected exception, reported as one line without a traceback; never a
 verdict).
@@ -22,8 +22,7 @@ import numpy as np
 
 from . import __version__
 from .chain_core import stationary_distribution
-from .config import Constants, DEFAULT_CONSTANTS
-from .errors import CertificationFailed, ChainTestError
+from .errors import AlphabetMismatch, CertificationFailed, ChainTestError
 from .fileio import (
     file_digest,
     load_matrix,
@@ -47,10 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Identity testing of reversible Markov chains from a single trajectory",
     )
     ap.add_argument("--version", action="version", version=f"mcident {__version__}")
-    ap.add_argument("--config", help="JSON file overriding named constants")
-    ap.add_argument(
-        "--constants", action="store_true", help="print the resolved constant record and exit"
-    )
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("simulate", help="sample a trajectory from a chain")
@@ -94,30 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _constants_from(args) -> Constants:
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            return Constants.from_dict(json.load(fh))
-    return DEFAULT_CONSTANTS
-
-
-def _manifest(args, constants: Constants, inputs: dict) -> dict:
-    flags = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config", "constants") and v is not None
-    }
+def _manifest(args, inputs: dict) -> dict:
+    flags = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
     return {
         "subcommand": args.command,
         "flags": flags,
-        "constants": constants.to_dict(),
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "inputs": {name: file_digest(path) for name, path in inputs.items()},
     }
 
 
-def _cmd_simulate(args, constants) -> int:
+def _cmd_simulate(args) -> int:
     P = load_matrix(args.matrix)
     if args.mu == "stationary":
         mu = stationary_distribution(P)
@@ -128,7 +111,7 @@ def _cmd_simulate(args, constants) -> int:
     traj = simulate(P, mu, args.steps, args.seed)
     save_trajectory(traj, args.out)
     doc = {
-        "manifest": _manifest(args, constants, {"matrix": args.matrix}),
+        "manifest": _manifest(args, {"matrix": args.matrix}),
         "out": args.out,
         "steps": len(traj),
     }
@@ -140,7 +123,7 @@ def _one_based_splits(part) -> list:
     return [dict(sp, states=[i + 1 for i in sp["states"]]) for sp in part.certificates["splits"]]
 
 
-def _cmd_partition(args, constants) -> int:
+def _cmd_partition(args) -> int:
     P = load_matrix(args.matrix)
     part = partition_states(P, args.beta, args.seed, certify=args.certify)
     certs = json.loads(json.dumps(part.certificates))  # deep copy, JSON-safe
@@ -149,7 +132,7 @@ def _cmd_partition(args, constants) -> int:
     certs["tail"]["states"] = [i + 1 for i in certs["tail"]["states"]]
     certs["splits"] = _one_based_splits(part)
     doc = {
-        "manifest": _manifest(args, constants, {"matrix": args.matrix}),
+        "manifest": _manifest(args, {"matrix": args.matrix}),
         "components": [[i + 1 for i in S] for S in part.components],
         "tail": [i + 1 for i in part.tail],
         "certificates": certs,
@@ -158,7 +141,7 @@ def _cmd_partition(args, constants) -> int:
     return 0
 
 
-def _cmd_distance(args, constants) -> int:
+def _cmd_distance(args) -> int:
     A = load_matrix(args.a)
     B = load_matrix(args.b)
     dist = chain_distance(A, B)
@@ -171,15 +154,16 @@ def _cmd_distance(args, constants) -> int:
     return 0
 
 
-def _cmd_iidtest(args, constants) -> int:
+def _cmd_iidtest(args) -> int:
     pbar = load_probvector(args.pbar)
     d, samples = load_samples(args.samples)
     if d != pbar.d:
-        print(f"samples alphabet {d} != reference alphabet {pbar.d}", file=sys.stderr)
-        return 2
-    verdict = iid_test(samples, pbar.entries, args.eps, args.delta, args.seed, constants)
+        raise AlphabetMismatch(
+            f"{args.samples}: samples alphabet {d} != reference alphabet {pbar.d} of {args.pbar}"
+        )
+    verdict = iid_test(samples, pbar.entries, args.eps, args.delta, args.seed)
     doc = {
-        "manifest": _manifest(args, constants, {"pbar": args.pbar, "samples": args.samples}),
+        "manifest": _manifest(args, {"pbar": args.pbar, "samples": args.samples}),
         "decision": verdict.decision,
         "statistic": verdict.statistic,
         "threshold": verdict.threshold,
@@ -189,21 +173,19 @@ def _cmd_iidtest(args, constants) -> int:
     return 0
 
 
-def _cmd_test(args, constants) -> int:
+def _cmd_test(args) -> int:
     Pbar = load_matrix(args.reference)
     traj = load_trajectory(args.trajectory)
-    cfg = TestConfig(eps=args.eps, constants=constants, seed=args.seed)
+    cfg = TestConfig(eps=args.eps, seed=args.seed)
     report = identity_test(Pbar, traj, cfg, lazify=args.lazify)
     doc = {
-        "manifest": _manifest(
-            args, constants, {"reference": args.reference, "trajectory": args.trajectory}
-        ),
+        "manifest": _manifest(args, {"reference": args.reference, "trajectory": args.trajectory}),
         "verdict": "Reject" if report.verdict else "Accept",
         "reason": report.reason,
         "exit_code": report.verdict,
         "trajectory_length": report.trajectory_length,
         "budget_hint": trajectory_budget(
-            Pbar.d, float(stationary_distribution(Pbar).entries.min()), args.eps, constants
+            Pbar.d, float(stationary_distribution(Pbar).entries.min()), args.eps
         ),
         "tested_component": None
         if report.tested_component is None
@@ -230,10 +212,10 @@ def _cmd_test(args, constants) -> int:
     return int(report.verdict)
 
 
-def _cmd_props(args, constants) -> int:
+def _cmd_props(args) -> int:
     rep = property_suite(args.seed, pairs=args.pairs)
     doc = {
-        "manifest": _manifest(args, constants, {}),
+        "manifest": _manifest(args, {}),
         "passed": rep.passed,
         "checks": rep.checks,
         "violations": [asdict(v) for v in rep.violations],
@@ -256,19 +238,11 @@ _HANDLERS = {
 def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    try:
-        constants = _constants_from(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"bad constants config: {exc}", file=sys.stderr)
-        return 2
-    if args.constants:
-        write_report({"constants": constants.to_dict(), "version": __version__})
-        return 0
     if args.command is None:
         ap.print_usage(sys.stderr)
         return 2
     try:
-        return _HANDLERS[args.command](args, constants)
+        return _HANDLERS[args.command](args)
     except CertificationFailed as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 3

@@ -172,26 +172,26 @@ def _dimension(doc: dict, path, error: type[ChainTestError] = ChainTestError) ->
 
 
 def _integers(doc: dict, key: str, path) -> np.ndarray:
-    """The list doc[key] as an int64 array; anything but a flat list of
-    integers is an error (floats would otherwise be truncated silently)."""
-    error = ChainTestError(f"{path}: {key} must be a list of integers")
+    """The list doc[key] as an int64 array, read exactly; positive "states"
+    past the int64 range, up to 2**64 - 1, as a uint64 one. Anything but a
+    flat list of integers is an error (floats would otherwise be truncated
+    silently)."""
     items = doc.get(key, [])
-    # np.asarray reads true and false next to integers as 1 and 0
-    if isinstance(items, list) and bool in set(map(type, items)):
-        raise error
+    # type() is not isinstance(): true and false are not integers here
+    if not isinstance(items, list) or any(type(x) is not int for x in items):
+        raise ChainTestError(f"{path}: {key} must be a list of integers")
+    wide = key == "states" and items and min(items) >= 1 and max(items) >= 2**63
     try:
-        arr = np.asarray(items)
-    except ValueError:  # ragged nesting
-        raise error from None
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-        raise error
-    return arr.astype(np.int64)
+        return np.array(items, dtype=np.uint64 if wide else np.int64)
+    except OverflowError:
+        raise ChainTestError(f"{path}: {key} holds an integer out of range") from None
 
 
 def _load_integers(path, key: str) -> tuple[int, np.ndarray]:
     """d and the 0-based array doc[key] of a trajectory or samples file,
     read-only and owning its data: int64, or for a trajectory's "states"
-    state_dtype(d) when the numpy reader reads them."""
+    state_dtype(d) when the numpy reader reads them and uint64 when they
+    pass the int64 range."""
     raw = Path(path).read_bytes()
     compact = _read_compact(raw, key)
     if compact is None:

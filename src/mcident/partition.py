@@ -466,7 +466,7 @@ def _certify(part: StatePartition, P: TransitionMatrix,
 # Multiplier of the tail-escape threshold of tail_occupancy_check, from the
 # block-length argument of the analysis: blocks of 8 log(1/pi_star)/alpha^2
 # steps, escape probability >= 1/2 per block, half of the blocks succeed.
-# No run evaluates it, so it is not a field of Constants.
+# No pipeline run evaluates it; acceptance criterion 9 does.
 C_ESC = 1.0 / 32.0
 
 

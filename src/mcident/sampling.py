@@ -425,8 +425,8 @@ def _visit_times(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray) -> np.
     return None
 
 
-# Multiplier of the visit-count bound of required_visits. A lemma of the
-# analysis that no run evaluates, so not a field of Constants; 40 gives an
+# Multiplier of the visit-count bound of required_visits, a lemma of the
+# analysis that no pipeline run evaluates (acceptance criterion 9); 40 gives an
 # event frequency >= 1 - delta on the calibration corpus of
 # scripts/calibrate_constants.py (20 reversible chains, d <= 8), which
 # sweeps 10, 20 and 40.

@@ -12,6 +12,8 @@ from mcident import chain_core as cc
 from mcident import cli
 from mcident import corpus as cp
 from mcident import fileio as fio
+from mcident import identity as idn
+from mcident import partition as pt
 from mcident import sampling as sp
 from mcident.cli import main
 from mcident.errors import MalformedMatrix
@@ -255,6 +257,29 @@ class TestCli:
         assert rc == 0
         assert json.loads(rep.read_text())["decision"] == 0
 
+    def test_failed_certification_exit_code(self, tmp_path, rng, monkeypatch, capsys):
+        # a cut ratio of 0 fails the brute-force check of every component
+        monkeypatch.setattr(pt, "min_internal_cut_ratio", lambda P, S: 0.0)
+        mpath, out = tmp_path / "hub.json", tmp_path / "part.json"
+        fio.save_matrix(cp.hub_and_leaves(2, 2, rng), mpath)
+        rc = main(["partition", "--matrix", str(mpath), "--beta", "0.1",
+                   "--seed", "2", "--certify", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("certification failed: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_iidtest_alphabet_mismatch_exit_code(self, tmp_path, capsys):
+        pbar, samples = tmp_path / "pbar.json", tmp_path / "s.json"
+        fio.save_probvector(cc.ProbVector(np.full(5, 0.2)), pbar)
+        write_samples(samples, 4, np.arange(4000) % 4)
+        rc = main(["iidtest", "--pbar", str(pbar), "--samples", str(samples),
+                   "--eps", "0.2", "--delta", "0.1", "--seed", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {samples}: samples alphabet 4 != reference alphabet 5 of {pbar}\n"
+        )
+
     def test_props_reports_reproducible(self, tmp_path, capsys):
         out = tmp_path / "props.json"
         rc = main(["props", "--seed", "7", "--pairs", "10", "--out", str(out)])
@@ -263,50 +288,36 @@ class TestCli:
         rc = main(["props", "--seed", "7", "--pairs", "10", "--out", str(out)])
         assert out.read_text() == first
 
-    def test_constants_dump_and_config(self, tmp_path, capsys):
-        rc = main(["--constants"])
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["constants"]["c_iid"] == 4.0
-        assert sorted(doc["constants"]) == ["c_iid", "c_len"]
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"c_iid": 8.0}))
-        rc = main(["--config", str(cfg), "--constants"])
-        doc = json.loads(capsys.readouterr().out)
-        assert rc == 0 and doc["constants"]["c_iid"] == 8.0
+    @pytest.mark.parametrize("argv", [
+        ["--config", "x.json", "props", "--seed", "1", "--pairs", "2"], ["--constants"],
+    ], ids=["config", "constants"])
+    def test_removed_constant_flags_are_usage_errors(self, capsys, argv):
+        # the constants are module constants; no flag or file overrides them
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: mcident" in capsys.readouterr().err
 
     @pytest.mark.parametrize("c_iid, rc, reason", [
         (1e6, 1, "no_component_converted"),
         (1e300, 1, "no_component_converted"),
         (1e307, 2, None),
     ])
-    def test_huge_c_iid(self, chain_file, tmp_path, capsys, c_iid, rc, reason):
+    def test_huge_c_iid(self, chain_file, tmp_path, monkeypatch, capsys, c_iid, rc, reason):
         # a sample size no 2000-step trajectory can serve rejects with nothing
         # drawn; one that is not even finite is a usage error
+        size = idn.iid_sample_size
+        monkeypatch.setattr(idn, "iid_sample_size", lambda *args: size(*args, c_iid=c_iid))
         P, path = chain_file
-        traj, cfg, rep = tmp_path / "t.json", tmp_path / "cfg.json", tmp_path / "rep.json"
+        traj, rep = tmp_path / "t.json", tmp_path / "rep.json"
         fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
-        cfg.write_text(json.dumps({"c_iid": c_iid}))
-        assert main(["--config", str(cfg), "test", "--reference", str(path), "--trajectory",
-                     str(traj), "--eps", "0.3", "--seed", "1", "--report", str(rep)]) == rc
+        assert main(["test", "--reference", str(path), "--trajectory", str(traj),
+                     "--eps", "0.3", "--seed", "1", "--report", str(rep)]) == rc
         err = capsys.readouterr().err
         if reason is None:
             assert err.startswith("error: ") and err.count("\n") == 1
         else:
             assert err == "" and json.loads(rep.read_text())["reason"] == reason
-
-    @pytest.mark.parametrize("cfg", [{"c_iid": "2"}, {"c_iid": -1}, {"c_hist": 4.0},
-                                     {"c_round": 4.0}, {"c_vis": 40}, {"c_esc": 0.03125},
-                                     {"c2": 0.015625}, {"c3": 0.015625}, {"bourgain_reps": 8}])
-    def test_bad_constant_exit_code(self, tmp_path, capsys, cfg):
-        # c_round, c_vis, c_esc, c2, c3 and bourgain_reps are module constants
-        # of the gate, sampling and partition, not fields of the record
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["--config", str(path), "--constants"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("bad constants config") and err.count("\n") == 1
-        assert ("unknown constant names" in err) == ("c_iid" not in cfg)
 
     def test_non_object_matrix_exit_code(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -385,7 +396,7 @@ class TestCli:
         )
 
     def test_internal_error_exit_code(self, chain_file, monkeypatch, capsys):
-        def boom(args, constants):
+        def boom(args):
             raise RuntimeError("boom")
 
         monkeypatch.setitem(cli._HANDLERS, "distance", boom)
@@ -423,13 +434,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert not out.exists()
-
-    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
-        config = tmp_path / "c.json"
-        config.write_bytes(b'{"c_iid": "\xe9"}')
-        assert main(["--config", str(config), "props", "--seed", "1", "--pairs", "2"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("bad constants config: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["simulate", "iidtest"])
     def test_negative_seed_exit_code(self, chain_file, tmp_path, capsys, command):

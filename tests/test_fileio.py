@@ -228,6 +228,18 @@ class TestReader:
         back = fio.load_trajectory(path).states
         assert back.dtype == np.uint8 and np.array_equal(back, states)
 
+    def test_states_past_int64_round_trip(self, tmp_path):
+        # states of 19 and 20 digits skip the numpy reader, and json.load's
+        # integers are read exactly, not through float64; samples stay int64
+        states = [0, 2**63 + 4, 10**19, TOP]
+        path = tmp_path / "t.json"
+        fio.save_trajectory(sp.Trajectory(d=TOP + 1, states=np.array(states, np.uint64)), path)
+        fast, slow = both_readers(fio.load_trajectory, path)
+        assert fast == slow == (TOP + 1, np.dtype(np.uint64), states)
+        path.write_bytes(dumps(TOP + 1, "samples", [v + 1 for v in states]))
+        with pytest.raises(ChainTestError, match="samples holds an integer out of range"):
+            fio.load_samples(path)
+
     @pytest.mark.parametrize("d", [3, 256])
     @pytest.mark.parametrize("over", [1, 256])
     @pytest.mark.parametrize("where", ["first", "last-chunk"])

@@ -42,9 +42,9 @@ class TestConfigValidation:
             seen["beta"] = beta
             return partition_states(P, beta=beta, **kwargs)
 
-        def spy_size(support, eps, delta, constants):
+        def spy_size(support, eps, delta):
             seen["delta"] = delta
-            return iid_sample_size(support, eps, delta, constants)
+            return iid_sample_size(support, eps, delta)
 
         monkeypatch.setattr(idn, "partition_states", spy_partition)
         monkeypatch.setattr(idn, "iid_sample_size", spy_size)

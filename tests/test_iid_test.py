@@ -41,6 +41,8 @@ class TestSampleSize:
             iid_sample_size(0, 0.2, 0.1)
         with pytest.raises(BadArgs):
             iid_sample_size(4, 1.5, 0.1)
+        with pytest.raises(BadArgs, match="not finite"):
+            iid_sample_size(4, 0.3, 0.1, c_iid=1e307)
 
 
 class TestVerdicts:

@@ -341,6 +341,9 @@ class TestIidGenerate:
         P = cp.random_reversible(4, rng)
         traj = sp.simulate(P, cc.stationary_distribution(P), 5, seed=3)
         assert sp.iid_generate(traj, range(4), stationary_nu(P, range(4)), 1000, seed=4) is None
+        # 10**300 anchors could not be drawn at all: more anchors than
+        # visits fail before the draw
+        assert sp.iid_generate(traj, range(4), stationary_nu(P, range(4)), 10**300, seed=4) is None
 
     def test_determinism(self, rng):
         P = cp.random_reversible(4, rng)
