@@ -11,15 +11,15 @@ from zlib import crc32
 
 import numpy as np
 
-from .errors import BadArgs
+from .errors import ChainTestError
 
 
 def require_seed(seed: int) -> int:
-    """seed as an int; raises BadArgs outside [0, 2**64), where two seeds
+    """seed as an int; raises ChainTestError outside [0, 2**64), where two seeds
     would otherwise share a stream."""
     seed = int(seed)
     if not 0 <= seed < 2**64:
-        raise BadArgs(f"seed={seed} outside [0, 2**64)")
+        raise ChainTestError(f"seed={seed} outside [0, 2**64)")
     return seed
 
 

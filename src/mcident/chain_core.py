@@ -14,7 +14,11 @@ Conventions adopted here and relied on elsewhere:
   tolerances since exact set membership is meaningless in floating point.
   Irreducibility and the period come from a breadth-first search over the
   support graph (entries above SUPPORT_TOL) in numpy; this module, and the
-  package's import, load no scipy.
+  package's import, load no scipy. Reversibility is detailed balance of
+  Q within DETAILED_BALANCE_TOL, decided once per matrix and cached as
+  TransitionMatrix.reversible; require_reversible and validate read it.
+* Every refused argument raises ChainTestError with a message that says
+  what was refused.
 """
 
 from __future__ import annotations
@@ -25,16 +29,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRange,
-    EmptySubset,
-    MalformedDistribution,
-    MalformedMatrix,
-    NegativeEntry,
-    NotIrreducible,
-    NotReversible,
-    ShapeMismatch,
-)
+from .errors import ChainTestError
 
 ROW_SUM_TOL = 1e-10
 SUPPORT_TOL = 1e-12
@@ -46,8 +41,9 @@ class TransitionMatrix:
     """Row-stochastic d x d matrix over the state space {0, ..., d-1}.
 
     Entries must lie in [0, 1] and each row must sum to 1 within 1e-10.
-    Irreducibility, pi and Q = diag(pi) P are computed on first use and
-    cached; like entries they are read-only, so the cache cannot go stale.
+    Irreducibility, reversibility, pi and Q = diag(pi) P are computed on
+    first use and cached; like entries they are read-only, so the cache
+    cannot go stale.
     """
 
     entries: np.ndarray
@@ -55,16 +51,16 @@ class TransitionMatrix:
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise MalformedMatrix(f"expected a square matrix, got shape {arr.shape}")
+            raise ChainTestError(f"expected a square matrix, got shape {arr.shape}")
         lo, hi = arr.min(), arr.max()
         if not (isfinite(lo) and isfinite(hi)):
-            raise MalformedMatrix("non-finite entries")
+            raise ChainTestError("non-finite entries")
         if lo < -ROW_SUM_TOL or hi > 1.0 + ROW_SUM_TOL:
-            raise MalformedMatrix("entries must lie in [0, 1]")
+            raise ChainTestError("entries must lie in [0, 1]")
         rows = arr.sum(axis=1)
         bad = np.abs(rows - 1.0).max()
         if bad > ROW_SUM_TOL:
-            raise MalformedMatrix(f"row sums deviate from 1 by {bad:.3e}")
+            raise ChainTestError(f"row sums deviate from 1 by {bad:.3e}")
         object.__setattr__(self, "entries", _frozen_clipped(arr))
 
     @property
@@ -78,6 +74,15 @@ class TransitionMatrix:
         if (self._levels < 0).any():
             return False
         return bool((_bfs_levels(_support(self.entries).T) >= 0).all())
+
+    @cached_property
+    def reversible(self) -> bool:
+        """Whether the chain is irreducible and detailed balance
+        pi(i) P(i,j) = pi(j) P(j,i) holds within DETAILED_BALANCE_TOL."""
+        if not self.irreducible:
+            return False
+        Q = self.Q
+        return bool(np.abs(Q - Q.T).max() <= DETAILED_BALANCE_TOL)
 
     @cached_property
     def _levels(self) -> np.ndarray:
@@ -107,7 +112,7 @@ class TransitionMatrix:
         pi = pi / pi.sum()
         residual = np.abs(pi @ arr - pi).max()
         if residual > 1e-10 or pi.min() <= 0:
-            raise NotIrreducible(f"stationary solve failed (residual {residual:.3e})")
+            raise ChainTestError(f"stationary solve failed (residual {residual:.3e})")
         return ProbVector(pi)
 
     @property
@@ -131,12 +136,12 @@ class ProbVector:
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 1 or arr.shape[0] < 1:
-            raise MalformedDistribution(f"expected a vector, got shape {arr.shape}")
+            raise ChainTestError(f"expected a vector, got shape {arr.shape}")
         lo, hi = arr.min(), arr.max()
         if not (isfinite(lo) and isfinite(hi)) or lo < -ROW_SUM_TOL:
-            raise MalformedDistribution("entries must be nonnegative")
+            raise ChainTestError("entries must be nonnegative")
         if abs(arr.sum() - 1.0) > ROW_SUM_TOL:
-            raise MalformedDistribution(f"mass {arr.sum()!r} != 1")
+            raise ChainTestError(f"mass {arr.sum()!r} != 1")
         object.__setattr__(self, "entries", _frozen_clipped(arr))
 
     @property
@@ -218,35 +223,31 @@ def validate(P) -> ChainClass:
     """Classify a chain: irreducible, reversible, ergodic.
 
     Irreducibility is reachability closure of the support graph (entries
-    above 1e-12 count as edges). Reversibility is require_reversible's
-    detailed-balance check, which requires irreducibility.
-    Ergodic means irreducible with aperiodic support graph.
+    above 1e-12 count as edges). Reversibility is P.reversible, which is
+    False for a reducible chain. Ergodic means irreducible with aperiodic
+    support graph.
     """
     P = as_transition_matrix(P)
-    reversible = ergodic = False
-    if P.irreducible:
-        try:
-            require_reversible(P)
-            reversible = True
-        except NotReversible:
-            pass
-        ergodic = _period(P) == 1
-    return ChainClass(irreducible=P.irreducible, reversible=reversible, ergodic=ergodic)
+    return ChainClass(
+        irreducible=P.irreducible,
+        reversible=P.reversible,
+        ergodic=P.irreducible and _period(P) == 1,
+    )
 
 
 def require_reversible(P) -> TransitionMatrix:
-    """P as a TransitionMatrix once detailed balance pi(i) P(i,j) = pi(j) P(j,i)
-    holds within DETAILED_BALANCE_TOL; raises NotIrreducible or NotReversible."""
+    """P as a TransitionMatrix once P.reversible holds; raises
+    ChainTestError naming which of irreducibility and detailed balance fails."""
     P = as_transition_matrix(P)
-    Q = P.Q
-    if np.abs(Q - Q.T).max() > DETAILED_BALANCE_TOL:
-        raise NotReversible("detailed balance violated")
+    if not P.reversible:
+        _require_irreducible(P)
+        raise ChainTestError("detailed balance violated")
     return P
 
 
 def _require_irreducible(P: TransitionMatrix) -> None:
     if not P.irreducible:
-        raise NotIrreducible("chain is not irreducible")
+        raise ChainTestError("chain is not irreducible")
 
 
 def stationary_distribution(P) -> ProbVector:
@@ -285,7 +286,7 @@ def lazy_version(P, alpha: float) -> TransitionMatrix:
     for any irreducible P when alpha > 0."""
     P = as_transition_matrix(P)
     if not (0.0 <= alpha <= 1.0):
-        raise AlphaOutOfRange(f"alpha={alpha}")
+        raise ChainTestError(f"alpha={alpha}")
     return TransitionMatrix(alpha * np.eye(P.d) + (1.0 - alpha) * P.entries)
 
 
@@ -294,9 +295,9 @@ def convex_combination(P, Pbar, alpha: float) -> TransitionMatrix:
     P = as_transition_matrix(P)
     Pbar = as_transition_matrix(Pbar)
     if P.d != Pbar.d:
-        raise ShapeMismatch(f"{P.d} != {Pbar.d}")
+        raise ChainTestError(f"{P.d} != {Pbar.d}")
     if not (0.0 <= alpha <= 1.0):
-        raise AlphaOutOfRange(f"alpha={alpha}")
+        raise ChainTestError(f"alpha={alpha}")
     return TransitionMatrix(alpha * P.entries + (1.0 - alpha) * Pbar.entries)
 
 
@@ -312,7 +313,7 @@ def censor(P, S) -> TransitionMatrix:
     P = as_transition_matrix(P)
     S = _as_subset(S, P.d)
     if len(S) == 0:
-        raise EmptySubset("S must be nonempty")
+        raise ChainTestError("S must be nonempty")
     _require_irreducible(P)
     if len(S) == P.d:
         return P
@@ -328,7 +329,7 @@ def matrix_power(P, k: int) -> TransitionMatrix:
     """P^k by repeated squaring."""
     P = as_transition_matrix(P)
     if k < 1:
-        raise AlphaOutOfRange(f"k={k} must be >= 1")
+        raise ChainTestError(f"k={k} must be >= 1")
     return _renormalized(np.linalg.matrix_power(P.entries, k), tol=1e-9)
 
 
@@ -337,7 +338,7 @@ def _renormalized(arr: np.ndarray, tol: float) -> TransitionMatrix:
     arr = np.asarray(arr, dtype=float)
     rows = arr.sum(axis=1)
     if np.abs(rows - 1.0).max() > tol or arr.min() < -tol:
-        raise MalformedMatrix(f"row drift exceeds {tol}")
+        raise ChainTestError(f"row drift exceeds {tol}")
     arr = np.clip(arr, 0.0, None)
     return TransitionMatrix(arr / arr.sum(axis=1, keepdims=True))
 
@@ -346,7 +347,7 @@ def _as_subset(S, d: int) -> np.ndarray:
     """Canonicalize a state subset: sorted unique int array within range."""
     idx = np.unique(np.asarray(list(S), dtype=int)) if not isinstance(S, np.ndarray) else np.unique(S.astype(int))
     if len(idx) and (idx[0] < 0 or idx[-1] >= d):
-        raise ShapeMismatch(f"subset {idx.tolist()} out of range for d={d}")
+        raise ChainTestError(f"subset {idx.tolist()} out of range for d={d}")
     return idx
 
 
@@ -391,9 +392,9 @@ def spectral_radius_nonneg(M) -> float:
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got {M.shape}")
+        raise ChainTestError(f"expected a square matrix, got {M.shape}")
     if M.min() < -1e-12:
-        raise NegativeEntry(f"min entry {M.min():.3e}")
+        raise ChainTestError(f"min entry {M.min():.3e}")
     M = np.clip(M, 0.0, None)
     if not M.any():
         return 0.0

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .chain_core import stationary_distribution
-from .errors import AlphabetMismatch, CertificationFailed, ChainTestError
+from .errors import CertificationFailed, ChainTestError
 from .fileio import (
     file_digest,
     load_matrix,
@@ -108,6 +108,10 @@ def _cmd_simulate(args) -> int:
         mu = np.full(P.d, 1.0 / P.d)
     else:
         mu = load_probvector(args.mu)
+        if mu.d != P.d:
+            raise ChainTestError(
+                f"{args.mu}: initial law of length {mu.d} != {P.d} states of {args.matrix}"
+            )
     traj = simulate(P, mu, args.steps, args.seed)
     save_trajectory(traj, args.out)
     doc = {
@@ -144,6 +148,8 @@ def _cmd_partition(args) -> int:
 def _cmd_distance(args) -> int:
     A = load_matrix(args.a)
     B = load_matrix(args.b)
+    if B.d != A.d:
+        raise ChainTestError(f"{args.b}: {B.d} states != {A.d} states of {args.a}")
     dist = chain_distance(A, B)
     print(repr(round12(dist)))
     if A.irreducible and B.irreducible:
@@ -158,7 +164,7 @@ def _cmd_iidtest(args) -> int:
     pbar = load_probvector(args.pbar)
     d, samples = load_samples(args.samples)
     if d != pbar.d:
-        raise AlphabetMismatch(
+        raise ChainTestError(
             f"{args.samples}: samples alphabet {d} != reference alphabet {pbar.d} of {args.pbar}"
         )
     verdict = iid_test(samples, pbar.entries, args.eps, args.delta, args.seed)
@@ -176,6 +182,10 @@ def _cmd_iidtest(args) -> int:
 def _cmd_test(args) -> int:
     Pbar = load_matrix(args.reference)
     traj = load_trajectory(args.trajectory)
+    if traj.d != Pbar.d:
+        raise ChainTestError(
+            f"{args.trajectory}: trajectory alphabet {traj.d} != {Pbar.d} states of {args.reference}"
+        )
     cfg = TestConfig(eps=args.eps, seed=args.seed)
     report = identity_test(Pbar, traj, cfg, lazify=args.lazify)
     doc = {

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .chain_core import ProbVector, TransitionMatrix
-from .errors import ChainTestError, MalformedDistribution, MalformedMatrix
+from .errors import ChainTestError
 from .sampling import Trajectory, state_dtype
 
 _FILE_TOL = 1e-8
@@ -54,17 +54,17 @@ _ZERO, _COMMA = ord("0"), ord(",")
 
 
 def load_matrix(path) -> TransitionMatrix:
-    doc = _read(path, MalformedMatrix)
-    d = _dimension(doc, path, MalformedMatrix)
+    doc = _read(path)
+    d = _dimension(doc, path)
     try:
         rows = np.asarray(doc.get("rows"), dtype=float)
     except (ValueError, TypeError) as exc:
-        raise MalformedMatrix(f"{path}: rows are not numeric: {exc}") from None
+        raise ChainTestError(f"{path}: rows are not numeric: {exc}") from None
     if rows.ndim != 2 or rows.shape != (d, d):
-        raise MalformedMatrix(f"{path}: rows shape {rows.shape} does not match d={d}")
+        raise ChainTestError(f"{path}: rows shape {rows.shape} does not match d={d}")
     sums = rows.sum(axis=1)
     if np.abs(sums - 1.0).max() > _FILE_TOL or rows.min() < -_FILE_TOL:
-        raise MalformedMatrix(f"{path}: rows must sum to 1 within {_FILE_TOL}")
+        raise ChainTestError(f"{path}: rows must sum to 1 within {_FILE_TOL}")
     rows = np.clip(rows, 0.0, None)
     return TransitionMatrix(rows / rows.sum(axis=1, keepdims=True))
 
@@ -75,16 +75,16 @@ def save_matrix(P: TransitionMatrix, path) -> None:
 
 
 def load_probvector(path) -> ProbVector:
-    doc = _read(path, MalformedDistribution)
-    d = _dimension(doc, path, MalformedDistribution)
+    doc = _read(path)
+    d = _dimension(doc, path)
     try:
         p = np.asarray(doc.get("p"), dtype=float)
     except (ValueError, TypeError) as exc:
-        raise MalformedDistribution(f"{path}: p is not numeric: {exc}") from None
+        raise ChainTestError(f"{path}: p is not numeric: {exc}") from None
     if p.ndim != 1 or p.shape[0] != d:
-        raise MalformedDistribution(f"{path}: p shape {p.shape} does not match d={d}")
+        raise ChainTestError(f"{path}: p shape {p.shape} does not match d={d}")
     if abs(p.sum() - 1.0) > _FILE_TOL or p.min() < -_FILE_TOL:
-        raise MalformedDistribution(f"{path}: p must sum to 1 within {_FILE_TOL}")
+        raise ChainTestError(f"{path}: p must sum to 1 within {_FILE_TOL}")
     p = np.clip(p, 0.0, None)
     return ProbVector(p / p.sum())
 
@@ -95,6 +95,8 @@ def save_probvector(p: ProbVector, path) -> None:
 
 def load_trajectory(path) -> Trajectory:
     d, states = _load_integers(path, "states")
+    if d >= 1 and states.size and (int(states.min()) < 0 or int(states.max()) >= d):
+        raise ChainTestError(f"{path}: states outside [1, {d}]")
     return Trajectory(d=d, states=states)
 
 
@@ -149,25 +151,25 @@ def write_report(doc: dict, path=None) -> str:
     return text
 
 
-def _read(path, error: type[ChainTestError] = ChainTestError) -> dict:
-    """Parse a JSON input file; raise `error` unless it is UTF-8 text holding
-    an object."""
+def _read(path) -> dict:
+    """Parse a JSON input file; raise ChainTestError unless it is UTF-8 text
+    holding an object."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        raise ChainTestError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
-        raise error(f"{path}: {exc}") from None
+        raise ChainTestError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
-        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        raise ChainTestError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc
 
 
-def _dimension(doc: dict, path, error: type[ChainTestError] = ChainTestError) -> int:
+def _dimension(doc: dict, path) -> int:
     d = doc.get("d")
     if not isinstance(d, int) or isinstance(d, bool):
-        raise error(f"{path}: d must be an integer, got {d!r}")
+        raise ChainTestError(f"{path}: d must be an integer, got {d!r}")
     return d
 
 

@@ -23,7 +23,7 @@ from math import ceil, isfinite, log, sqrt
 import numpy as np
 
 from ._rng import require_seed
-from .errors import AlphabetMismatch, BadArgs, TooFewSamples
+from .errors import ChainTestError
 
 # Histogram cells the bootstrap draws and reduces at once: 2**17 cells keep
 # every acceptance-corpus bootstrap (at most 1600 x 65) in one block, and a
@@ -49,12 +49,12 @@ class TestVerdict:
 def iid_sample_size(support: int, eps: float, delta: float, c_iid: float = C_IID) -> int:
     """Samples required by the tester contract: c_iid sqrt(K) log(1/delta) / eps^2."""
     if support < 1:
-        raise BadArgs(f"support={support}")
+        raise ChainTestError(f"support={support}")
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
-        raise BadArgs(f"eps={eps}, delta={delta}")
+        raise ChainTestError(f"eps={eps}, delta={delta}")
     size = c_iid * sqrt(support) * log(1.0 / delta) / (eps * eps)
     if not isfinite(size):
-        raise BadArgs(f"sample size {size} is not finite (c_iid={c_iid})")
+        raise ChainTestError(f"sample size {size} is not finite (c_iid={c_iid})")
     return int(ceil(size))
 
 
@@ -98,24 +98,24 @@ def iid_test(
     under the null and forces decision 1. The bootstrap draws ceil(20/delta)
     null histograms from pbar at the same sample size and thresholds at the
     (1 - delta/2) quantile; a delta for which those statistics would not fit
-    one float64 array raises BadArgs. The null histograms are drawn and
-    reduced a block of rows at a time; consecutive draws from one generator
-    give the same rows as a single draw, so the threshold does not depend on
-    the block.
+    one float64 array raises ChainTestError. The null histograms are drawn
+    and reduced a block of rows at a time; consecutive draws from one
+    generator give the same rows as a single draw, so the threshold does not
+    depend on the block.
     """
     p = np.asarray(pbar, dtype=float)
     if p.ndim != 1 or p.size == 0:
-        raise AlphabetMismatch("reference must be a nonempty 1-D probability array")
+        raise ChainTestError("reference must be a nonempty 1-D probability array")
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-8:
-        raise AlphabetMismatch(f"reference probabilities sum to {p.sum()!r}")
+        raise ChainTestError(f"reference probabilities sum to {p.sum()!r}")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
     K = len(p)
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
-        raise BadArgs(f"eps={eps}, delta={delta}")
+        raise ChainTestError(f"eps={eps}, delta={delta}")
     # the B null statistics must fit one float64 array
     if 20.0 / delta > np.iinfo(np.intp).max // 8:
-        raise BadArgs(f"delta={delta} asks for {20.0 / delta:.3g} bootstrap draws")
+        raise ChainTestError(f"delta={delta} asks for {20.0 / delta:.3g} bootstrap draws")
     B = ceil(20.0 / delta)
     seed = require_seed(seed)
 
@@ -123,7 +123,7 @@ def iid_test(
     m = len(codes)
     needed = iid_sample_size(K, eps, delta, c_iid)
     if m < needed:
-        raise TooFewSamples(f"{m} samples, need {needed}")
+        raise ChainTestError(f"{m} samples, need {needed}")
 
     in_range = (codes >= 0) & (codes < K)
     hist = np.bincount(codes[in_range], minlength=K)

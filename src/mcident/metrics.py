@@ -19,12 +19,7 @@ from .chain_core import (
     spectral_radius_nonneg,
     _as_subset,
 )
-from .errors import (
-    BadSubset,
-    ShapeMismatch,
-    ZeroDenominator,
-    ZeroMassSubset,
-)
+from .errors import ChainTestError
 
 
 def hellinger(p, q) -> float:
@@ -36,7 +31,7 @@ def hellinger(p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
-        raise ShapeMismatch(f"{p.shape} vs {q.shape}")
+        raise ChainTestError(f"{p.shape} vs {q.shape}")
     h2 = 1.0 - float(np.sqrt(p * q).sum())
     return float(np.sqrt(max(h2, 0.0)))
 
@@ -51,7 +46,7 @@ def chain_distance(P, Pbar) -> float:
     P = as_transition_matrix(P)
     Pbar = as_transition_matrix(Pbar)
     if P.d != Pbar.d:
-        raise ShapeMismatch(f"{P.d} != {Pbar.d}")
+        raise ChainTestError(f"{P.d} != {Pbar.d}")
     rho = spectral_radius_nonneg(np.sqrt(P.entries * Pbar.entries))
     val = min(max(1.0 - rho, 0.0), 1.0)
     return 0.0 if val < 1e-12 else float(val)
@@ -62,9 +57,9 @@ def ratio_distance(pi, pibar) -> float:
     pi = as_prob_vector(pi).entries
     pibar_arr = as_prob_vector(pibar).entries
     if pi.shape != pibar_arr.shape:
-        raise ShapeMismatch(f"{pi.shape} vs {pibar_arr.shape}")
+        raise ChainTestError(f"{pi.shape} vs {pibar_arr.shape}")
     if pibar_arr.min() <= 0.0:
-        raise ZeroDenominator("reference distribution has a zero entry")
+        raise ChainTestError("reference distribution has a zero entry")
     return float(np.abs(pi / pibar_arr - 1.0).max())
 
 
@@ -83,7 +78,7 @@ class InducedDistribution:
     def __post_init__(self):
         total = float(self.p.sum())
         if abs(total - 1.0) > 1e-10:
-            raise ZeroMassSubset(f"total mass {total!r} != 1")
+            raise ChainTestError(f"total mass {total!r} != 1")
 
     @property
     def infinity_mass(self) -> float:
@@ -95,13 +90,13 @@ def induced_distribution(P, nu, S) -> InducedDistribution:
     P = as_transition_matrix(P)
     nu = as_prob_vector(nu)
     if nu.d != P.d:
-        raise ShapeMismatch(f"{nu.d} != {P.d}")
+        raise ChainTestError(f"{nu.d} != {P.d}")
     idx = _as_subset(S, P.d)
     if len(idx) == 0:
-        raise ZeroMassSubset("empty subset")
+        raise ChainTestError("empty subset")
     nu_S = float(nu.entries[idx].sum())
     if nu_S <= 0.0:
-        raise ZeroMassSubset("nu(S) = 0")
+        raise ChainTestError("nu(S) = 0")
     block = nu.entries[idx, None] * P.entries[np.ix_(idx, idx)] / nu_S
     leave_mass = max(1.0 - block.sum(), 0.0)
     return InducedDistribution(
@@ -147,7 +142,7 @@ def min_cut_metric_ratio(P, I) -> float:
     P = as_transition_matrix(P)
     I_idx = _as_subset(I, P.d)
     if len(I_idx) < 2:
-        raise BadSubset("need |I| >= 2")
+        raise ChainTestError("need |I| >= 2")
     pi_I = P.pi[I_idx].sum()
     cuts = _proper_cuts(P, I_idx, P.Q + P.Q.T)
     return min(float((cross / (2.0 * mass * (pi_I - mass))).min()) for cross, mass in cuts)
@@ -170,5 +165,5 @@ def internal_mass(P, I) -> float:
     P = as_transition_matrix(P)
     idx = _as_subset(I, P.d)
     if len(idx) == 0:
-        raise BadSubset("empty subset")
+        raise ChainTestError("empty subset")
     return float(P.Q[np.ix_(idx, idx)].sum() / P.pi[idx].sum())

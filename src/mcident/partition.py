@@ -34,12 +34,7 @@ from .chain_core import (
     _symmetrized,
     _symmetrized_spectrum,
 )
-from .errors import (
-    BadArgs,
-    BadSubset,
-    CertificationFailed,
-    DegenerateEmbedding,
-)
+from .errors import CertificationFailed, ChainTestError, DegenerateEmbedding
 from .metrics import internal_mass, min_escape_ratio, min_internal_cut_ratio
 from .sampling import simulate
 from .simplex import solve_lp
@@ -97,7 +92,7 @@ def solve_spccc_lp(P, I) -> MetricLP:
     P = as_transition_matrix(P)
     I_idx = _as_subset(I, P.d)
     if len(I_idx) < 2:
-        raise BadSubset("need |I| >= 2")
+        raise ChainTestError("need |I| >= 2")
     require_reversible(P)
     pi_I = P.pi[I_idx]
     Qs_I = (P.Q + P.Q.T)[np.ix_(I_idx, I_idx)]
@@ -191,7 +186,7 @@ def cut_metric_ratio(P, S, I) -> float:
     I_idx = _as_subset(I, P.d)
     rest = np.setdiff1d(I_idx, S_idx)
     if len(S_idx) == 0 or len(rest) == 0 or not np.isin(S_idx, I_idx).all():
-        raise BadSubset("need nonempty S strictly inside I")
+        raise ChainTestError("need nonempty S strictly inside I")
     pi, Q = P.pi, P.Q
     num = Q[np.ix_(S_idx, rest)].sum() + Q[np.ix_(rest, S_idx)].sum()
     den = 2.0 * pi[S_idx].sum() * pi[rest].sum()
@@ -237,7 +232,7 @@ def round_to_cut(embedding: np.ndarray, P, I) -> tuple:
     P = as_transition_matrix(P)
     I_idx = _as_subset(I, P.d)
     if embedding.shape[0] != len(I_idx):
-        raise BadSubset("embedding rows must match sorted(I)")
+        raise ChainTestError("embedding rows must match sorted(I)")
     orders = np.argsort(embedding.T, axis=-1, kind="stable")
     ratios = _prefix_ratios(P, I_idx, orders)
     boundary = np.diff(np.sort(embedding.T, axis=-1), axis=-1) > 0.0
@@ -332,7 +327,7 @@ def partition_states(P, beta: float, seed: int, certify: bool = True) -> StatePa
     """
     P = as_transition_matrix(P)
     if not (0.0 < beta < 1.0):
-        raise BadArgs(f"beta={beta} outside (0, 1)")
+        raise ChainTestError(f"beta={beta} outside (0, 1)")
     require_seed(seed)  # only an LP split draws from the seed
     require_reversible(P)
     pi = P.pi
@@ -483,7 +478,7 @@ def tail_occupancy_check(P, T, alpha: float, m: int, trials: int, seed: int) -> 
     if len(T_idx) == 0:
         return 1.0
     if alpha <= 0 or m < 1 or trials < 1:
-        raise BadArgs(f"alpha={alpha}, m={m}, trials={trials}")
+        raise ChainTestError(f"alpha={alpha}, m={m}, trials={trials}")
     pi_T_star = float(P.pi[T_idx].min())
     threshold = C_ESC * m * alpha * alpha / log(1.0 / pi_T_star)
     in_T = np.zeros(P.d, dtype=bool)

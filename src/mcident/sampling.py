@@ -18,7 +18,7 @@ import numpy as np
 
 from ._rng import require_seed
 from .chain_core import as_prob_vector, as_transition_matrix, _as_subset
-from .errors import BadArgs, BadNu, TrajectoryAlphabetMismatch
+from .errors import ChainTestError
 
 
 def state_dtype(d: int) -> np.dtype:
@@ -44,16 +44,14 @@ class Trajectory:
     def __post_init__(self):
         # states stay below 2**64 - 1, so the writer's state + 1 fits a uint64
         if not 1 <= self.d <= 2**64 - 1:
-            raise BadArgs(f"d={self.d} must be >= 1 and < 2**64")
+            raise ChainTestError(f"d={self.d} must be >= 1 and < 2**64")
         arr = np.asarray(self.states)
         if arr.ndim != 1 or arr.shape[0] < 1:
-            raise BadArgs("trajectory must contain at least one state")
+            raise ChainTestError("trajectory must contain at least one state")
         if arr.dtype.kind not in "iu":
-            raise BadArgs(f"states must be integers, got dtype {arr.dtype}")
+            raise ChainTestError(f"states must be integers, got dtype {arr.dtype}")
         if int(arr.min()) < 0 or int(arr.max()) >= self.d:
-            raise TrajectoryAlphabetMismatch(
-                f"states outside [0, {self.d})"
-            )
+            raise ChainTestError(f"states outside [0, {self.d})")
         dtype = state_dtype(self.d)
         if arr.dtype != dtype or arr.flags.writeable or not arr.flags.owndata:
             arr = arr.astype(dtype)
@@ -113,9 +111,9 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
     P = as_transition_matrix(P)
     mu = as_prob_vector(mu)
     if mu.d != P.d:
-        raise BadArgs(f"initial law of length {mu.d} for a {P.d}-state chain")
+        raise ChainTestError(f"initial law of length {mu.d} for a {P.d}-state chain")
     if m < 1:
-        raise BadArgs(f"m={m} must be >= 1")
+        raise ChainTestError(f"m={m} must be >= 1")
     rng = np.random.default_rng(require_seed(seed))
     cum = np.cumsum(P.entries, axis=1)
     # guard against downward float drift; with cum[s, -1] >= 1 > u every
@@ -351,22 +349,22 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
     probability, which the trajectory-length budgets keep negligible.
     """
     if not isinstance(traj, Trajectory):
-        raise BadArgs("expected a Trajectory")
+        raise ChainTestError("expected a Trajectory")
     S_idx = _as_subset(S, traj.d)
     n = len(S_idx)
     if n == 0:
-        raise BadNu("S must be nonempty")
+        raise ChainTestError("S must be nonempty")
     nu = as_prob_vector(nu)
     if nu.d != traj.d:
-        raise BadNu(f"nu of length {nu.d} for a {traj.d}-state trajectory")
+        raise ChainTestError(f"nu of length {nu.d} for a {traj.d}-state trajectory")
     off = np.delete(nu.entries, S_idx)
     if off.size and off.max() > 1e-12:
-        raise BadNu("nu must vanish outside S")
+        raise ChainTestError("nu must vanish outside S")
     weights = nu.entries[S_idx]
     if weights.min() <= 0.0:
-        raise BadNu("nu must be positive on S")
+        raise ChainTestError("nu must be positive on S")
     if l < 0:
-        raise BadArgs(f"l={l} must be >= 0")
+        raise ChainTestError(f"l={l} must be >= 0")
     rng = np.random.default_rng(require_seed(seed))
     if l == 0:
         return np.empty(0, dtype=np.int64)
@@ -438,5 +436,5 @@ def required_visits(pi_S_star: float, gamma: float, delta: float, c_vis: float =
     of steps after which each state i has been seen at least pi(i)/2 times
     that many, with probability 1 - delta."""
     if not (0.0 < pi_S_star < 1.0) or gamma <= 0.0 or not (0.0 < delta < 1.0):
-        raise BadArgs(f"pi_S_star={pi_S_star}, gamma={gamma}, delta={delta}")
+        raise ChainTestError(f"pi_S_star={pi_S_star}, gamma={gamma}, delta={delta}")
     return int(ceil(c_vis * log(1.0 / (delta * pi_S_star)) / (pi_S_star * gamma)))

@@ -10,16 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from mcident import chain_core as cc
 from mcident import corpus as cp
 from mcident import metrics as mt
-from mcident.errors import (
-    AlphaOutOfRange,
-    EmptySubset,
-    MalformedDistribution,
-    MalformedMatrix,
-    NegativeEntry,
-    NotIrreducible,
-    NotReversible,
-    ShapeMismatch,
-)
+from mcident.errors import ChainTestError
 
 from conftest import empirical_transition_matrix
 
@@ -35,15 +26,15 @@ def random_reversible_from_seed(seed, d_lo=2, d_hi=8):
 
 class TestTypes:
     def test_rejects_bad_row_sums(self):
-        with pytest.raises(MalformedMatrix):
+        with pytest.raises(ChainTestError, match="row sums deviate from 1"):
             cc.TransitionMatrix(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(MalformedMatrix):
+        with pytest.raises(ChainTestError, match=r"entries must lie in \[0, 1\]"):
             cc.TransitionMatrix(np.array([[1.1, -0.1], [0.5, 0.5]]))
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(MalformedMatrix):
+        with pytest.raises(ChainTestError, match="expected a square matrix"):
             cc.TransitionMatrix(np.ones((2, 3)) / 3)
 
     def test_entries_immutable(self):
@@ -71,12 +62,12 @@ class TestTypes:
         ],
     )
     def test_matrix_check_messages(self, entries, message):
-        with pytest.raises(MalformedMatrix, match=message):
+        with pytest.raises(ChainTestError, match=message):
             cc.TransitionMatrix(np.array(entries))
 
     @pytest.mark.parametrize("entries", [[np.nan, 1.0], [np.inf, 0.0], [-1e308, 1.0]])
     def test_prob_vector_check_messages(self, entries):
-        with pytest.raises(MalformedDistribution, match="entries must be nonnegative"):
+        with pytest.raises(ChainTestError, match="entries must be nonnegative"):
             cc.ProbVector(np.array(entries))
 
     def test_entries_are_an_owned_clipped_copy(self):
@@ -110,6 +101,18 @@ class TestValidate:
     def test_single_state(self):
         cls = cc.validate([[1.0]])
         assert cls.irreducible and cls.reversible and cls.ergodic
+
+    def test_reversible_flag_on_the_matrix(self, rng):
+        # validate and require_reversible read one cached verdict; a reducible
+        # chain is not reversible, and require_reversible says which part fails
+        for entries, want in [(UNIFORM2, True), (THREE_CYCLE, False), (np.eye(2), False)]:
+            P = cc.TransitionMatrix(np.array(entries, dtype=float))
+            assert P.reversible is want and cc.validate(P).reversible is want
+            assert "reversible" in P.__dict__
+        with pytest.raises(ChainTestError, match="chain is not irreducible"):
+            cc.require_reversible(np.eye(2))
+        P = cp.random_reversible(5, rng)
+        assert cc.require_reversible(P) is P and P.reversible
 
 
 def stack_period(P: np.ndarray) -> int:
@@ -202,7 +205,7 @@ class TestStationaryDistribution:
         assert pi == pytest.approx([5.0 / 6.0, 1.0 / 6.0], abs=1e-12)
 
     def test_requires_irreducible(self):
-        with pytest.raises(NotIrreducible):
+        with pytest.raises(ChainTestError, match="chain is not irreducible"):
             cc.stationary_distribution(np.eye(3))
 
     def test_solved_once_per_matrix(self, rng):
@@ -290,7 +293,7 @@ class TestStationarySvdFallback:
         monkeypatch.setattr(cc.np.linalg, "solve", solve)
         monkeypatch.setattr(cc.np.linalg, "svd", svd)
         for P in fallback_chains(rng):
-            with pytest.raises(NotIrreducible, match="stationary solve failed"):
+            with pytest.raises(ChainTestError, match="stationary solve failed"):
                 cc.TransitionMatrix(P).pi
 
 
@@ -316,7 +319,7 @@ class TestEdgeMeasure:
         assert abs(Q[0, 1] - Q[1, 0]) <= 1e-15  # reversibility shows as symmetry
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ChainTestError, match="2 != 3"):
             edge_measure(np.eye(3), [0.5, 0.5])
 
 
@@ -381,7 +384,7 @@ class TestLazyVersion:
         assert P.entries == pytest.approx(np.array([[0.25, 0.75], [0.75, 0.25]]))
 
     def test_alpha_range(self):
-        with pytest.raises(AlphaOutOfRange):
+        with pytest.raises(ChainTestError, match="alpha=1.5"):
             cc.lazy_version(TWO_CYCLE, 1.5)
 
     @settings(max_examples=40, deadline=None)
@@ -403,7 +406,7 @@ class TestCensor:
         assert cc.censor(P, [2]).entries == pytest.approx(np.array([[1.0]]))
 
     def test_empty_raises(self, rng):
-        with pytest.raises(EmptySubset):
+        with pytest.raises(ChainTestError, match="S must be nonempty"):
             cc.censor(cp.random_reversible(3, rng), [])
 
     def test_birth_death_against_simulation(self):
@@ -470,7 +473,7 @@ class TestSpectralGap:
         assert cc.spectral_gap(cc.lazy_version(TWO_CYCLE, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_not_reversible(self):
-        with pytest.raises(NotReversible):
+        with pytest.raises(ChainTestError, match="detailed balance violated"):
             cc.spectral_gap(THREE_CYCLE)
 
 
@@ -486,7 +489,7 @@ class TestSpectralRadius:
         assert cc.spectral_radius_nonneg(np.array([[0.0, 2], [2, 0]])) == pytest.approx(2.0, abs=1e-10)
 
     def test_rejects_negative(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(ChainTestError, match="min entry"):
             cc.spectral_radius_nonneg([[0.5, -0.5], [0.5, 0.5]])
 
     @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ from mcident import identity as idn
 from mcident import partition as pt
 from mcident import sampling as sp
 from mcident.cli import main
-from mcident.errors import MalformedMatrix
+from mcident.errors import ChainTestError
 
 from conftest import write_samples
 
@@ -78,7 +78,7 @@ class TestFileFormats:
         doc = {"d": 2, "rows": [[0.7, 0.2], [0.5, 0.5]]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(MalformedMatrix):
+        with pytest.raises(ChainTestError, match="rows must sum to 1"):
             fio.load_matrix(path)
 
     def test_matrix_renormalizes_print_rounding(self, tmp_path):
@@ -218,7 +218,7 @@ class TestCli:
         rc = main(["test", "--reference", str(ref), "--trajectory", str(traj),
                    "--eps", "0.3", "--seed", "1"])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: states outside [0, {d})\n"
+        assert capsys.readouterr().err == f"error: {traj}: states outside [1, {d}]\n"
 
     def test_d_beyond_uint64_exit_code(self, tmp_path, capsys):
         ref, traj = tmp_path / "P.json", tmp_path / "traj.json"
@@ -279,6 +279,45 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {samples}: samples alphabet 4 != reference alphabet 5 of {pbar}\n"
         )
+
+    @pytest.mark.parametrize("command", ["distance", "test", "simulate"])
+    def test_state_count_mismatch_exit_code(self, tmp_path, capsys, command):
+        # a 5-state second input against a 4-state chain: one line naming both files
+        four, other = tmp_path / "P4.json", tmp_path / "other.json"
+        fio.save_matrix(cc.TransitionMatrix(np.full((4, 4), 0.25)), four)
+        argv, want = {
+            "distance": (["distance", "--a", str(four), "--b", str(other)],
+                         f"{other}: 5 states != 4 states of {four}"),
+            "test": (["test", "--reference", str(four), "--trajectory", str(other),
+                      "--eps", "0.3", "--seed", "1"],
+                     f"{other}: trajectory alphabet 5 != 4 states of {four}"),
+            "simulate": (["simulate", "--matrix", str(four), "--mu", str(other), "--steps", "10",
+                          "--seed", "1", "--out", str(tmp_path / "t.json")],
+                         f"{other}: initial law of length 5 != 4 states of {four}"),
+        }[command]
+        if command == "distance":
+            fio.save_matrix(cc.TransitionMatrix(np.full((5, 5), 0.2)), other)
+        elif command == "test":
+            fio.save_trajectory(sp.Trajectory(d=5, states=np.arange(50) % 5), other)
+        else:
+            fio.save_probvector(cc.ProbVector(np.full(5, 0.2)), other)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_failed_lp_solve_exit_code(self, tmp_path, monkeypatch, capsys):
+        # at beta 0.02 the Fiedler sweep misses and one cut LP runs; HiGHS
+        # reporting it infeasible is a defect (exit 4), not an input error
+        import scipy.optimize
+
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs:
+                            scipy.optimize.OptimizeResult(status=2, message="forced"))
+        mpath, out = tmp_path / "hub.json", tmp_path / "part.json"
+        fio.save_matrix(cp.hub_and_leaves(2, 2, np.random.default_rng(0)), mpath)
+        rc = main(["partition", "--matrix", str(mpath), "--beta", "0.02",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == "internal error: RuntimeError: LP infeasible: forced\n"
+        assert not out.exists()
 
     def test_props_reports_reproducible(self, tmp_path, capsys):
         out = tmp_path / "props.json"

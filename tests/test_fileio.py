@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mcident import fileio as fio
 from mcident import sampling as sp
-from mcident.errors import ChainTestError, TrajectoryAlphabetMismatch
+from mcident.errors import ChainTestError
 
 from conftest import write_samples
 
@@ -251,7 +251,7 @@ class TestReader:
         path = tmp_path / "t.json"
         path.write_bytes(dumps(d, "states", values))
         fast, slow = both_readers(fio.load_trajectory, path)
-        assert fast == slow == (TrajectoryAlphabetMismatch, f"states outside [0, {d})")
+        assert fast == slow == (ChainTestError, f"{path}: states outside [1, {d}]")
 
     @pytest.mark.parametrize("tail", [b"", b","], ids=["ok", "trailing-comma"])
     def test_chunk_ending_at_last_comma(self, tmp_path, tail):

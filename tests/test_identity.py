@@ -6,7 +6,7 @@ from mcident import corpus as cp
 from mcident import identity as idn
 from mcident import sampling as sp
 from mcident._rng import derive_rng
-from mcident.errors import BadArgs, NotReversibleReference, TrajectoryAlphabetMismatch
+from mcident.errors import ChainTestError
 from mcident.metrics import chain_distance
 
 from conftest import empirical_transition_matrix
@@ -53,7 +53,7 @@ class TestConfigValidation:
         assert seen == {"beta": pytest.approx(0.02), "delta": pytest.approx(1.0 / 80.0)}
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(BadArgs):
+        with pytest.raises(ChainTestError, match="eps=1.2 outside"):
             idn.TestConfig(eps=1.2)
 
 
@@ -73,9 +73,9 @@ class TestTrajectoryBudget:
         assert ms == sorted(ms)
 
     def test_bad_args(self):
-        with pytest.raises(BadArgs):
+        with pytest.raises(ChainTestError, match="d=0, pibar_star"):
             idn.trajectory_budget(0, 0.1, 0.3)
-        with pytest.raises(BadArgs):
+        with pytest.raises(ChainTestError, match="pibar_star=0.0,"):
             idn.trajectory_budget(4, 0.0, 0.3)
 
 
@@ -125,13 +125,13 @@ class TestLazifyTrajectory:
 class TestIdentityTest:
     def test_rejects_bad_reference(self, rng):
         traj = sp.Trajectory(d=3, states=np.array([0, 1, 2]))
-        with pytest.raises(NotReversibleReference):
+        with pytest.raises(ChainTestError, match="reference must be irreducible and reversible"):
             idn.identity_test([[0, 1, 0], [0, 0, 1], [1, 0, 0]], traj, idn.TestConfig(eps=0.3))
 
     def test_rejects_alphabet_mismatch(self, rng):
         P = cp.random_reversible(4, rng)
         traj = sp.Trajectory(d=3, states=np.array([0, 1, 2]))
-        with pytest.raises(TrajectoryAlphabetMismatch):
+        with pytest.raises(ChainTestError, match="trajectory d=3, reference d=4"):
             idn.identity_test(P, traj, idn.TestConfig(eps=0.3))
 
     def test_too_short_rejects_via_all_failed(self):
@@ -202,7 +202,7 @@ class TestIdentityTest:
     def test_unknown_mode_rejected(self):
         P = reference_chain()
         traj = lazy_trajectory_of(P, 100, seed=11)
-        with pytest.raises(BadArgs):
+        with pytest.raises(ChainTestError, match="lazify='bogus'"):
             idn.identity_test(P, traj, idn.TestConfig(eps=EPS), lazify="bogus")
 
 

@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcident.errors import Infeasible, SolverStall
 from mcident.simplex import solve_lp
 
 
@@ -23,11 +22,11 @@ def test_import_defers_scipy_optimize():
 class TestEdgeCases:
     def test_infeasible(self):
         # x >= 0 with x1 + x2 = -1 has no solution
-        with pytest.raises(Infeasible):
+        with pytest.raises(RuntimeError, match="^LP infeasible: "):
             solve_lp(np.ones(2), A_eq=np.ones((1, 2)), b_eq=np.array([-1.0]))
 
     def test_unbounded(self):
-        with pytest.raises(SolverStall):
+        with pytest.raises(RuntimeError, match="^LP solve failed: "):
             solve_lp(np.array([-1.0, 0.0]), A_ub=np.array([[0.0, 1.0]]), b_ub=np.array([1.0]))
 
     def test_degenerate_vertex(self):
