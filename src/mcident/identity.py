@@ -34,10 +34,10 @@ from .chain_core import (
 )
 from .corpus import metropolis, random_irreducible, random_target
 from .errors import ChainTestError
-from .iid_test import TestVerdict, iid_sample_size, iid_test
+from .iid_test import TestVerdict, _histogram_test, iid_sample_size
 from .metrics import chain_distance, hellinger, induced_distribution, ratio_distance
 from .partition import StatePartition, partition_states
-from .sampling import Trajectory, iid_generate
+from .sampling import Trajectory, _induced_histogram
 
 ACCEPT = 0
 REJECT = 1
@@ -194,13 +194,15 @@ def identity_test(
         nu = np.zeros(d)
         nu[S_arr] = pibar.entries[S_arr] / mass
         l = iid_sample_size(len(S) ** 2 + 1, eps_hel, delta_iid)
-        samples = iid_generate(
+        # the tester reads only the histogram of iid_generate's codes
+        hist = _induced_histogram(
             traj_l, S, nu, l, seed=int(derive_rng(cfg.seed, "anchors", idx).integers(2**63))
         )
         verdict = None
-        if samples is not None:
-            verdict = iid_test(
-                samples,
+        if hist is not None:
+            verdict = _histogram_test(
+                hist,
+                l,
                 induced_distribution(P_ref, pibar, S).p,
                 eps_hel,
                 delta_iid,

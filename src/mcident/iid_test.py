@@ -7,11 +7,11 @@ with probability at least 1 - delta.
 
 The statistic is a centered collision (chi-squared family) statistic over
 the histogram, with the rejection threshold calibrated by parametric
-bootstrap from the reference at the same sample size. The statistic is a
-function of the histogram alone: samples are split into two half-size
-sub-multisets cell by cell (odd counts alternate sides), the per-half
-statistics averaged. That keeps the verdict invariant under any reordering
-of the samples while decorrelating the two averaged halves' fluctuations.
+bootstrap from the reference at the same sample size. Each cell's count is
+split into two halves (odd counts alternate sides) and the statistics of
+the two halves are averaged. The split is a deterministic function of the
+histogram, so the verdict does not depend on the order of the samples; the
+halves differ by at most one per cell, so they are not independent.
 Everything is deterministic given (samples, seed).
 """
 
@@ -25,10 +25,12 @@ import numpy as np
 from ._rng import require_seed
 from .errors import ChainTestError
 
-# Histogram cells the bootstrap draws and reduces at once: 2**17 cells keep
-# every acceptance-corpus bootstrap (at most 1600 x 65) in one block, and a
-# larger one in blocks of about 1 MB per int64 array.
-BOOTSTRAP_BLOCK_CELLS = 1 << 17
+# Histogram cells the bootstrap draws and reduces at once: blocks of 2**15
+# cells keep each int64 array at 256 KB, in L2. At the acceptance-corpus
+# sizes (1200 x 37 and 1600 x 65) the tester took 9-11 % less time than with
+# 2**17 cells, one 1600 x 65 block that spills L2 (medians of 40 alternated
+# runs, 2-CPU host), and gave the same thresholds.
+BOOTSTRAP_BLOCK_CELLS = 1 << 15
 
 # Sample-size multiplier of iid_sample_size; 4 achieves the two-sided
 # delta + 0.04 operating characteristic on alphabets of size 4-50 in
@@ -108,26 +110,33 @@ def iid_test(
         raise ChainTestError("reference must be a nonempty 1-D probability array")
     if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-8:
         raise ChainTestError(f"reference probabilities sum to {p.sum()!r}")
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    K = len(p)
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
         raise ChainTestError(f"eps={eps}, delta={delta}")
     # the B null statistics must fit one float64 array
     if 20.0 / delta > np.iinfo(np.intp).max // 8:
         raise ChainTestError(f"delta={delta} asks for {20.0 / delta:.3g} bootstrap draws")
-    B = ceil(20.0 / delta)
     seed = require_seed(seed)
 
     codes = np.asarray(samples, dtype=np.int64)
-    m = len(codes)
+    in_range = (codes >= 0) & (codes < p.size)
+    hist = np.bincount(codes[in_range], minlength=p.size)
+    return _histogram_test(hist, len(codes), p, eps, delta, seed, c_iid, stray=not in_range.all())
+
+
+def _histogram_test(hist: np.ndarray, m: int, pbar: np.ndarray, eps: float, delta: float,
+                    seed: int, c_iid: float = C_IID, stray: bool = False) -> TestVerdict:
+    """iid_test of m samples whose histogram over the codes of pbar is hist;
+    stray says that some sample fell outside them. The arguments are valid:
+    iid_test checks them."""
+    p = np.clip(pbar, 0.0, None)
+    p = p / p.sum()
+    K = len(p)
+    B = ceil(20.0 / delta)
     needed = iid_sample_size(K, eps, delta, c_iid)
     if m < needed:
         raise ChainTestError(f"{m} samples, need {needed}")
 
-    in_range = (codes >= 0) & (codes < K)
-    hist = np.bincount(codes[in_range], minlength=K)
-    impossible = not in_range.all() or bool(np.any(hist[p == 0.0] > 0))
+    impossible = stray or bool(np.any(hist[p == 0.0] > 0))
 
     denom = np.maximum(p, 1.0 / K)
     rng = np.random.default_rng(seed)

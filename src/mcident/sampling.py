@@ -72,8 +72,8 @@ BLOCKS = 1024
 BLOCK_STEPS = 256
 GUIDE = 1024
 
-# States per chunk of iid_generate's scan for anchored visits.
-VISIT_CHUNK = 1 << 18
+# States per chunk of the scan for anchored visits and of their binning.
+VISIT_CHUNK = 1 << 14
 
 
 def simulate(P, mu, m: int, seed: int) -> Trajectory:
@@ -143,45 +143,47 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
 
 
 class _Stepper:
-    """The step map (s, u) -> bisect_right(cum[s], u), applied with numpy to
-    many lanes at once.
+    """The step map (s, u) -> bisect_right(cum[s], u) of an r x n table of
+    cumulative rows, applied with numpy to many lanes at once.
 
-    A lane in state s holds the flat index s*d + a of its candidate next
-    state a. guide[k*d + s] is that index for the first candidate of a u in
-    bucket k = floor(u * GUIDE), a = #{cum[s] <= k / GUIDE}, so a only ever
-    moves up to bisect_right(cum[s], u), past the entries of cum[s] strictly
-    inside bucket k: at most `passes` of them, the most of any bucket of any
-    row.
+    simulate steps the d x d table of P's rows, the anchor draw one row of
+    n. A lane in row s holds the flat index s*n + a of its candidate column a.
+    guide[k*r + s] is that index for the first candidate of a u in bucket
+    k = floor(u * GUIDE), a = #{cum[s] <= k / GUIDE}, so a only ever moves up
+    to bisect_right(cum[s], u), past the entries of cum[s] strictly inside
+    bucket k: at most `passes` of them, the most of any bucket of any row.
     """
 
     def __init__(self, cum: np.ndarray):
-        d = len(cum)
-        self.d = d
+        r, n = cum.shape
+        self.rows = r
         self.flat_cum = cum.ravel()
-        self.column = np.arange(d * d) % d
+        self.column = np.arange(r * n) % n
         # cum * GUIDE is exact (a power of two), and cum[s, a] <= k / GUIDE
         # exactly when ceil(cum[s, a] * GUIDE) <= k
         scaled = cum * GUIDE
-        row = np.arange(d)[:, None]
-        first = np.minimum(np.ceil(scaled), GUIDE).astype(np.intp) * d + row
-        guide = np.bincount(first.ravel(), minlength=(GUIDE + 1) * d)[: GUIDE * d]
-        guide = guide.reshape(GUIDE, d).cumsum(axis=0)
-        guide += d * row.T
+        row = np.arange(r)[:, None]
+        first = np.minimum(np.ceil(scaled), GUIDE).astype(np.intp) * r + row
+        guide = np.bincount(first.ravel(), minlength=(GUIDE + 1) * r)[: GUIDE * r]
+        guide = guide.reshape(GUIDE, r).cumsum(axis=0)
+        guide += n * row.T
         self.guide = guide.ravel()
         bucket = np.floor(scaled)
         inside = (bucket != scaled) & (bucket < GUIDE)
-        self.passes = int(np.bincount((bucket.astype(np.intp) * d + row)[inside]).max(initial=0))
+        self.passes = int(np.bincount((bucket.astype(np.intp) * r + row)[inside]).max(initial=0))
 
     def step(self, index: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Next states of the lanes at guide[index] driven by u."""
         at = self.guide.take(index)
         if self.passes:
             at += self.flat_cum.take(at) <= u
-        if self.passes > 1:
-            # lanes that must move again are rare, and looking for them
-            # costs less than moving every lane once more
-            while np.count_nonzero(move := self.flat_cum.take(at) <= u):
-                at += move
+        if self.passes > 1 and np.count_nonzero(move := self.flat_cum.take(at) <= u):
+            # lanes that must move again are rare: only they move on, up to
+            # passes - 1 more times (many on a row that crowds one bucket)
+            lag = np.flatnonzero(move)
+            while lag.size:
+                at[lag] += 1
+                lag = lag[self.flat_cum.take(at[lag]) <= u[lag]]
         # every index is in range: mode="wrap" only spares a buffered copy
         return self.column.take(at, out=out, mode="wrap")
 
@@ -210,7 +212,7 @@ def _window(stepper: _Stepper, rows: list, u: np.ndarray, path: np.ndarray, s: i
     lanes[rest:, full:] = 0.0
     # u * GUIDE is exact, so the cast is the floor
     np.multiply(lanes, GUIDE, out=buckets, casting="unsafe")
-    buckets *= stepper.d
+    buckets *= stepper.rows
     origin, meets = _speculate(stepper, lanes, buckets, s, guess)
     path[: full * steps].reshape(full, steps)[...] = guess[:, :full].T
     path[full * steps :] = guess[:rest, full:].ravel()
@@ -348,6 +350,51 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
     the generating chain up to a bias of the order of the failure
     probability, which the trajectory-length budgets keep negligible.
     """
+    visits = _anchored_visits(traj, S, nu, l, seed)
+    if visits is None:
+        return None
+    S_idx, anchors, cut = visits
+    n = len(S_idx)
+    X = traj.states
+    kept = [np.empty(0, dtype=np.intp)]
+    for lo, hi, taken in _spans(cut):
+        kept.append(np.flatnonzero(taken[X[lo:hi]]) + lo)
+    kept = np.concatenate(kept)
+    # the j-th anchor on S[a], in draw order, takes the j-th kept visit to
+    # S[a]: both grouped by a stable sort (a radix sort on the small dtype)
+    times = kept[np.argsort(X[kept], kind="stable")]
+    by_draw = np.argsort(anchors.astype(state_dtype(n)), kind="stable")
+    b = np.empty(l, dtype=np.intp)
+    b[by_draw] = _local_index(S_idx, traj.d)[X[times + 1]]
+    return np.where(b < n, anchors * n + b, n * n)
+
+
+def _induced_histogram(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | None:
+    """np.bincount(iid_generate(traj, S, nu, l, seed), minlength=|S|^2 + 1),
+    None where iid_generate gives None: the same anchored visits, binned a
+    span at a time without putting their codes in draw order."""
+    visits = _anchored_visits(traj, S, nu, l, seed)
+    if visits is None:
+        return None
+    S_idx, _, cut = visits
+    n = len(S_idx)
+    X = traj.states
+    # pairs[a, b] counts the kept visits to S[a] followed by S[b], b = n for
+    # a successor outside S; the states outside S are binned in a row n
+    local = _local_index(S_idx, traj.d)
+    row = local * (n + 1)
+    pairs = np.zeros((n, n + 1), dtype=np.intp)
+    for lo, hi, taken in _spans(cut):
+        seen = np.bincount(row[X[lo:hi]] + local[X[lo + 1 : hi + 1]], minlength=(n + 1) ** 2)
+        rows = taken[S_idx]
+        pairs[rows] += seen.reshape(n + 1, n + 1)[:n][rows]
+    return np.append(pairs[:, :n].ravel(), pairs[:, n].sum())
+
+
+def _anchored_visits(traj: Trajectory, S, nu, l: int, seed: int):
+    """The argument checks and both stages of iid_generate up to the codes:
+    (sorted S, anchors in draw order, _visit_cutoffs of their counts), or
+    None when the trajectory has too few usable visits."""
     if not isinstance(traj, Trajectory):
         raise ChainTestError("expected a Trajectory")
     S_idx = _as_subset(S, traj.d)
@@ -366,61 +413,74 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
     if l < 0:
         raise ChainTestError(f"l={l} must be >= 0")
     rng = np.random.default_rng(require_seed(seed))
-    if l == 0:
-        return np.empty(0, dtype=np.int64)
     if l > len(traj) - 1:  # more anchors than usable visits: draw nothing
         return None
-
-    anchors = rng.choice(n, size=l, p=weights / weights.sum())
-    counts = np.bincount(anchors, minlength=n)
-    times = _visit_times(traj, S_idx, counts)
-    if times is None:
-        return None
-    # the j-th anchor on S[a], in draw order, takes the j-th visit to S[a]:
-    # the anchors grouped by a stable sort (a radix sort on the small dtype)
-    by_draw = np.argsort(anchors.astype(state_dtype(n)), kind="stable")
-    successors = np.empty(l, dtype=np.int64)
-    successors[by_draw] = traj.states[times + 1]
-
-    local = np.full(traj.d, n, dtype=np.int64)
-    local[S_idx] = np.arange(n)
-    b = local[successors]
-    return np.where(b < n, anchors * n + b, n * n)
+    anchors = _draw(rng, weights, l)
+    cut = _visit_cutoffs(traj, S_idx, np.bincount(anchors, minlength=n))
+    return None if cut is None else (S_idx, anchors, cut)
 
 
-def _visit_times(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray) -> np.ndarray | None:
-    """Times of the first counts[a] visits to S_idx[a] that have a
-    successor, grouped by a and in time order within a group; None when
-    some state has fewer.
+def _draw(rng: np.random.Generator, weights: np.ndarray, l: int) -> np.ndarray:
+    """rng.choice(len(weights), size=l, p=weights / weights.sum()): the same
+    uniforms u, each mapped to #{cdf <= u} by a one-row guide table rather
+    than by a binary search."""
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    u = rng.random(l)
+    # u * GUIDE is exact, so the cast is the floor
+    return _Stepper(cdf[None, :]).step((u * GUIDE).astype(np.intp), u)
+
+
+def _visit_cutoffs(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray) -> np.ndarray | None:
+    """cut[s], for every state s: 1 + the time of the counts[a]-th visit to
+    s = S_idx[a] that has a successor (0 when counts[a] = 0 or s is not in
+    S); None when some state has fewer such visits. The visits the anchors
+    take are those at the times t with t < cut[X[t]].
 
     The states are read VISIT_CHUNK at a time, up to the chunk that
-    completes every demand. Each chunk is counted, grouped by state with a
-    stable sort (a radix sort on the narrow dtype), and its first visits to
-    every state still short of its demand are taken, so no temporary is
-    longer than a chunk or than d, however long the trajectory.
+    completes every demand. Each chunk is counted; a chunk where some demand
+    completes is grouped by state with a stable sort (a radix sort on the
+    narrow dtype), which gives the time of each completing visit.
     """
     X = traj.states
     usable = len(X) - 1
-    need = np.zeros(traj.d, dtype=np.int64)
+    need = np.zeros(traj.d, dtype=np.intp)
     need[S_idx] = counts
-    # the next free place in each state's group
-    slot = np.zeros(traj.d, dtype=np.int64)
-    slot[S_idx] = np.cumsum(counts) - counts
-    times = np.empty(int(counts.sum()), dtype=np.int64)
-    for start in range(0, usable, VISIT_CHUNK):
+    cut = np.zeros(traj.d, dtype=np.intp)
+    start = 0
+    while need.any():
+        if start >= usable:
+            return None
         chunk = X[start : min(start + VISIT_CHUNK, usable)]
         seen = np.bincount(chunk, minlength=traj.d)
-        order = np.argsort(chunk, kind="stable")
-        # the first take[s] places of each state's run in the sorted chunk
-        take = np.minimum(seen, need)
-        lead = np.arange(int(take.sum())) - np.repeat(np.cumsum(take) - take, take)
-        at = np.repeat(np.cumsum(seen) - seen, take) + lead
-        times[np.repeat(slot, take) + lead] = order[at] + start
-        need -= take
-        if not need.any():
-            return times
-        slot += take
-    return None
+        done = np.flatnonzero((need > 0) & (seen >= need))
+        if done.size:
+            order = np.argsort(chunk, kind="stable")
+            first = np.cumsum(seen) - seen
+            cut[done] = start + 1 + order[first[done] + need[done] - 1]
+        need -= np.minimum(seen, need)
+        start += VISIT_CHUNK
+    return cut
+
+
+def _spans(cut: np.ndarray):
+    """(lo, hi, taken) over the times below cut.max(), in spans of at most
+    VISIT_CHUNK: at the times lo..hi-1 the anchors take the visits to the
+    states s with taken[s], those with hi <= cut[s]."""
+    lo = 0
+    for end in np.unique(cut[cut > 0]).tolist():
+        taken = cut >= end
+        while lo < end:
+            hi = min(lo + VISIT_CHUNK, end)
+            yield lo, hi, taken
+            lo = hi
+
+
+def _local_index(S_idx: np.ndarray, d: int) -> np.ndarray:
+    """local[S[a]] = a, and |S| for the states outside S."""
+    local = np.full(d, len(S_idx), dtype=np.intp)
+    local[S_idx] = np.arange(len(S_idx))
+    return local
 
 
 # Multiplier of the visit-count bound of required_visits, a lemma of the

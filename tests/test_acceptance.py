@@ -1,9 +1,9 @@
 """Acceptance gate: end-to-end statistical guarantees at pinned tolerances.
 
-Each test prints one pass/fail line. The corpus is five reversible
-reference chains (d in {4, 6, 8}) with eps-far partners whose stationary
-laws stay within ratio distance eps/2. Everything is seeded; reruns are
-bit-for-bit identical.
+Each test prints one pass/fail line. The corpus (the `corpus` fixture of
+conftest.py) is five reversible reference chains (d in {4, 6, 8}) with
+eps-far partners whose stationary laws stay within ratio distance eps/2.
+Everything is seeded; reruns are bit-for-bit identical.
 """
 
 import itertools
@@ -33,47 +33,6 @@ def _line(criterion, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {criterion}] {status}: {detail}")
     assert ok, detail
-
-
-def far_blocked_pair(sizes, rng, distance_min, cross=1e-5, spread=2.0, tries=100):
-    """Two-block reversible pair, anti-correlated inside the blocks, same
-    stationary law, chain distance at least distance_min."""
-    d = sum(sizes)
-    a = sizes[0]
-    mask = np.zeros((d, d), bool)
-    mask[:a, :a] = True
-    mask[a:, a:] = True
-    for _ in range(tries):
-        r = cp.random_target(d, rng, skew=0.5)
-        Z = rng.normal(size=(d, d))
-        Z = (Z + Z.T) / 2.0
-        P = cp.reversible_with_rowsums(np.where(mask, np.exp(spread * Z) + 0.01, cross), r)
-        Pb = cp.reversible_with_rowsums(np.where(mask, np.exp(-spread * Z) + 0.01, cross), r)
-        if mt.chain_distance(P, Pb) >= distance_min:
-            return P, Pb
-    raise RuntimeError("no blocked pair found")
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    rng = np.random.default_rng(2024)
-    entries = []
-    far, ref = cp.far_reversible_pair(4, rng, EPS, 0.15, target=np.array([0.05, 0.15, 0.30, 0.50]))
-    entries.append(("A-d4-skewed", ref, far))
-    far, ref = cp.far_reversible_pair(4, rng, EPS, 0.0, target=np.array([0.06, 0.14, 0.35, 0.45]))
-    entries.append(("B-d4-shared-law", ref, far))
-    far, ref = cp.far_reversible_pair(
-        6, rng, EPS, 0.15, target=np.array([0.09, 0.11, 0.13, 0.15, 0.24, 0.28])
-    )
-    entries.append(("C-d6", ref, far))
-    far, ref = far_blocked_pair((3, 3), rng, EPS)
-    entries.append(("D-d6-two-blocks", ref, far))
-    far, ref = cp.far_reversible_pair(
-        8, rng, EPS, 0.15,
-        target=np.array([0.10, 0.10, 0.11, 0.12, 0.13, 0.13, 0.15, 0.16]),
-    )
-    entries.append(("E-d8", ref, far))
-    return entries
 
 
 def decided_margin(rep):

@@ -7,7 +7,8 @@ from mcident import identity as idn
 from mcident import sampling as sp
 from mcident._rng import derive_rng
 from mcident.errors import ChainTestError
-from mcident.metrics import chain_distance
+from mcident.iid_test import iid_sample_size, iid_test
+from mcident.metrics import chain_distance, induced_distribution
 
 from conftest import empirical_transition_matrix
 
@@ -204,6 +205,89 @@ class TestIdentityTest:
         traj = lazy_trajectory_of(P, 100, seed=11)
         with pytest.raises(ChainTestError, match="lazify='bogus'"):
             idn.identity_test(P, traj, idn.TestConfig(eps=EPS), lazify="bogus")
+
+
+def code_route(Pbar, traj, cfg, lazify):
+    """identity_test's per-component verdicts rebuilt through the public
+    code-level API: iid_test(iid_generate(...)) with the anchors and tester
+    seeds identity_test derives; None where the conversion fails."""
+    alpha = cfg.eps**2 / (2.0 * np.sqrt(2.0))
+    P_ref = cc.lazy_version(Pbar, alpha)
+    pibar = cc.stationary_distribution(P_ref)
+    if lazify == "emulate":
+        traj = idn.lazify_trajectory(traj, alpha, seed=cfg.seed)
+    eps_hel = cfg.eps / np.sqrt(idn.HELLINGER_SEPARATION_FACTOR)
+    part = idn.identity_test(Pbar, traj, cfg, lazify="assume").partition_used
+    verdicts = []
+    for idx, S in enumerate(part.components):
+        S_arr = np.asarray(S, dtype=int)
+        nu = np.zeros(Pbar.d)
+        nu[S_arr] = pibar.entries[S_arr] / float(pibar.entries[S_arr].sum())
+        l = iid_sample_size(len(S) ** 2 + 1, eps_hel, 1.0 / (10.0 * Pbar.d))
+        anchors_seed = int(derive_rng(cfg.seed, "anchors", idx).integers(2**63))
+        codes = sp.iid_generate(traj, S, nu, l, seed=anchors_seed)
+        if codes is None:
+            verdicts.append(None)
+            continue
+        verdicts.append(iid_test(codes, induced_distribution(P_ref, pibar, S).p, eps_hel,
+                                 1.0 / (10.0 * Pbar.d),
+                                 seed=int(derive_rng(cfg.seed, "tester", idx).integers(2**63))))
+        break
+    return verdicts
+
+
+def bits(verdict):
+    return None if verdict is None else (verdict.decision, verdict.statistic.hex(),
+                                         verdict.threshold.hex(), verdict.sample_size)
+
+
+def assert_same_route(Pbar, traj, cfg, lazify):
+    rep = idn.identity_test(Pbar, traj, cfg, lazify=lazify)
+    got = [bits(o.verdict) for o in rep.per_component]
+    assert got == [bits(v) for v in code_route(Pbar, traj, cfg, lazify)]
+    return rep
+
+
+class TestHistogramRoute:
+    """identity_test bins the anchored visits straight into the tester's
+    histogram; its statistics and thresholds must equal, bit for bit, those
+    of iid_test on iid_generate's codes."""
+
+    @pytest.mark.parametrize("lazify", ["assume", "emulate"])
+    def test_corpus_chains(self, corpus, lazify):
+        reasons = set()
+        for k, (name, ref, far) in enumerate(corpus):
+            l = iid_sample_size(ref.d**2 + 1, EPS / np.sqrt(128), 1.0 / (10 * ref.d))
+            for j, P in enumerate((ref, far)):
+                if lazify == "assume":
+                    traj = lazy_trajectory_of(P, 2 * l, seed=10 * k + j)
+                else:
+                    traj = sp.simulate(P, cc.stationary_distribution(P), 2 * l, seed=10 * k + j)
+                cfg = idn.TestConfig(eps=EPS, seed=50 + 10 * k + j)
+                reasons.add(assert_same_route(ref, traj, cfg, lazify).reason)
+        assert "tester" in reasons
+
+    def test_two_components(self):
+        P = cp.planted_two_block((3, 4), np.random.default_rng(4))
+        for m, seed in ((150_000, 1), (400_000, 2)):
+            rep = assert_same_route(P, lazy_trajectory_of(P, m, seed=seed),
+                                    idn.TestConfig(eps=EPS, seed=seed), "assume")
+            assert len(rep.partition_used.components) == 2
+        assert rep.reason == "tester"
+
+    def test_too_short(self):
+        P = reference_chain()
+        rep = assert_same_route(P, lazy_trajectory_of(P, 5_000, seed=12),
+                                idn.TestConfig(eps=EPS, seed=13), "emulate")
+        assert rep.reason == "no_component_converted"
+
+    def test_codes_beyond_one_byte(self):
+        # d = 20: codes a*20 + b reach 400, past what a uint8 holds
+        P = cp.random_reversible(20, np.random.default_rng(20))
+        l = iid_sample_size(401, EPS / np.sqrt(128), 1.0 / 200)
+        rep = assert_same_route(P, lazy_trajectory_of(P, 2 * l, seed=14),
+                                idn.TestConfig(eps=EPS, seed=15), "assume")
+        assert rep.reason == "tester"
 
 
 class TestPropertySuite:

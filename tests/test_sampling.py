@@ -275,6 +275,29 @@ def loop_iid_generate(traj, S, nu, l, seed):
     return np.where(b < n, anchors * n + b, n * n)
 
 
+def matches_loop(traj, S, nu, l, seed):
+    """Check iid_generate's codes, and the histogram identity_test bins,
+    against loop_iid_generate; returns whether the conversion failed."""
+    want = loop_iid_generate(traj, S, nu, l, seed)
+    got = sp.iid_generate(traj, S, nu, l, seed=seed)
+    hist = sp._induced_histogram(traj, S, nu, l, seed=seed)
+    if want is None:
+        assert got is None and hist is None
+        return True
+    assert got.dtype == np.int64
+    assert got.tobytes() == want.tobytes()
+    n = len(np.unique(np.asarray(S)))
+    assert hist.tolist() == np.bincount(want, minlength=n * n + 1).tolist()
+    return False
+
+
+def scan_trajectory(d, m, seed):
+    """A trajectory whose successor is the same state or the next one, so
+    that runs of one state span several short chunks."""
+    steps = np.random.default_rng(seed).random(m) < 0.3
+    return sp.Trajectory(d=d, states=np.cumsum(steps) % d)
+
+
 class TestIidGenerate:
     @pytest.mark.parametrize("name", ["lazy-random-8", "two-blocks-1e-5", "hub-3-4", "birth-death-8"])
     def test_matches_per_state_loop(self, name):
@@ -286,14 +309,7 @@ class TestIidGenerate:
             for S in (range(P.d), range(P.d // 2), [P.d - 1]):
                 nu = stationary_nu(P, S)
                 for l in (0, 1, 700, 9_000, 30_000):
-                    got = sp.iid_generate(traj, S, nu, l, seed=seed + 10)
-                    want = loop_iid_generate(traj, S, nu, l, seed + 10)
-                    results.add(want is None)
-                    if want is None:
-                        assert got is None
-                    else:
-                        assert got.dtype == np.int64
-                        assert got.tobytes() == want.tobytes()
+                    results.add(matches_loop(traj, S, nu, l, seed + 10))
         assert results == {True, False}
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
@@ -308,10 +324,74 @@ class TestIidGenerate:
         for S in (range(P.d), [0, 2], [P.d - 1]):
             nu = stationary_nu(P, S)
             for l in (1, 300, 4_000, 20_000):
-                got = sp.iid_generate(traj, S, nu, l, seed=l)
-                want = loop_iid_generate(traj, S, nu, l, l)
-                results.add(want is None)
-                assert (got is None) if want is None else got.tobytes() == want.tobytes()
+                results.add(matches_loop(traj, S, nu, l, l))
+        assert results == {True, False}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_cutoff_edges(self, monkeypatch, chunk):
+        monkeypatch.setattr(sp, "VISIT_CHUNK", chunk)
+        ones = np.zeros(4)
+        ones[0] = 1.0
+        # state 0 only: l visits to 0 make a demand of exactly l
+        for m in (chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 3 * chunk + 2):
+            zeros = sp.Trajectory(d=4, states=np.zeros(m, dtype=np.uint8))
+            # l == len(traj) - 1 takes every visit, up to the last usable one
+            assert not matches_loop(zeros, [0], ones, m - 1, 1)
+            assert sp._visit_cutoffs(zeros, np.array([0]), np.array([m - 1]))[0] == m - 1
+            # the last visit has no successor
+            if m > 1:
+                assert matches_loop(zeros, [0], ones, m, 1)
+            # demands completing at the end and at the start of a chunk
+            for l in {chunk - 1, chunk, chunk + 1, 2 * chunk} - {0}:
+                if l <= m - 1:
+                    assert not matches_loop(zeros, [0], ones, l, 1)
+                    assert sp._visit_cutoffs(zeros, np.array([0]), np.array([l]))[0] == l
+        # the last usable visit to a state followed by its last, unusable one
+        traj = sp.Trajectory(d=2, states=np.array([0, 1] * chunk + [0, 0], dtype=np.uint8))
+        half = np.array([0.5, 0.5])
+        assert sp._visit_cutoffs(traj, np.array([0, 1]), np.array([chunk + 1, chunk])).tolist() == \
+            [2 * chunk + 1, 2 * chunk]
+        assert sp._visit_cutoffs(traj, np.array([0, 1]), np.array([chunk + 2, 0])) is None
+        for l in (chunk, 2 * chunk, 2 * chunk + 1):
+            matches_loop(traj, [0, 1], half, l, l)
+        # many states completing in one chunk and across chunks
+        traj = scan_trajectory(5, 3 * chunk + 40, seed=chunk)
+        nu = np.full(5, 0.2)
+        demands = range(1, 3 * chunk + 40, max(1, chunk // 3))
+        results = {matches_loop(traj, range(5), nu, l, l) for l in demands}
+        assert results == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 256])
+    def test_anchor_draw_is_generator_choice(self, n):
+        # the anchors come from the guide table, not from Generator.choice;
+        # a numpy whose choice maps the uniforms differently fails here
+        # instead of moving every seeded verdict
+        r = np.random.default_rng(n)
+        plain = r.random(n) + 0.1
+        tiny = plain.copy()
+        tiny[r.random(n) < 0.5] = 1e-9
+        dominant = np.full(n, 1e-9)
+        dominant[n // 2] = 1.0
+        for weights in (plain, tiny, dominant):
+            for l in (1, 1000, 100_000):
+                mine, theirs = np.random.default_rng(l), np.random.default_rng(l)
+                got = sp._draw(mine, weights, l)
+                want = theirs.choice(n, size=l, p=weights / weights.sum())
+                assert got.tolist() == want.tolist()
+                assert mine.random() == theirs.random()
+
+    def test_two_byte_states(self):
+        # d = 300: uint16 states and codes up to 300^2 = 90 000
+        r = np.random.default_rng(300)
+        P = cp.random_reversible(300, r)
+        pi = cc.stationary_distribution(P).entries
+        traj = sp.simulate(P, pi, 60_000, seed=1)
+        assert traj.states.dtype == np.uint16
+        results = set()
+        for S in (range(300), range(150, 300), [0, 299]):
+            nu = stationary_nu(P, S)
+            for l in (10_000, 40_000):
+                results.add(matches_loop(traj, S, nu, l, l))
         assert results == {True, False}
 
     def test_matches_induced_distribution(self):
