@@ -214,6 +214,7 @@ def _cmd_test(args) -> int:
                 "decision": None if o.verdict is None else o.verdict.decision,
                 "statistic": None if o.verdict is None else o.verdict.statistic,
                 "threshold": None if o.verdict is None else o.verdict.threshold,
+                "prefix_read": o.prefix_read,
             }
             for o in report.per_component
         ],

@@ -69,6 +69,7 @@ class ComponentOutcome:
     mass: float
     sample_count: int
     verdict: TestVerdict | None
+    prefix_read: int  # 1 + the time of the last anchored visit, or the usable length if too few
 
     @property
     def failed(self) -> bool:
@@ -195,7 +196,7 @@ def identity_test(
         nu[S_arr] = pibar.entries[S_arr] / mass
         l = iid_sample_size(len(S) ** 2 + 1, eps_hel, delta_iid)
         # the tester reads only the histogram of iid_generate's codes
-        hist = _induced_histogram(
+        hist, prefix_read = _induced_histogram(
             traj_l, S, nu, l, seed=int(derive_rng(cfg.seed, "anchors", idx).integers(2**63))
         )
         verdict = None
@@ -208,7 +209,7 @@ def identity_test(
                 delta_iid,
                 seed=int(derive_rng(cfg.seed, "tester", idx).integers(2**63)),
             )
-        outcomes.append(ComponentOutcome(states=S, mass=mass, sample_count=l, verdict=verdict))
+        outcomes.append(ComponentOutcome(S, mass, l, verdict, prefix_read))
         if verdict is not None:
             tested, final = S, verdict.decision
             break

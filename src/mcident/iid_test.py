@@ -5,14 +5,13 @@ the reference's alphabet of integer codes 0..K-1, the verdict is 0 when p
 equals the reference and 1 when the Hellinger distance is at least eps, each
 with probability at least 1 - delta.
 
-The statistic is a centered collision (chi-squared family) statistic over
-the histogram, with the rejection threshold calibrated by parametric
-bootstrap from the reference at the same sample size. Each cell's count is
-split into two halves (odd counts alternate sides) and the statistics of
-the two halves are averaged. The split is a deterministic function of the
-histogram, so the verdict does not depend on the order of the samples; the
-halves differ by at most one per cell, so they are not independent.
-Everything is deterministic given (samples, seed).
+The statistic is the centered chi-square-type statistic
+Sum_i ((N_i - m p_i)^2 - N_i) / w_i of the histogram N of the m samples,
+with w_i = max(p_i, 1/K) (the form of the Acharya-Daskalakis-Kamath 2015
+tester, whose weights differ), and the rejection threshold is calibrated by
+parametric bootstrap from the reference at the same sample size. It is a
+function of the histogram, so the verdict does not depend on the order of
+the samples. Everything is deterministic given (samples, seed).
 """
 
 from __future__ import annotations
@@ -60,28 +59,15 @@ def iid_sample_size(support: int, eps: float, delta: float, c_iid: float = C_IID
     return int(ceil(size))
 
 
-def _split_halves(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic per-cell half split of each row of the (B, K) hist;
-    odd counts alternate sides."""
-    base = hist // 2
-    odd = hist % 2
-    cum = np.cumsum(odd, axis=1)
-    extra = odd * (cum % 2 == 1)
-    a = base + extra
-    return a, hist - a
-
-
-def _collision_stat(counts: np.ndarray, p: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """Sum_i ((N_i - m p_i)^2 - N_i) / denom_i, rows are datasets."""
-    c = counts.astype(float)
-    m = c.sum(axis=1, keepdims=True)
-    z = ((c - m * p[None, :]) ** 2 - c) / denom[None, :]
+def _statistic(hist: np.ndarray, m: int, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Sum_i ((N_i - m p_i)^2 - N_i) / w_i of each row N of hist, a histogram
+    of m samples; elementwise, so no value depends on the BLAS build."""
+    counts = hist.astype(float)
+    z = counts - m * p
+    z *= z
+    z -= counts
+    z /= w
     return z.sum(axis=1)
-
-
-def _statistic(hist: np.ndarray, p: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    a, b = _split_halves(hist)
-    return (_collision_stat(a, p, denom) + _collision_stat(b, p, denom)) / 2.0
 
 
 def iid_test(
@@ -101,9 +87,9 @@ def iid_test(
     null histograms from pbar at the same sample size and thresholds at the
     (1 - delta/2) quantile; a delta for which those statistics would not fit
     one float64 array raises ChainTestError. The null histograms are drawn
-    and reduced a block of rows at a time; consecutive draws from one
-    generator give the same rows as a single draw, so the threshold does not
-    depend on the block.
+    over the cells of positive probability a block of rows at a time, of
+    which only the statistics at or above the quantile's rank are kept;
+    consecutive draws from one generator give the rows of a single draw.
     """
     p = np.asarray(pbar, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -112,7 +98,7 @@ def iid_test(
         raise ChainTestError(f"reference probabilities sum to {p.sum()!r}")
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
         raise ChainTestError(f"eps={eps}, delta={delta}")
-    # the B null statistics must fit one float64 array
+    # refuse more null statistics than one float64 array could hold
     if 20.0 / delta > np.iinfo(np.intp).max // 8:
         raise ChainTestError(f"delta={delta} asks for {20.0 / delta:.3g} bootstrap draws")
     seed = require_seed(seed)
@@ -138,19 +124,29 @@ def _histogram_test(hist: np.ndarray, m: int, pbar: np.ndarray, eps: float, delt
 
     impossible = stray or bool(np.any(hist[p == 0.0] > 0))
 
-    denom = np.maximum(p, 1.0 / K)
+    # numpy's multinomial draws nothing for a zero cell but gives the last
+    # cell the remainder: drawing these cells gives the full alphabet's rows
+    drawn = p > 0.0
+    drawn[-1] = True
+    p, w = p[drawn], np.maximum(p[drawn], 1.0 / K)
     rng = np.random.default_rng(seed)
-    rows = max(1, BOOTSTRAP_BLOCK_CELLS // K)
-    null_stats = np.empty(B)
+    rows = max(1, BOOTSTRAP_BLOCK_CELLS // len(p))
+    # np.quantile(stats, q, method="higher") reads index ceil((B - 1) q) of
+    # the sorted B: the least of the `keep` largest, all that blocks keep
+    q = 1.0 - delta / 2.0
+    keep = B - int(ceil((B - 1) * q))
+    top = np.empty(0)
     for start in range(0, B, rows):
         block = rng.multinomial(m, p, size=min(rows, B - start))
-        null_stats[start : start + len(block)] = _statistic(block, p, denom)
-    threshold = float(np.quantile(null_stats, 1.0 - delta / 2.0, method="higher"))
+        top = np.concatenate([top, _statistic(block, m, p, w)])
+        if len(top) > keep:
+            top = np.partition(top, -keep)[-keep:]
+    threshold = float(top.min())
 
     if impossible:
         statistic = float("inf")
     else:
-        statistic = float(_statistic(hist[None, :], p, denom)[0])
+        statistic = float(_statistic(hist[None, drawn], m, p, w)[0])
     return TestVerdict(
         decision=int(statistic > threshold),
         statistic=statistic,

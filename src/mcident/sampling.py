@@ -4,8 +4,9 @@ The converter draws anchor states from a distribution nu supported on a
 component S, then harvests the successor of each anchored visit from the
 trajectory. Each draw is an int64 code: the pair (S[a], S[b]) has code
 a*|S| + b and a successor that leaves S has code |S|^2, the order of
-InducedDistribution.p. Running out of usable visits is a legitimate outcome
-(None), not an exception.
+InducedDistribution.p. The anchors are counted, not drawn one by one: one
+multinomial draw gives the anchor count of each state of S. Running out of
+usable visits is a legitimate outcome (None), not an exception.
 """
 
 from __future__ import annotations
@@ -143,34 +144,34 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
 
 
 class _Stepper:
-    """The step map (s, u) -> bisect_right(cum[s], u) of an r x n table of
-    cumulative rows, applied with numpy to many lanes at once.
+    """The step map (s, u) -> bisect_right(cum[s], u) of simulate's d x d
+    table of cumulative rows, applied with numpy to many lanes at once.
 
-    simulate steps the d x d table of P's rows, the anchor draw one row of
-    n. A lane in row s holds the flat index s*n + a of its candidate column a.
-    guide[k*r + s] is that index for the first candidate of a u in bucket
-    k = floor(u * GUIDE), a = #{cum[s] <= k / GUIDE}, so a only ever moves up
-    to bisect_right(cum[s], u), past the entries of cum[s] strictly inside
-    bucket k: at most `passes` of them, the most of any bucket of any row.
+    A lane in state s holds the flat index s*d + a of its candidate next
+    state a. guide[k*d + s] is that index for the first candidate of a u in
+    bucket k = floor(u * GUIDE), a = #{cum[s] <= k / GUIDE}, so a only ever
+    moves up to bisect_right(cum[s], u), past the entries of cum[s] strictly
+    inside bucket k: at most `passes` of them, the most of any bucket of any
+    row.
     """
 
     def __init__(self, cum: np.ndarray):
-        r, n = cum.shape
-        self.rows = r
+        d = len(cum)
+        self.d = d
         self.flat_cum = cum.ravel()
-        self.column = np.arange(r * n) % n
+        self.column = np.arange(d * d) % d
         # cum * GUIDE is exact (a power of two), and cum[s, a] <= k / GUIDE
         # exactly when ceil(cum[s, a] * GUIDE) <= k
         scaled = cum * GUIDE
-        row = np.arange(r)[:, None]
-        first = np.minimum(np.ceil(scaled), GUIDE).astype(np.intp) * r + row
-        guide = np.bincount(first.ravel(), minlength=(GUIDE + 1) * r)[: GUIDE * r]
-        guide = guide.reshape(GUIDE, r).cumsum(axis=0)
-        guide += n * row.T
+        row = np.arange(d)[:, None]
+        first = np.minimum(np.ceil(scaled), GUIDE).astype(np.intp) * d + row
+        guide = np.bincount(first.ravel(), minlength=(GUIDE + 1) * d)[: GUIDE * d]
+        guide = guide.reshape(GUIDE, d).cumsum(axis=0)
+        guide += d * row.T
         self.guide = guide.ravel()
         bucket = np.floor(scaled)
         inside = (bucket != scaled) & (bucket < GUIDE)
-        self.passes = int(np.bincount((bucket.astype(np.intp) * r + row)[inside]).max(initial=0))
+        self.passes = int(np.bincount((bucket.astype(np.intp) * d + row)[inside]).max(initial=0))
 
     def step(self, index: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Next states of the lanes at guide[index] driven by u."""
@@ -212,7 +213,7 @@ def _window(stepper: _Stepper, rows: list, u: np.ndarray, path: np.ndarray, s: i
     lanes[rest:, full:] = 0.0
     # u * GUIDE is exact, so the cast is the floor
     np.multiply(lanes, GUIDE, out=buckets, casting="unsafe")
-    buckets *= stepper.rows
+    buckets *= stepper.d
     origin, meets = _speculate(stepper, lanes, buckets, s, guess)
     path[: full * steps].reshape(full, steps)[...] = guess[:, :full].T
     path[full * steps :] = guess[:rest, full:].ravel()
@@ -338,63 +339,60 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
     """Turn a trajectory into l iid draws from the induced law on S.
 
     Stage 1 draws anchors Z_1..Z_l iid from nu (its own RNG stream, so one
-    trajectory can be reused across components). Stage 2 pairs the k-th
-    anchored visit to each state with its successor in the trajectory. Draws
-    are int64 codes a*|S| + b for the pair (S[a], S[b]) of sorted S, and
-    |S|^2 for a successor outside S. Returns None when some state has fewer
-    usable visits (visits with a recorded successor) than its anchor count
-    demands; extending the trajectory can only add usable visits, so None
-    never appears for an extension where the same draws succeeded.
+    trajectory can be reused across components): a multinomial draw of the
+    counts, then a uniform permutation of the counted anchors. Stage 2 pairs
+    the k-th anchored visit to each state with its successor in the
+    trajectory. Draws are int64 codes a*|S| + b for the pair (S[a], S[b]) of
+    sorted S, and |S|^2 for a successor outside S. Returns None when some
+    state has fewer usable visits (visits with a recorded successor) than
+    its anchor count demands; extending the trajectory can only add usable
+    visits, so None never appears for an extension where the same draws
+    succeeded.
 
     Conditioned on success the output law is the induced distribution of
     the generating chain up to a bias of the order of the failure
     probability, which the trajectory-length budgets keep negligible.
     """
-    visits = _anchored_visits(traj, S, nu, l, seed)
-    if visits is None:
+    S_idx, rng, counts, scan = _anchored_visits(traj, S, nu, l, seed)
+    if scan is None:
         return None
-    S_idx, anchors, cut = visits
     n = len(S_idx)
+    anchors = rng.permutation(np.repeat(np.arange(n), counts))
+    cut = scan[0]
     X = traj.states
+    local = _local_index(S_idx, traj.d)
+    limit = np.append(cut, 0)
+    prefix = int(cut.max(initial=0))
     kept = [np.empty(0, dtype=np.intp)]
-    for lo, hi, taken in _spans(cut):
-        kept.append(np.flatnonzero(taken[X[lo:hi]]) + lo)
+    for lo in range(0, prefix, VISIT_CHUNK):
+        t = np.arange(lo, min(lo + VISIT_CHUNK, prefix))
+        kept.append(t[t < limit[local[X[t]]]])
     kept = np.concatenate(kept)
     # the j-th anchor on S[a], in draw order, takes the j-th kept visit to
     # S[a]: both grouped by a stable sort (a radix sort on the small dtype)
     times = kept[np.argsort(X[kept], kind="stable")]
     by_draw = np.argsort(anchors.astype(state_dtype(n)), kind="stable")
     b = np.empty(l, dtype=np.intp)
-    b[by_draw] = _local_index(S_idx, traj.d)[X[times + 1]]
+    b[by_draw] = local[X[times + 1]]
     return np.where(b < n, anchors * n + b, n * n)
 
 
-def _induced_histogram(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | None:
-    """np.bincount(iid_generate(traj, S, nu, l, seed), minlength=|S|^2 + 1),
-    None where iid_generate gives None: the same anchored visits, binned a
-    span at a time without putting their codes in draw order."""
-    visits = _anchored_visits(traj, S, nu, l, seed)
-    if visits is None:
-        return None
-    S_idx, _, cut = visits
-    n = len(S_idx)
-    X = traj.states
-    # pairs[a, b] counts the kept visits to S[a] followed by S[b], b = n for
-    # a successor outside S; the states outside S are binned in a row n
-    local = _local_index(S_idx, traj.d)
-    row = local * (n + 1)
-    pairs = np.zeros((n, n + 1), dtype=np.intp)
-    for lo, hi, taken in _spans(cut):
-        seen = np.bincount(row[X[lo:hi]] + local[X[lo + 1 : hi + 1]], minlength=(n + 1) ** 2)
-        rows = taken[S_idx]
-        pairs[rows] += seen.reshape(n + 1, n + 1)[:n][rows]
-    return np.append(pairs[:, :n].ravel(), pairs[:, n].sum())
+def _induced_histogram(traj: Trajectory, S, nu, l: int, seed: int) -> tuple:
+    """(np.bincount(iid_generate(traj, S, nu, l, seed), minlength=|S|^2 + 1),
+    None where iid_generate gives None; the prefix read, 1 + the time of the
+    last visit the anchors take or len(traj) - 1 when too few)."""
+    _, _, _, scan = _anchored_visits(traj, S, nu, l, seed)
+    if scan is None:
+        return None, len(traj) - 1
+    cut, pairs = scan
+    return np.append(pairs[:, :-1].ravel(), pairs[:, -1].sum()), int(cut.max(initial=0))
 
 
 def _anchored_visits(traj: Trajectory, S, nu, l: int, seed: int):
     """The argument checks and both stages of iid_generate up to the codes:
-    (sorted S, anchors in draw order, _visit_cutoffs of their counts), or
-    None when the trajectory has too few usable visits."""
+    (sorted S, the generator after stage 1, the anchor count of each state
+    of S, _scan_visits of those counts). Nothing is drawn, and counts and
+    scan are None, when l exceeds the usable visits."""
     if not isinstance(traj, Trajectory):
         raise ChainTestError("expected a Trajectory")
     S_idx = _as_subset(S, traj.d)
@@ -414,66 +412,62 @@ def _anchored_visits(traj: Trajectory, S, nu, l: int, seed: int):
         raise ChainTestError(f"l={l} must be >= 0")
     rng = np.random.default_rng(require_seed(seed))
     if l > len(traj) - 1:  # more anchors than usable visits: draw nothing
-        return None
-    anchors = _draw(rng, weights, l)
-    cut = _visit_cutoffs(traj, S_idx, np.bincount(anchors, minlength=n))
-    return None if cut is None else (S_idx, anchors, cut)
+        return S_idx, rng, None, None
+    counts = rng.multinomial(l, weights / weights.sum())
+    return S_idx, rng, counts, _scan_visits(traj, S_idx, counts)
 
 
-def _draw(rng: np.random.Generator, weights: np.ndarray, l: int) -> np.ndarray:
-    """rng.choice(len(weights), size=l, p=weights / weights.sum()): the same
-    uniforms u, each mapped to #{cdf <= u} by a one-row guide table rather
-    than by a binary search."""
-    cdf = np.cumsum(weights / weights.sum())
-    cdf /= cdf[-1]
-    u = rng.random(l)
-    # u * GUIDE is exact, so the cast is the floor
-    return _Stepper(cdf[None, :]).step((u * GUIDE).astype(np.intp), u)
-
-
-def _visit_cutoffs(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray) -> np.ndarray | None:
-    """cut[s], for every state s: 1 + the time of the counts[a]-th visit to
-    s = S_idx[a] that has a successor (0 when counts[a] = 0 or s is not in
-    S); None when some state has fewer such visits. The visits the anchors
-    take are those at the times t with t < cut[X[t]].
+def _scan_visits(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray):
+    """(cut, pairs) of the visits the anchors take, the first counts[a]
+    visits to S[a] that have a successor: cut[a] is 1 + the time of the
+    last of them (0 when counts[a] = 0), and pairs[a, b] counts them by
+    successor, S[b] or, for b = |S|, a state outside S. None when some
+    state has fewer such visits.
 
     The states are read VISIT_CHUNK at a time, up to the chunk that
-    completes every demand. Each chunk is counted; a chunk where some demand
-    completes is grouped by state with a stable sort (a radix sort on the
-    narrow dtype), which gives the time of each completing visit.
+    completes every demand, and mapped once to their index in S (|S|
+    outside S) in a narrow dtype; the (state, successor) pairs of each
+    chunk are counted. A chunk where some demand completes is grouped by
+    state with a stable sort (a radix sort on the narrow dtype), which gives
+    the time of each completing visit, and its pairs are counted again up
+    to those times.
     """
     X = traj.states
     usable = len(X) - 1
-    need = np.zeros(traj.d, dtype=np.intp)
-    need[S_idx] = counts
-    cut = np.zeros(traj.d, dtype=np.intp)
+    n = len(S_idx)
+    cells = (n + 1) ** 2
+    local = _local_index(S_idx, traj.d).astype(state_dtype(n + 1))
+    times = np.arange(VISIT_CHUNK)
+    need = counts.astype(np.intp)
+    cut = np.zeros(n, dtype=np.intp)
+    pairs = np.zeros((n, n + 1), dtype=np.intp)
     start = 0
     while need.any():
         if start >= usable:
             return None
-        chunk = X[start : min(start + VISIT_CHUNK, usable)]
-        seen = np.bincount(chunk, minlength=traj.d)
-        done = np.flatnonzero((need > 0) & (seen >= need))
+        stop = min(start + VISIT_CHUNK, usable)
+        at = local.take(X[start : stop + 1])
+        code = at[:-1].astype(np.uint16 if cells <= 1 << 16 else np.intp)
+        code *= n + 1
+        code += at[1:]
+        seen = np.bincount(code, minlength=cells).reshape(n + 1, n + 1)[:n]
+        visits = seen.sum(axis=1)
+        active = need > 0
+        done = np.flatnonzero(active & (visits >= need))
         if done.size:
-            order = np.argsort(chunk, kind="stable")
-            first = np.cumsum(seen) - seen
-            cut[done] = start + 1 + order[first[done] + need[done] - 1]
-        need -= np.minimum(seen, need)
-        start += VISIT_CHUNK
-    return cut
-
-
-def _spans(cut: np.ndarray):
-    """(lo, hi, taken) over the times below cut.max(), in spans of at most
-    VISIT_CHUNK: at the times lo..hi-1 the anchors take the visits to the
-    states s with taken[s], those with hi <= cut[s]."""
-    lo = 0
-    for end in np.unique(cut[cut > 0]).tolist():
-        taken = cut >= end
-        while lo < end:
-            hi = min(lo + VISIT_CHUNK, end)
-            yield lo, hi, taken
-            lo = hi
+            order = np.argsort(at[:-1], kind="stable")
+            last = order[(np.cumsum(visits) - visits + need - 1)[done]]
+            cut[done] = start + 1 + last
+            # each state takes its visits of the chunk up to limit, which is
+            # 0 outside S and for the states whose demand is already met
+            limit = np.append(np.where(active, stop - start, 0), 0)
+            limit[done] = last + 1
+            taken = limit.take(at[:-1]) > times[: stop - start]
+            seen = np.bincount(code[taken], minlength=cells).reshape(n + 1, n + 1)[:n]
+        pairs[active] += seen[active]
+        need -= np.minimum(visits, need)
+        start = stop
+    return cut, pairs
 
 
 def _local_index(S_idx: np.ndarray, d: int) -> np.ndarray:

@@ -189,6 +189,8 @@ class TestCli:
         assert rep["verdict"] == "Reject"
         assert rep["reason"] == "no_component_converted"
         assert rep["manifest"]["subcommand"] == "test"
+        # each component read the 49 usable states of the 50
+        assert [c["prefix_read"] for c in rep["per_component"]] == [49] * len(rep["per_component"])
 
     def test_top_state_through_simulate_and_test(self, tmp_path, capsys):
         # d = 256: the walk starts in state 255, written as 256; the test

@@ -141,6 +141,7 @@ class TestIdentityTest:
         rep = idn.identity_test(P, traj, idn.TestConfig(eps=EPS, seed=2))
         assert rep.verdict == idn.REJECT
         assert all(o.failed for o in rep.per_component)
+        assert all(o.prefix_read == len(traj) - 1 for o in rep.per_component)
         assert rep.tested_component is None
 
     def test_report_consistency(self):
@@ -157,6 +158,21 @@ class TestIdentityTest:
         for S in rep.partition_used.components:
             covered |= set(S)
         assert covered == set(range(P.d))
+
+    def test_prefix_read_is_all_the_verdict_reads(self):
+        # the tested component's verdict is the same on the trajectory cut
+        # just after its prefix read, and that component fails one state
+        # earlier
+        P = reference_chain()
+        traj = lazy_trajectory_of(P, budget_for(P), seed=7)
+        cfg = idn.TestConfig(eps=EPS, seed=8)
+        rep = idn.identity_test(P, traj, cfg)
+        (k, tested), = [(k, o) for k, o in enumerate(rep.per_component) if not o.failed]
+        assert 0 < tested.prefix_read < len(traj)
+        cut = idn.identity_test(P, sp.Trajectory(d=P.d, states=traj.states[: tested.prefix_read + 1]), cfg)
+        assert cut.per_component[k].verdict == tested.verdict
+        short = idn.identity_test(P, sp.Trajectory(d=P.d, states=traj.states[: tested.prefix_read]), cfg)
+        assert short.per_component[k].failed
 
     def test_seed_determinism(self):
         P = reference_chain()

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcident import chain_core as cc
+from mcident import corpus as cp
 from mcident.errors import ChainTestError
 from mcident.iid_test import iid_sample_size, iid_test
-from mcident.metrics import hellinger
+from mcident.metrics import hellinger, induced_distribution
 
 
 def tilted_far(pv: np.ndarray, eps: float) -> np.ndarray:
@@ -92,6 +94,57 @@ class TestVerdicts:
         assert v.sample_size == m
 
 
+def loop_statistic(hist, p):
+    """Sum_i ((N_i - m p_i)^2 - N_i) / max(p_i, 1/K), one cell at a time."""
+    m, K = sum(hist), len(p)
+    return sum(((n - m * q) ** 2 - n) / max(q, 1.0 / K) for n, q in zip(hist, p))
+
+
+class TestStatistic:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_cell_loop(self, seed):
+        r = np.random.default_rng(seed)
+        K = int(r.integers(2, 40))
+        pv = r.dirichlet(np.full(K, 0.5))
+        pv[r.random(K) < 0.2] = 0.0
+        pv[0] += 1.0 - pv.sum()
+        m = iid_sample_size(K, 0.5, 0.1) + int(r.integers(0, 50))
+        possible = np.flatnonzero(pv > 0)
+        s = r.choice(possible, size=m, p=pv[possible] / pv[possible].sum())
+        v = iid_test(s, pv, 0.5, 0.1, seed=seed)
+        want = loop_statistic(np.bincount(s, minlength=K).tolist(), pv.tolist())
+        assert v.statistic == pytest.approx(want, rel=1e-12, abs=1e-9 * m)
+        # one sample moved into a zero-probability cell, or outside [0, K)
+        for bad in [int(i) for i in np.flatnonzero(pv == 0)[:1]] + [K, -1]:
+            v = iid_test(np.append(s[1:], bad), pv, 0.5, 0.1, seed=seed)
+            assert v.statistic == float("inf") and v.decision == 1
+
+    @pytest.mark.parametrize("S", [range(12), range(5)])
+    def test_support_bootstrap_matches_full_alphabet(self, S):
+        # birth_death(12) has 34 positive pair cells of 145 (and the leave
+        # cell is zero on S = every state): the threshold of the bootstrap
+        # drawn over the support equals the full-alphabet one within 1e-12
+        P = cc.lazy_version(cp.birth_death(12, np.random.default_rng(12)), 0.03)
+        pi = cc.stationary_distribution(P).entries
+        nu = np.zeros(12)
+        nu[list(S)] = pi[list(S)] / pi[list(S)].sum()
+        pv = induced_distribution(P, nu, list(S)).p
+        K, delta, eps = len(pv), 1.0 / 120, 0.3 / np.sqrt(128)
+        m = iid_sample_size(K, eps, delta)
+        p = pv / pv.sum()  # as iid_test normalizes it
+        w = np.maximum(p, 1.0 / K)
+        for seed in range(3):
+            stats = []
+            r = np.random.default_rng(seed)
+            for _ in range(3):
+                block = r.multinomial(m, p, size=800).astype(float)
+                stats.append((((block - m * p) ** 2 - block) / w).sum(axis=1))
+            want = np.quantile(np.concatenate(stats), 1 - delta / 2, method="higher")
+            s = np.random.default_rng(seed + 10).choice(K, size=m, p=pv)
+            v = iid_test(s, pv, eps, delta, seed=seed)
+            assert v.threshold == pytest.approx(want, rel=1e-12)
+
+
 class TestInvariants:
     def test_determinism(self, rng):
         K = 4
@@ -115,6 +168,27 @@ class TestInvariants:
             monkeypatch.setattr(module, "BOOTSTRAP_BLOCK_CELLS", cells)
             verdicts.append(iid_test(s, pv, 0.9, delta, seed=seed))
         assert all(v == verdicts[-1] for v in verdicts)
+
+    def test_threshold_is_numpy_quantile(self, monkeypatch):
+        # the largest statistics kept across blocks give, bit for bit, the
+        # threshold np.quantile(method="higher") reads from all B of them
+        module = sys.modules["mcident.iid_test"]
+        r = np.random.default_rng(40)
+        deltas = [0.9, 0.5, 0.3, 0.2, 0.1, 1 / 30, 0.02, 1 / 80, 0.01, 1 / 300, 0.002]
+        deltas += r.uniform(0.002, 0.9, 25).tolist()
+        for i, delta in enumerate(deltas):
+            K = int(r.integers(2, 6))
+            pv = r.dirichlet(np.ones(K))
+            p = pv / pv.sum()  # as iid_test normalizes it
+            m = iid_sample_size(K, 0.9, delta) + int(r.integers(0, 3))
+            B = int(np.ceil(20 / delta))
+            stats = module._statistic(np.random.default_rng(i).multinomial(m, p, size=B), m, p,
+                                      np.maximum(p, 1.0 / K))
+            want = np.quantile(stats, 1 - delta / 2, method="higher")
+            s = r.choice(K, size=m, p=pv)
+            for cells in (K, 13 * K, 10**9):
+                monkeypatch.setattr(module, "BOOTSTRAP_BLOCK_CELLS", cells)
+                assert iid_test(s, pv, 0.9, delta, seed=i).threshold.hex() == want.hex(), (delta, cells)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -254,7 +254,7 @@ def loop_iid_generate(traj, S, nu, l, seed):
     rng = np.random.default_rng(seed)
     if l == 0:
         return np.empty(0, dtype=np.int64)
-    anchors = rng.choice(n, size=l, p=weights / weights.sum())
+    anchors = rng.permutation(np.repeat(np.arange(n), rng.multinomial(l, weights / weights.sum())))
     counts = np.bincount(anchors, minlength=n)
     X = traj.states
     usable = len(X) - 1
@@ -280,14 +280,19 @@ def matches_loop(traj, S, nu, l, seed):
     against loop_iid_generate; returns whether the conversion failed."""
     want = loop_iid_generate(traj, S, nu, l, seed)
     got = sp.iid_generate(traj, S, nu, l, seed=seed)
-    hist = sp._induced_histogram(traj, S, nu, l, seed=seed)
+    hist, read = sp._induced_histogram(traj, S, nu, l, seed=seed)
     if want is None:
-        assert got is None and hist is None
+        assert got is None and hist is None and read == len(traj) - 1
         return True
     assert got.dtype == np.int64
     assert got.tobytes() == want.tobytes()
-    n = len(np.unique(np.asarray(S)))
+    S_idx = np.unique(np.asarray(S))
+    n = len(S_idx)
     assert hist.tolist() == np.bincount(want, minlength=n * n + 1).tolist()
+    # the prefix read ends just after the last visit the anchors take
+    counts = sp._anchored_visits(traj, S, nu, l, seed)[2]
+    X = traj.states[:-1]
+    assert read == max((np.flatnonzero(X == s)[c - 1] + 1 for s, c in zip(S_idx, counts) if c), default=0)
     return False
 
 
@@ -337,7 +342,7 @@ class TestIidGenerate:
             zeros = sp.Trajectory(d=4, states=np.zeros(m, dtype=np.uint8))
             # l == len(traj) - 1 takes every visit, up to the last usable one
             assert not matches_loop(zeros, [0], ones, m - 1, 1)
-            assert sp._visit_cutoffs(zeros, np.array([0]), np.array([m - 1]))[0] == m - 1
+            assert sp._scan_visits(zeros, np.array([0]), np.array([m - 1]))[0].tolist() == [m - 1]
             # the last visit has no successor
             if m > 1:
                 assert matches_loop(zeros, [0], ones, m, 1)
@@ -345,13 +350,13 @@ class TestIidGenerate:
             for l in {chunk - 1, chunk, chunk + 1, 2 * chunk} - {0}:
                 if l <= m - 1:
                     assert not matches_loop(zeros, [0], ones, l, 1)
-                    assert sp._visit_cutoffs(zeros, np.array([0]), np.array([l]))[0] == l
+                    assert sp._scan_visits(zeros, np.array([0]), np.array([l]))[0].tolist() == [l]
         # the last usable visit to a state followed by its last, unusable one
         traj = sp.Trajectory(d=2, states=np.array([0, 1] * chunk + [0, 0], dtype=np.uint8))
         half = np.array([0.5, 0.5])
-        assert sp._visit_cutoffs(traj, np.array([0, 1]), np.array([chunk + 1, chunk])).tolist() == \
+        assert sp._scan_visits(traj, np.array([0, 1]), np.array([chunk + 1, chunk]))[0].tolist() == \
             [2 * chunk + 1, 2 * chunk]
-        assert sp._visit_cutoffs(traj, np.array([0, 1]), np.array([chunk + 2, 0])) is None
+        assert sp._scan_visits(traj, np.array([0, 1]), np.array([chunk + 2, 0])) is None
         for l in (chunk, 2 * chunk, 2 * chunk + 1):
             matches_loop(traj, [0, 1], half, l, l)
         # many states completing in one chunk and across chunks
@@ -361,24 +366,19 @@ class TestIidGenerate:
         results = {matches_loop(traj, range(5), nu, l, l) for l in demands}
         assert results == {True, False}
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 256])
-    def test_anchor_draw_is_generator_choice(self, n):
-        # the anchors come from the guide table, not from Generator.choice;
-        # a numpy whose choice maps the uniforms differently fails here
-        # instead of moving every seeded verdict
-        r = np.random.default_rng(n)
-        plain = r.random(n) + 0.1
-        tiny = plain.copy()
-        tiny[r.random(n) < 0.5] = 1e-9
-        dominant = np.full(n, 1e-9)
-        dominant[n // 2] = 1.0
-        for weights in (plain, tiny, dominant):
-            for l in (1, 1000, 100_000):
-                mine, theirs = np.random.default_rng(l), np.random.default_rng(l)
-                got = sp._draw(mine, weights, l)
-                want = theirs.choice(n, size=l, p=weights / weights.sum())
-                assert got.tolist() == want.tolist()
-                assert mine.random() == theirs.random()
+    def test_anchor_counts_are_multinomial(self):
+        # the anchor counts of 4000 seeds against the mean l w and the
+        # variance l w (1 - w) of counting l iid draws from w, each within
+        # five standard errors
+        w = np.array([0.05, 0.15, 0.3, 0.5])
+        l, seeds = 60, 4000
+        traj = sp.Trajectory(d=5, states=np.arange(400) % 5)
+        nu = np.append(w, 0.0)
+        counts = np.array([sp._anchored_visits(traj, range(4), nu, l, seed)[2] for seed in range(seeds)])
+        assert (counts.sum(axis=1) == l).all()
+        mean, var = l * w, l * w * (1 - w)
+        assert np.all(np.abs(counts.mean(axis=0) - mean) <= 5 * np.sqrt(var / seeds))
+        assert np.all(np.abs(counts.var(axis=0, ddof=1) - var) <= 5 * var * np.sqrt(2 / (seeds - 1)))
 
     def test_two_byte_states(self):
         # d = 300: uint16 states and codes up to 300^2 = 90 000
@@ -464,7 +464,8 @@ class TestIidGenerate:
         S = [1, 3, 4]
         nu = stationary_nu(P, S)
         codes = sp.iid_generate(traj, S, nu, 3000, seed=14)
-        anchors = np.random.default_rng(14).choice(3, size=3000, p=nu[S] / nu[S].sum())
+        r = np.random.default_rng(14)
+        anchors = r.permutation(np.repeat(np.arange(3), r.multinomial(3000, nu[S] / nu[S].sum())))
         visits = {i: iter(np.flatnonzero(traj.states[:-1] == i)) for i in S}
         expected = []
         for a in anchors:
