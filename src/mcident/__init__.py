@@ -11,7 +11,6 @@ iid Hellinger testing) is exposed directly.
 __version__ = "0.1.0"
 
 from .chain_core import (
-    ChainClass,
     ProbVector,
     TransitionMatrix,
     censor,
@@ -23,7 +22,6 @@ from .chain_core import (
     spectral_radius_nonneg,
     stationary_distribution,
     time_reversal,
-    validate,
 )
 from .identity import (
     TestConfig,
@@ -61,7 +59,6 @@ from .sampling import (
 
 __all__ = [
     "__version__",
-    "ChainClass",
     "InducedDistribution",
     "MetricLP",
     "ProbVector",
@@ -100,5 +97,4 @@ __all__ = [
     "tail_occupancy_check",
     "time_reversal",
     "trajectory_budget",
-    "validate",
 ]

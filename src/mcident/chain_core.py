@@ -15,8 +15,9 @@ Conventions adopted here and relied on elsewhere:
   Irreducibility and the period come from a breadth-first search over the
   support graph (entries above SUPPORT_TOL) in numpy; this module, and the
   package's import, load no scipy. Reversibility is detailed balance of
-  Q within DETAILED_BALANCE_TOL, decided once per matrix and cached as
-  TransitionMatrix.reversible; require_reversible and validate read it.
+  Q within DETAILED_BALANCE_TOL. Each is decided once per matrix and cached
+  as TransitionMatrix.irreducible, .reversible and .ergodic (irreducible
+  and aperiodic); require_reversible reads .reversible.
 * Every refused argument raises ChainTestError with a message that says
   what was refused.
 """
@@ -41,9 +42,9 @@ class TransitionMatrix:
     """Row-stochastic d x d matrix over the state space {0, ..., d-1}.
 
     Entries must lie in [0, 1] and each row must sum to 1 within 1e-10.
-    Irreducibility, reversibility, pi and Q = diag(pi) P are computed on
-    first use and cached; like entries they are read-only, so the cache
-    cannot go stale.
+    Irreducibility, reversibility, ergodicity, pi and Q = diag(pi) P are
+    computed on first use and cached; like entries they are read-only, so
+    the cache cannot go stale.
     """
 
     entries: np.ndarray
@@ -83,6 +84,11 @@ class TransitionMatrix:
             return False
         Q = self.Q
         return bool(np.abs(Q - Q.T).max() <= DETAILED_BALANCE_TOL)
+
+    @cached_property
+    def ergodic(self) -> bool:
+        """Whether the chain is irreducible with an aperiodic support graph."""
+        return self.irreducible and _period(self) == 1
 
     @cached_property
     def _levels(self) -> np.ndarray:
@@ -149,19 +155,6 @@ class ProbVector:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class ChainClass:
-    """Structural classification flags. ergodic implies irreducible."""
-
-    irreducible: bool
-    reversible: bool
-    ergodic: bool
-
-    def __post_init__(self):
-        if self.ergodic and not self.irreducible:
-            raise ValueError("ergodic requires irreducible")
-
-
 def _frozen_clipped(arr: np.ndarray) -> np.ndarray:
     """arr, an owned copy already checked, clipped to [0, 1] in place and made read-only."""
     np.clip(arr, 0.0, 1.0, out=arr)
@@ -217,22 +210,6 @@ def _period(P: TransitionMatrix) -> int:
     level = P._levels
     u, v = np.divmod(np.flatnonzero(_support(P.entries)), P.d)
     return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
-
-
-def validate(P) -> ChainClass:
-    """Classify a chain: irreducible, reversible, ergodic.
-
-    Irreducibility is reachability closure of the support graph (entries
-    above 1e-12 count as edges). Reversibility is P.reversible, which is
-    False for a reducible chain. Ergodic means irreducible with aperiodic
-    support graph.
-    """
-    P = as_transition_matrix(P)
-    return ChainClass(
-        irreducible=P.irreducible,
-        reversible=P.reversible,
-        ergodic=P.irreducible and _period(P) == 1,
-    )
 
 
 def require_reversible(P) -> TransitionMatrix:

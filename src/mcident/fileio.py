@@ -63,7 +63,7 @@ def load_matrix(path) -> TransitionMatrix:
     if rows.ndim != 2 or rows.shape != (d, d):
         raise ChainTestError(f"{path}: rows shape {rows.shape} does not match d={d}")
     sums = rows.sum(axis=1)
-    if np.abs(sums - 1.0).max() > _FILE_TOL or rows.min() < -_FILE_TOL:
+    if not (np.abs(sums - 1.0).max() <= _FILE_TOL and rows.min() >= -_FILE_TOL):  # NaN fails
         raise ChainTestError(f"{path}: rows must sum to 1 within {_FILE_TOL}")
     rows = np.clip(rows, 0.0, None)
     return TransitionMatrix(rows / rows.sum(axis=1, keepdims=True))
@@ -83,7 +83,7 @@ def load_probvector(path) -> ProbVector:
         raise ChainTestError(f"{path}: p is not numeric: {exc}") from None
     if p.ndim != 1 or p.shape[0] != d:
         raise ChainTestError(f"{path}: p shape {p.shape} does not match d={d}")
-    if abs(p.sum() - 1.0) > _FILE_TOL or p.min() < -_FILE_TOL:
+    if not (abs(p.sum() - 1.0) <= _FILE_TOL and p.min() >= -_FILE_TOL):  # NaN fails
         raise ChainTestError(f"{path}: p must sum to 1 within {_FILE_TOL}")
     p = np.clip(p, 0.0, None)
     return ProbVector(p / p.sum())
@@ -97,7 +97,10 @@ def load_trajectory(path) -> Trajectory:
     d, states = _load_integers(path, "states")
     if d >= 1 and states.size and (int(states.min()) < 0 or int(states.max()) >= d):
         raise ChainTestError(f"{path}: states outside [1, {d}]")
-    return Trajectory(d=d, states=states)
+    try:
+        return Trajectory(d=d, states=states)
+    except ChainTestError as exc:
+        raise ChainTestError(f"{path}: {exc}") from None
 
 
 def save_trajectory(traj: Trajectory, path) -> None:

@@ -30,7 +30,6 @@ from .chain_core import (
     multiplicative_reversibilization,
     stationary_distribution,
     time_reversal,
-    validate,
 )
 from .corpus import metropolis, random_irreducible, random_target
 from .errors import ChainTestError
@@ -104,15 +103,12 @@ def trajectory_budget(d: int, pibar_star: float, eps: float, c_len: float = C_LE
     if d < 1 or not (0.0 < pibar_star < 1.0) or not (0.0 < eps < 1.0):
         raise ChainTestError(f"d={d}, pibar_star={pibar_star}, eps={eps}")
     ld = log(max(d, 2))
-    return int(
-        ceil(
-            c_len
-            * ld**6
-            * log(1.0 / pibar_star)
-            * log(d / pibar_star)
-            / (eps**4 * pibar_star)
-        )
-    )
+    denominator = eps**4 * pibar_star  # underflows to 0.0 for eps near 1e-80 and below
+    size = c_len * ld**6 * log(1.0 / pibar_star) * log(d / pibar_star)
+    size = size / denominator if denominator else np.inf
+    if not np.isfinite(size):
+        raise ChainTestError(f"trajectory budget {size} is not finite (eps={eps})")
+    return int(ceil(size))
 
 
 def lazify_trajectory(traj: Trajectory, alpha: float, seed: int) -> Trajectory:
@@ -330,7 +326,7 @@ def property_suite(seed: int, pairs: int = 1000) -> PropertyReport:
             record("power_inequality", k, bound >= Dk - 1e-9, k_step=kk, Dk=Dk, bound=bound)
 
         # Large-power limit equals the squared stationary Hellinger distance.
-        if validate(P).ergodic and validate(Pbar).ergodic:
+        if P.ergodic and Pbar.ergodic:
             D_inf = chain_distance(matrix_power(P, 2048), matrix_power(Pbar, 2048))
             target_val = hellinger(pi, pibar) ** 2
             record("power_limit", k, abs(D_inf - target_val) <= 1e-4,

@@ -53,9 +53,10 @@ def iid_sample_size(support: int, eps: float, delta: float, c_iid: float = C_IID
         raise ChainTestError(f"support={support}")
     if not (0.0 < eps < 1.0) or not (0.0 < delta < 1.0):
         raise ChainTestError(f"eps={eps}, delta={delta}")
-    size = c_iid * sqrt(support) * log(1.0 / delta) / (eps * eps)
+    eps_sq = eps * eps  # 0.0 below eps of about 1.5e-162
+    size = c_iid * sqrt(support) * log(1.0 / delta) / eps_sq if eps_sq else np.inf
     if not isfinite(size):
-        raise ChainTestError(f"sample size {size} is not finite (c_iid={c_iid})")
+        raise ChainTestError(f"sample size {size} is not finite (eps={eps}, c_iid={c_iid})")
     return int(ceil(size))
 
 

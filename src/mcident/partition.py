@@ -280,12 +280,6 @@ class StatePartition:
     beta: float
     certificates: dict
 
-    def all_states(self) -> set:
-        out = set(self.tail)
-        for S in self.components:
-            out |= set(S)
-        return out
-
 
 def partition_states(P, beta: float, seed: int, certify: bool = True) -> StatePartition:
     """Partition the states of a reversible chain at tolerance beta.
@@ -302,7 +296,8 @@ def partition_states(P, beta: float, seed: int, certify: bool = True) -> StatePa
     keeping less than 1 - beta of their outgoing mass inside I); those move
     to the tail and the rest is re-examined. Declared components therefore
     retain >= 1 - beta per state, which implies the aggregate internal-mass
-    bound. Both sides of a split recurse.
+    bound. Both sides of a split recurse. A singleton has no proper cut: it
+    expands with both bounds None and takes the same declare-or-evict step.
 
     Splitting at the sweep is sound. The LP relaxes every cut-metric ratio,
     so lp <= ratio(R) and pi(I) * lp/2 < tau_comp: the LP path would have
@@ -311,8 +306,8 @@ def partition_states(P, beta: float, seed: int, certify: bool = True) -> StatePa
     threshold itself. Components are still declared only through the two
     bounds and eviction, and _certify checks them, so no sweep decision can
     declare a set that does not expand. The sweep draws no seed; round_no
-    still counts its splits, so the seed of any later LP split is the one it
-    would have without the sweep.
+    counts every item of two or more states, its splits included, so the
+    seed of any later LP split is the one it would have without the sweep.
 
     certificates["splits"] lists every split in the order made: the states
     split off, "by" ("sweep" or "lp") and the bound pi(I) * ratio/2 or
@@ -348,30 +343,22 @@ def partition_states(P, beta: float, seed: int, certify: bool = True) -> StatePa
         I_idx = work.pop()
         if len(I_idx) == 0:
             continue
-        if len(I_idx) == 1:
-            i = int(I_idx[0])
-            if arr[i, i] >= 1.0 - beta:
-                components.append((i,))
-                comp_certs.append(
-                    {"states": [i], "internal_mass": float(arr[i, i]),
-                     "spectral_phi_lower_bound": None, "lp_phi_lower_bound": None}
-                )
-            else:
-                tail.append(i)
-            continue
-        spectral_bound = spectral_phi_lower_bound(P, I_idx)
-        lp_bound = split = None
-        if spectral_bound < tau_comp:
-            pi_of_I = float(pi[I_idx].sum())
-            sweep_cut, ratio = fiedler_sweep(P, I_idx)
-            sweep_bound = pi_of_I * ratio / 2.0
-            if sweep_bound < tau_comp:
-                split = (sweep_cut, "sweep", sweep_bound)
-            else:
-                lp = solve_spccc_lp(P, I_idx)
-                lp_bound = pi_of_I * lp.objective / 2.0
-                if lp_bound < tau_comp:
-                    split = (_lp_cut(P, lp, seed, round_no), "lp", lp_bound)
+        spectral_bound = lp_bound = split = None
+        if len(I_idx) >= 2:  # a singleton has no proper cut: it expands
+            spectral_bound = spectral_phi_lower_bound(P, I_idx)
+            if spectral_bound < tau_comp:
+                pi_of_I = float(pi[I_idx].sum())
+                sweep_cut, ratio = fiedler_sweep(P, I_idx)
+                sweep_bound = pi_of_I * ratio / 2.0
+                if sweep_bound < tau_comp:
+                    split = (sweep_cut, "sweep", sweep_bound)
+                else:
+                    lp = solve_spccc_lp(P, I_idx)
+                    lp_bound = pi_of_I * lp.objective / 2.0
+                    if lp_bound < tau_comp:
+                        split = (_lp_cut(P, lp, seed, round_no), "lp", lp_bound)
+            # Sweep splits count too, so the seed of a later LP split stays put.
+            round_no += 1
         if split is None:
             low = [int(i) for i in I_idx if arr[i, I_idx].sum() < 1.0 - beta]
             if low:
@@ -393,8 +380,6 @@ def partition_states(P, beta: float, seed: int, certify: bool = True) -> StatePa
             splits.append({"states": [int(i) for i in S1], "by": split[1], "bound": split[2]})
             work.append(S1)
             work.append(np.setdiff1d(I_idx, S1))
-        # Sweep splits count too, so the seed of a later LP split stays put.
-        round_no += 1
 
     # Sort components and their certificates together, heaviest first.
     ranked = sorted(zip(components, comp_certs), key=lambda sc: (-pi[list(sc[0])].sum(), sc[0]))
@@ -420,18 +405,14 @@ def partition_states(P, beta: float, seed: int, certify: bool = True) -> StatePa
 
 def _certify(part: StatePartition, P: TransitionMatrix,
              tau_comp: float, tau_tail: float) -> None:
-    """Brute-force postcondition check; mutates certificates in place."""
+    """Brute-force postcondition check; mutates certificates in place. The
+    sorted states of the components and the tail, repeats kept, must read
+    range(d): a missing, duplicated, doubly assigned or out-of-range state
+    fails. Enumeration then checks guarantees (1)-(3) of partition_states."""
     d = P.d
-    covered = sorted(part.all_states())
+    covered = sorted(i for S in (*part.components, part.tail) for i in S)
     if covered != list(range(d)):
         raise CertificationFailed(f"not a partition of range({d}): {covered}")
-    seen: set = set()
-    for S in part.components:
-        if seen & set(S):
-            raise CertificationFailed("components overlap")
-        seen |= set(S)
-    if seen & set(part.tail):
-        raise CertificationFailed("tail overlaps components")
 
     for S, cert in zip(part.components, part.certificates["components"]):
         mass_in = internal_mass(P, S)

@@ -47,8 +47,10 @@ class TestTypes:
             cc.ProbVector(np.array([0.5, 0.6]))
 
     def test_chain_class_consistency(self):
-        with pytest.raises(ValueError):
-            cc.ChainClass(irreducible=False, reversible=False, ergodic=True)
+        # ergodic implies irreducible: a reducible chain with self-loops on
+        # every state is not ergodic
+        P = cc.TransitionMatrix(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+        assert not P.irreducible and not P.ergodic
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -82,33 +84,35 @@ class TestTypes:
 
 
 class TestValidate:
+    """The classification flags cached on TransitionMatrix."""
+
     def test_identity_two_absorbing_states(self):
-        cls = cc.validate(np.eye(2))
-        assert not cls.irreducible and not cls.ergodic
+        P = cc.TransitionMatrix(np.eye(2))
+        assert not P.irreducible and not P.ergodic
 
     def test_two_cycle_periodic(self):
-        cls = cc.validate(TWO_CYCLE)
-        assert cls.irreducible and cls.reversible and not cls.ergodic
+        P = cc.TransitionMatrix(np.array(TWO_CYCLE, dtype=float))
+        assert P.irreducible and P.reversible and not P.ergodic
 
     def test_positive_chain_ergodic(self):
-        cls = cc.validate(UNIFORM2)
-        assert cls.irreducible and cls.reversible and cls.ergodic
+        P = cc.TransitionMatrix(np.array(UNIFORM2))
+        assert P.irreducible and P.reversible and P.ergodic
 
     def test_three_cycle_not_reversible(self):
-        cls = cc.validate(THREE_CYCLE)
-        assert cls.irreducible and not cls.reversible and not cls.ergodic
+        P = cc.TransitionMatrix(np.array(THREE_CYCLE, dtype=float))
+        assert P.irreducible and not P.reversible and not P.ergodic
 
     def test_single_state(self):
-        cls = cc.validate([[1.0]])
-        assert cls.irreducible and cls.reversible and cls.ergodic
+        P = cc.TransitionMatrix(np.array([[1.0]]))
+        assert P.irreducible and P.reversible and P.ergodic
 
     def test_reversible_flag_on_the_matrix(self, rng):
-        # validate and require_reversible read one cached verdict; a reducible
-        # chain is not reversible, and require_reversible says which part fails
+        # each flag is decided once and cached; a reducible chain is not
+        # reversible, and require_reversible says which part fails
         for entries, want in [(UNIFORM2, True), (THREE_CYCLE, False), (np.eye(2), False)]:
             P = cc.TransitionMatrix(np.array(entries, dtype=float))
-            assert P.reversible is want and cc.validate(P).reversible is want
-            assert "reversible" in P.__dict__
+            assert P.reversible is want and P.ergodic is want
+            assert {"reversible", "ergodic"} <= P.__dict__.keys()
         with pytest.raises(ChainTestError, match="chain is not irreducible"):
             cc.require_reversible(np.eye(2))
         P = cp.random_reversible(5, rng)
@@ -159,6 +163,7 @@ class TestClassification:
             if P.irreducible:
                 irreducible += 1
                 assert cc._period(P) == stack_period(P.entries)
+            assert P.ergodic == (P.irreducible and stack_period(P.entries) == 1)
         assert 300 < irreducible < 2700
 
     def test_bipartite_period_two(self, rng):
@@ -167,8 +172,7 @@ class TestClassification:
         W[3:, :3] = W[:3, 3:].T
         P = cc.TransitionMatrix(W / W.sum(axis=1, keepdims=True))
         assert P.irreducible and cc._period(P) == 2 == stack_period(P.entries)
-        cls = cc.validate(P)
-        assert cls.reversible and not cls.ergodic
+        assert P.reversible and not P.ergodic
 
     def test_long_cycle(self):
         P = cc.TransitionMatrix(np.roll(np.eye(257), 1, axis=1))

@@ -229,7 +229,47 @@ class TestCli:
         rc = main(["test", "--reference", str(ref), "--trajectory", str(traj),
                    "--eps", "0.3", "--seed", "1"])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: d={2**64} must be >= 1 and < 2**64\n"
+        assert capsys.readouterr().err == f"error: {traj}: d={2**64} must be >= 1 and < 2**64\n"
+
+    @pytest.mark.parametrize("command, flag, content, message", [
+        # every comparison with a NaN is False, so a NaN entry must fail the
+        # file check itself, not a later check that cannot name the file
+        ("distance", "--a", '{"d": 2, "rows": [[NaN, 0.5], [0.5, 0.5]]}',
+         "rows must sum to 1 within 1e-08"),
+        ("simulate", "--mu", '{"d": 4, "p": [NaN, 0.25, 0.25, 0.25]}',
+         "p must sum to 1 within 1e-08"),
+        ("test", "--trajectory", '{"d": 0, "states": [1]}', "d=0 must be >= 1 and < 2**64"),
+        ("test", "--trajectory", '{"d": 4, "states": []}',
+         "trajectory must contain at least one state"),
+    ], ids=["nan-matrix", "nan-mu", "zero-d", "no-states"])
+    def test_load_refusals_name_the_file(self, chain_file, tmp_path, capsys, command, flag,
+                                         content, message):
+        rc, bad, out = run_with_bad_input(chain_file, tmp_path, command, flag,
+                                          lambda good: content.encode())
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, eps", [
+        ("test", "1e-100"), ("test", "1e-200"), ("iidtest", "1e-200"),
+    ])
+    def test_tiny_eps_exit_code(self, chain_file, tmp_path, capsys, command, eps):
+        # eps**4 in trajectory_budget (the report's budget_hint) or eps * eps in
+        # iid_sample_size underflows to 0: the size is no finite number
+        P, path = chain_file
+        traj, out = tmp_path / "t.json", tmp_path / "out.json"
+        fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
+        fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
+        write_samples(tmp_path / "s.json", 4, np.arange(4000) % 4)
+        argv = {
+            "test": ["test", "--reference", str(path), "--trajectory", str(traj)],
+            "iidtest": ["iidtest", "--pbar", str(tmp_path / "pbar.json"),
+                        "--samples", str(tmp_path / "s.json"), "--delta", "0.1"],
+        }[command]
+        assert main(argv + ["--eps", eps, "--seed", "1", "--report", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and " is not finite " in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_partition_report(self, tmp_path, rng, capsys):
         P = cp.hub_and_leaves(2, 2, rng)

@@ -12,7 +12,7 @@ from mcident import chain_core as cc
 from mcident import corpus as cp
 from mcident import metrics as mt
 from mcident import partition as pt
-from mcident.errors import ChainTestError, DegenerateEmbedding
+from mcident.errors import CertificationFailed, ChainTestError, DegenerateEmbedding
 
 ALL6 = tuple(range(6))
 
@@ -324,6 +324,82 @@ class TestPartitionStates:
         a = pt.partition_states(P, beta=0.1, seed=9)
         b = pt.partition_states(P, beta=0.1, seed=9)
         assert a.components == b.components and a.tail == b.tail
+
+
+def hand_partition(components, tail, beta=0.1):
+    """A StatePartition built by hand, with the certificate fields _certify fills."""
+    certificates = {
+        "components": [{"states": list(S)} for S in components],
+        "tail": {"states": list(tail), "min_escape_ratio": None},
+        "splits": [],
+        "certified": False,
+    }
+    return pt.StatePartition(components=tuple(components), tail=tuple(tail), beta=beta,
+                             certificates=certificates)
+
+
+class TestCertify:
+    """_certify against hand-built partitions of a planted (3, 3) chain, whose
+    blocks {0, 1, 2} and {3, 4, 5} are the components at beta 0.1."""
+
+    @pytest.fixture
+    def planted(self):
+        P = cp.planted_two_block((3, 3), np.random.default_rng(0))
+        return P, pt.C2 * 0.1 / log(6) ** 2, pt.C3 * 0.1 / log(6)
+
+    def test_blocks_certify(self, planted):
+        P, tau_comp, tau_tail = planted
+        part = hand_partition([(0, 1, 2), (3, 4, 5)], ())
+        pt._certify(part, P, tau_comp, tau_tail)
+        assert part.certificates["certified"]
+        assert set(part.components) == set(pt.partition_states(P, beta=0.1, seed=0).components)
+
+    @pytest.mark.parametrize("components, tail", [
+        ([(0, 1, 2), (3, 4)], ()),          # 5 is missing
+        ([(0, 1, 2), (3, 4, 4)], ()),       # 4 twice in one component, 5 missing
+        ([(0, 1, 2), (2, 3, 4)], ()),       # 2 in two components
+        ([(0, 1, 2), (3, 4)], (4,)),        # 4 in a component and the tail
+        ([(0, 1, 2), (3, 4, 5)], (5,)),     # 5 in a component and the tail
+        ([(0, 1, 2), (3, 4, 6)], ()),       # 6 is out of range
+        ([(0, 1, 2), (3, 4, -1)], ()),      # -1 is out of range
+    ], ids=["missing", "duplicated", "components-overlap", "tail-overlap", "extra",
+            "above-range", "negative"])
+    def test_cover_failures(self, planted, components, tail):
+        P, tau_comp, tau_tail = planted
+        part = hand_partition(components, tail)
+        with pytest.raises(CertificationFailed):
+            pt._certify(part, P, tau_comp, tau_tail)
+        assert not part.certificates["certified"]
+
+    @pytest.mark.parametrize("components, tail, message", [
+        ([(0, 1, 2, 3), (4, 5)], (), "internal mass"),     # 3 leaves its block
+        ([(0, 1, 2, 3, 4, 5)], (), "min bottleneck ratio"),  # the planted cut
+        ([(0, 1, 2)], (3, 4, 5), "tail escape ratio"),      # a block cannot be tail
+    ])
+    def test_guarantee_failures(self, planted, components, tail, message):
+        P, tau_comp, tau_tail = planted
+        part = hand_partition(components, tail)
+        with pytest.raises(CertificationFailed, match=message):
+            pt._certify(part, P, tau_comp, tau_tail)
+        assert not part.certificates["certified"]
+
+    @pytest.mark.parametrize("sizes, certified", [((1, 5), True), ((1, 12), False)])
+    def test_singletons_take_the_common_path(self, sizes, certified):
+        # a one-state block is declared like any expanding set: the same
+        # components and tail with enumeration on and off, and its mass P[i, i]
+        P = cp.planted_two_block(sizes, np.random.default_rng(0))
+        on = pt.partition_states(P, beta=0.1, seed=0, certify=True)
+        off = pt.partition_states(P, beta=0.1, seed=0, certify=False)
+        assert on.certificates["certified"] is certified
+        assert (0,) in on.components
+        assert (on.components, on.tail) == (off.components, off.tail)
+        for part in (on, off):
+            for S, cert in zip(part.components, part.certificates["components"]):
+                if len(S) == 1:
+                    i = S[0]
+                    assert abs(cert["internal_mass"] - P.entries[i, i]) <= 1e-15
+                    assert cert["spectral_phi_lower_bound"] is None
+                    assert cert["lp_phi_lower_bound"] is None
 
 
 def cycle(d):
