@@ -7,6 +7,7 @@ A root seed is an integer in [0, 2**64).
 
 from __future__ import annotations
 
+import operator
 from zlib import crc32
 
 import numpy as np
@@ -15,9 +16,12 @@ from .errors import ChainTestError
 
 
 def require_seed(seed: int) -> int:
-    """seed as an int; raises ChainTestError outside [0, 2**64), where two seeds
+    """seed as an int; raises ChainTestError for a seed that is not an integer
+    (a float, a bool or a string) or lies outside [0, 2**64), where two seeds
     would otherwise share a stream."""
-    seed = int(seed)
+    if isinstance(seed, bool) or not hasattr(seed, "__index__"):
+        raise ChainTestError(f"seed={seed!r} is not an integer")
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ChainTestError(f"seed={seed} outside [0, 2**64)")
     return seed

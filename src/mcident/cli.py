@@ -14,7 +14,6 @@ verdict).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -33,7 +32,7 @@ from .fileio import (
     save_trajectory,
     write_report,
 )
-from .identity import TestConfig, identity_test, property_suite, trajectory_budget
+from .identity import TestConfig, identity_test, property_suite
 from .iid_test import iid_test
 from .metrics import chain_distance, ratio_distance
 from .partition import partition_states
@@ -123,24 +122,23 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _one_based_splits(part) -> list:
-    return [dict(sp, states=[i + 1 for i in sp["states"]]) for sp in part.certificates["splits"]]
+def _one_based(obj):
+    """A copy of a report's body with states counted from 1: every list or
+    tuple of integers in it, at any depth of dicts and lists, is states."""
+    if isinstance(obj, dict):
+        return {k: _one_based(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if all(isinstance(v, (int, np.integer)) for v in obj):
+            return [int(v) + 1 for v in obj]
+        return [_one_based(v) for v in obj]
+    return obj
 
 
 def _cmd_partition(args) -> int:
     P = load_matrix(args.matrix)
     part = partition_states(P, args.beta, args.seed, certify=args.certify)
-    certs = json.loads(json.dumps(part.certificates))  # deep copy, JSON-safe
-    for c in certs["components"]:
-        c["states"] = [i + 1 for i in c["states"]]
-    certs["tail"]["states"] = [i + 1 for i in certs["tail"]["states"]]
-    certs["splits"] = _one_based_splits(part)
-    doc = {
-        "manifest": _manifest(args, {"matrix": args.matrix}),
-        "components": [[i + 1 for i in S] for S in part.components],
-        "tail": [i + 1 for i in part.tail],
-        "certificates": certs,
-    }
+    body = {"components": part.components, "tail": part.tail, "certificates": part.certificates}
+    doc = {"manifest": _manifest(args, {"matrix": args.matrix}), **_one_based(body)}
     write_report(doc, args.out)
     return 0
 
@@ -188,26 +186,22 @@ def _cmd_test(args) -> int:
         )
     cfg = TestConfig(eps=args.eps, seed=args.seed)
     report = identity_test(Pbar, traj, cfg, lazify=args.lazify)
-    doc = {
-        "manifest": _manifest(args, {"reference": args.reference, "trajectory": args.trajectory}),
+    part = report.partition_used
+    body = {
         "verdict": "Reject" if report.verdict else "Accept",
         "reason": report.reason,
         "exit_code": report.verdict,
         "trajectory_length": report.trajectory_length,
-        "budget_hint": trajectory_budget(
-            Pbar.d, float(stationary_distribution(Pbar).entries.min()), args.eps
-        ),
-        "tested_component": None
-        if report.tested_component is None
-        else [i + 1 for i in report.tested_component],
+        "budget_hint": report.budget_hint,
+        "tested_component": report.tested_component,
         "partition": {
-            "components": [[i + 1 for i in S] for S in report.partition_used.components],
-            "tail": [i + 1 for i in report.partition_used.tail],
-            "splits": _one_based_splits(report.partition_used),
+            "components": part.components,
+            "tail": part.tail,
+            "splits": part.certificates["splits"],
         },
         "per_component": [
             {
-                "states": [i + 1 for i in o.states],
+                "states": o.states,
                 "mass": o.mass,
                 "sample_count": o.sample_count,
                 "failed": o.failed,
@@ -219,6 +213,8 @@ def _cmd_test(args) -> int:
             for o in report.per_component
         ],
     }
+    manifest = _manifest(args, {"reference": args.reference, "trajectory": args.trajectory})
+    doc = {"manifest": manifest, **_one_based(body)}
     write_report(doc, args.report)
     return int(report.verdict)
 

@@ -89,6 +89,7 @@ class TestReport:
     tested_component: tuple | None
     per_component: tuple
     trajectory_length: int
+    budget_hint: int  # trajectory_budget of the reference at eps
 
 
 # Multiplier of trajectory_budget; 2 makes the single-trajectory tester hit
@@ -155,7 +156,9 @@ def identity_test(
     accepts when the unknown chain equals the reference, rejects when their
     distance is at least eps (given the stationary closeness promise).
     A reference with fewer than two states raises ChainTestError: the
-    trajectory budget and the log d tolerances are undefined there.
+    trajectory budget and the log d tolerances are undefined there. So does
+    an eps whose trajectory_budget is not a finite number, before the
+    reference is partitioned.
     """
     Pbar = as_transition_matrix(Pbar)
     if Pbar.d < 2:
@@ -164,6 +167,8 @@ def identity_test(
         raise ChainTestError("reference must be irreducible and reversible")
     if traj.d != Pbar.d:
         raise ChainTestError(f"trajectory d={traj.d}, reference d={Pbar.d}")
+    # refuses an eps too small for a finite budget before any work
+    budget_hint = trajectory_budget(Pbar.d, float(Pbar.pi.min()), cfg.eps)
 
     alpha = cfg.eps ** 2 / (2.0 * sqrt(2.0))
     P_ref = lazy_version(Pbar, alpha)
@@ -192,9 +197,8 @@ def identity_test(
         nu[S_arr] = pibar.entries[S_arr] / mass
         l = iid_sample_size(len(S) ** 2 + 1, eps_hel, delta_iid)
         # the tester reads only the histogram of iid_generate's codes
-        hist, prefix_read = _induced_histogram(
-            traj_l, S, nu, l, seed=int(derive_rng(cfg.seed, "anchors", idx).integers(2**63))
-        )
+        anchors = np.random.default_rng(int(derive_rng(cfg.seed, "anchors", idx).integers(2**63)))
+        hist, prefix_read = _induced_histogram(traj_l, S, nu, l, anchors)
         verdict = None
         if hist is not None:
             verdict = _histogram_test(
@@ -217,6 +221,7 @@ def identity_test(
         tested_component=tested,
         per_component=tuple(outcomes),
         trajectory_length=len(traj_l),
+        budget_hint=budget_hint,
     )
 
 

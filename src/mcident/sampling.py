@@ -2,11 +2,15 @@
 
 The converter draws anchor states from a distribution nu supported on a
 component S, then harvests the successor of each anchored visit from the
-trajectory. Each draw is an int64 code: the pair (S[a], S[b]) has code
-a*|S| + b and a successor that leaves S has code |S|^2, the order of
-InducedDistribution.p. The anchors are counted, not drawn one by one: one
-multinomial draw gives the anchor count of each state of S. Running out of
-usable visits is a legitimate outcome (None), not an exception.
+trajectory. The anchors are counted, not drawn one by one: one multinomial
+draw gives the anchor count of each state of S, and one scan of the
+trajectory bins the first that many visits to each state by successor.
+That histogram over the codes is the one conversion: the pair
+(S[a], S[b]) has code a*|S| + b and a successor that leaves S has code
+|S|^2, the order of InducedDistribution.p. identity_test reads the
+histogram; iid_generate shuffles it into a sequence of int64 codes.
+Running out of usable visits is a legitimate outcome (None), not an
+exception.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ BLOCKS = 1024
 BLOCK_STEPS = 256
 GUIDE = 1024
 
-# States per chunk of the scan for anchored visits and of their binning.
+# States per chunk of the scan that bins anchored visits.
 VISIT_CHUNK = 1 << 14
 
 
@@ -338,61 +342,38 @@ def _repair(path, u, rows, x, start, stop, stored):
 def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | None:
     """Turn a trajectory into l iid draws from the induced law on S.
 
-    Stage 1 draws anchors Z_1..Z_l iid from nu (its own RNG stream, so one
-    trajectory can be reused across components): a multinomial draw of the
-    counts, then a uniform permutation of the counted anchors. Stage 2 pairs
-    the k-th anchored visit to each state with its successor in the
-    trajectory. Draws are int64 codes a*|S| + b for the pair (S[a], S[b]) of
-    sorted S, and |S|^2 for a successor outside S. Returns None when some
-    state has fewer usable visits (visits with a recorded successor) than
-    its anchor count demands; extending the trajectory can only add usable
-    visits, so None never appears for an extension where the same draws
-    succeeded.
+    Draws are int64 codes a*|S| + b for the pair (S[a], S[b]) of sorted S,
+    and |S|^2 for a successor outside S. They are the histogram of
+    _induced_histogram, with a generator seeded with seed, in a uniform
+    random order drawn from that generator after its anchor-count draw: l
+    iid draws given their histogram are in a uniform random order.
+    Returns None when some state has fewer usable visits (visits with a
+    recorded successor) than its anchor count demands; extending the
+    trajectory can only add usable visits, so None never appears for an
+    extension where the same draws succeeded.
 
     Conditioned on success the output law is the induced distribution of
     the generating chain up to a bias of the order of the failure
     probability, which the trajectory-length budgets keep negligible.
     """
-    S_idx, rng, counts, scan = _anchored_visits(traj, S, nu, l, seed)
-    if scan is None:
+    rng = np.random.default_rng(require_seed(seed))
+    hist, _ = _induced_histogram(traj, S, nu, l, rng)
+    if hist is None:
         return None
-    n = len(S_idx)
-    anchors = rng.permutation(np.repeat(np.arange(n), counts))
-    cut = scan[0]
-    X = traj.states
-    local = _local_index(S_idx, traj.d)
-    limit = np.append(cut, 0)
-    prefix = int(cut.max(initial=0))
-    kept = [np.empty(0, dtype=np.intp)]
-    for lo in range(0, prefix, VISIT_CHUNK):
-        t = np.arange(lo, min(lo + VISIT_CHUNK, prefix))
-        kept.append(t[t < limit[local[X[t]]]])
-    kept = np.concatenate(kept)
-    # the j-th anchor on S[a], in draw order, takes the j-th kept visit to
-    # S[a]: both grouped by a stable sort (a radix sort on the small dtype)
-    times = kept[np.argsort(X[kept], kind="stable")]
-    by_draw = np.argsort(anchors.astype(state_dtype(n)), kind="stable")
-    b = np.empty(l, dtype=np.intp)
-    b[by_draw] = local[X[times + 1]]
-    return np.where(b < n, anchors * n + b, n * n)
+    return rng.permutation(np.repeat(np.arange(hist.size, dtype=np.int64), hist))
 
 
-def _induced_histogram(traj: Trajectory, S, nu, l: int, seed: int) -> tuple:
-    """(np.bincount(iid_generate(traj, S, nu, l, seed), minlength=|S|^2 + 1),
-    None where iid_generate gives None; the prefix read, 1 + the time of the
-    last visit the anchors take or len(traj) - 1 when too few)."""
-    _, _, _, scan = _anchored_visits(traj, S, nu, l, seed)
-    if scan is None:
-        return None, len(traj) - 1
-    cut, pairs = scan
-    return np.append(pairs[:, :-1].ravel(), pairs[:, -1].sum()), int(cut.max(initial=0))
+def _induced_histogram(traj: Trajectory, S, nu, l: int, rng: np.random.Generator) -> tuple:
+    """The conversion: (the histogram of the l codes over |S|^2 + 1 cells,
+    or None when too few usable visits; the prefix read, 1 + the time of
+    the last visit the anchors take, or len(traj) - 1 when too few).
 
-
-def _anchored_visits(traj: Trajectory, S, nu, l: int, seed: int):
-    """The argument checks and both stages of iid_generate up to the codes:
-    (sorted S, the generator after stage 1, the anchor count of each state
-    of S, _scan_visits of those counts). Nothing is drawn, and counts and
-    scan are None, when l exceeds the usable visits."""
+    Checks the arguments, draws the anchor count of each state of S from
+    nu with one multinomial draw from rng (its own stream, so one
+    trajectory can be reused across components), and bins the first that
+    many visits to each state by successor with one _scan_visits. Nothing
+    is drawn when l exceeds the usable visits.
+    """
     if not isinstance(traj, Trajectory):
         raise ChainTestError("expected a Trajectory")
     S_idx = _as_subset(S, traj.d)
@@ -410,11 +391,13 @@ def _anchored_visits(traj: Trajectory, S, nu, l: int, seed: int):
         raise ChainTestError("nu must be positive on S")
     if l < 0:
         raise ChainTestError(f"l={l} must be >= 0")
-    rng = np.random.default_rng(require_seed(seed))
-    if l > len(traj) - 1:  # more anchors than usable visits: draw nothing
-        return S_idx, rng, None, None
-    counts = rng.multinomial(l, weights / weights.sum())
-    return S_idx, rng, counts, _scan_visits(traj, S_idx, counts)
+    scan = None
+    if l <= len(traj) - 1:  # else more anchors than usable visits
+        scan = _scan_visits(traj, S_idx, rng.multinomial(l, weights / weights.sum()))
+    if scan is None:
+        return None, len(traj) - 1
+    cut, pairs = scan
+    return np.append(pairs[:, :-1].ravel(), pairs[:, -1].sum()), int(cut.max(initial=0))
 
 
 def _scan_visits(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray):
@@ -436,7 +419,8 @@ def _scan_visits(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray):
     usable = len(X) - 1
     n = len(S_idx)
     cells = (n + 1) ** 2
-    local = _local_index(S_idx, traj.d).astype(state_dtype(n + 1))
+    local = np.full(traj.d, n, dtype=state_dtype(n + 1))
+    local[S_idx] = np.arange(n)
     times = np.arange(VISIT_CHUNK)
     need = counts.astype(np.intp)
     cut = np.zeros(n, dtype=np.intp)
@@ -468,13 +452,6 @@ def _scan_visits(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray):
         need -= np.minimum(visits, need)
         start = stop
     return cut, pairs
-
-
-def _local_index(S_idx: np.ndarray, d: int) -> np.ndarray:
-    """local[S[a]] = a, and |S| for the states outside S."""
-    local = np.full(d, len(S_idx), dtype=np.intp)
-    local[S_idx] = np.arange(len(S_idx))
-    return local
 
 
 # Multiplier of the visit-count bound of required_visits, a lemma of the

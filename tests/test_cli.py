@@ -29,6 +29,21 @@ def chain_file(tmp_path, rng):
     return P, path
 
 
+# two 3-state blocks joined by 1e-5 per state: partitioned into both blocks
+TWO_BLOCKS = {"d": 6, "rows": [
+    [0.49999, 0.25, 0.25, 1e-05, 0.0, 0.0], [0.25, 0.49999, 0.25, 0.0, 1e-05, 0.0],
+    [0.25, 0.25, 0.49999, 0.0, 0.0, 1e-05], [1e-05, 0.0, 0.0, 0.59999, 0.2, 0.2],
+    [0.0, 1e-05, 0.0, 0.2, 0.59999, 0.2], [0.0, 0.0, 1e-05, 0.2, 0.2, 0.59999],
+]}
+
+
+def report_digest(path) -> str:
+    """SHA-256 of a JSON report without its manifest, keys sorted."""
+    doc = json.loads(Path(path).read_text())
+    del doc["manifest"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 INPUT_FLAGS = pytest.mark.parametrize("command, flag", [
     ("test", "--trajectory"), ("test", "--reference"), ("distance", "--a"),
     ("distance", "--b"), ("simulate", "--mu"), ("simulate", "--matrix"),
@@ -253,9 +268,14 @@ class TestCli:
     @pytest.mark.parametrize("command, eps", [
         ("test", "1e-100"), ("test", "1e-200"), ("iidtest", "1e-200"),
     ])
-    def test_tiny_eps_exit_code(self, chain_file, tmp_path, capsys, command, eps):
+    def test_tiny_eps_exit_code(self, chain_file, tmp_path, capsys, monkeypatch, command, eps):
         # eps**4 in trajectory_budget (the report's budget_hint) or eps * eps in
-        # iid_sample_size underflows to 0: the size is no finite number
+        # iid_sample_size underflows to 0: the size is no finite number.
+        # identity_test refuses such an eps before it partitions the reference.
+        def partition_states(*args, **kwargs):
+            raise AssertionError("partition_states called")
+
+        monkeypatch.setattr(idn, "partition_states", partition_states)
         P, path = chain_file
         traj, out = tmp_path / "t.json", tmp_path / "out.json"
         fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
@@ -474,6 +494,32 @@ class TestCli:
         indented = json.dumps(json.loads(out.read_text()), indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(indented.encode()).hexdigest() == (
             "5c858657b0454b3e5f05f4fbf59b84708271c642d935e0d6af66026559fdfb92"
+        )
+
+    def test_partition_report_digest(self, tmp_path, capsys):
+        # pins a seeded certified partition report with a split, the manifest
+        # (which holds the tmp paths) left out
+        matrix, out = tmp_path / "P.json", tmp_path / "part.json"
+        matrix.write_text(json.dumps(TWO_BLOCKS))
+        rc = main(["partition", "--matrix", str(matrix), "--beta", "0.1", "--seed", "2",
+                   "--certify", "--out", str(out)])
+        assert rc == 0
+        assert report_digest(out) == (
+            "60b2526af3edc0bcd1f943b6384590d5ac1204c9670934a178e174b93f827214"
+        )
+
+    def test_emulated_test_report_digest(self, tmp_path, capsys):
+        # pins a seeded test --lazify emulate report, whose first component
+        # fails to convert and whose second decides, the manifest left out
+        matrix, traj, out = tmp_path / "P.json", tmp_path / "t.json", tmp_path / "r.json"
+        matrix.write_text(json.dumps(TWO_BLOCKS))
+        assert main(["simulate", "--matrix", str(matrix), "--mu", "uniform", "--steps", "60000",
+                     "--seed", "1", "--out", str(traj)]) == 0
+        rc = main(["test", "--reference", str(matrix), "--trajectory", str(traj), "--eps", "0.5",
+                   "--seed", "4", "--lazify", "emulate", "--report", str(out)])
+        assert rc == 0
+        assert report_digest(out) == (
+            "0b818718a1dc748fd2e1a54134c49a4f9741cd6c10053c72a39278b70d3988d2"
         )
 
     def test_internal_error_exit_code(self, chain_file, monkeypatch, capsys):

@@ -135,6 +135,17 @@ class TestIdentityTest:
         with pytest.raises(ChainTestError, match="trajectory d=3, reference d=4"):
             idn.identity_test(P, traj, idn.TestConfig(eps=0.3))
 
+    def test_rejects_eps_without_finite_budget(self, rng, monkeypatch):
+        # refused before the reference is partitioned, not a Reject
+        def partition_states(*args, **kwargs):
+            raise AssertionError("partition_states called")
+
+        monkeypatch.setattr(idn, "partition_states", partition_states)
+        P = cp.random_reversible(4, rng)
+        traj = sp.simulate(P, P.pi, 100, seed=1)
+        with pytest.raises(ChainTestError, match="trajectory budget inf is not finite"):
+            idn.identity_test(P, traj, idn.TestConfig(eps=1e-100))
+
     def test_too_short_rejects_via_all_failed(self):
         P = reference_chain()
         traj = lazy_trajectory_of(P, 10, seed=1)
@@ -148,6 +159,8 @@ class TestIdentityTest:
         P = reference_chain()
         traj = lazy_trajectory_of(P, budget_for(P), seed=3)
         rep = idn.identity_test(P, traj, idn.TestConfig(eps=EPS, seed=4))
+        pibar_star = float(cc.stationary_distribution(P).entries.min())
+        assert rep.budget_hint == idn.trajectory_budget(P.d, pibar_star, EPS)
         non_failed = [o for o in rep.per_component if not o.failed]
         if non_failed:
             assert rep.verdict == non_failed[0].verdict.decision

@@ -524,9 +524,12 @@ class TestSpectralCertification:
 
     def test_rejects_seed_outside_range(self):
         P = cp.random_reversible(4, np.random.default_rng(4))
-        for seed in (-1, 2**64):
+        # 1.5 would otherwise share the stream of 1, and True that of 1
+        for seed in (-1, 2**64, 1.5, True, "7"):
             with pytest.raises(ChainTestError, match="seed"):
                 pt.partition_states(P, beta=0.1, seed=seed)
+        # numpy integers are integers
+        assert pt.partition_states(P, 0.1, np.int64(7)) == pt.partition_states(P, 0.1, 7)
 
 
 class TestTailOccupancy:

@@ -276,21 +276,23 @@ def loop_iid_generate(traj, S, nu, l, seed):
 
 
 def matches_loop(traj, S, nu, l, seed):
-    """Check iid_generate's codes, and the histogram identity_test bins,
-    against loop_iid_generate; returns whether the conversion failed."""
+    """Check the histogram of iid_generate's codes, and the one identity_test
+    bins, against loop_iid_generate; returns whether the conversion failed."""
     want = loop_iid_generate(traj, S, nu, l, seed)
     got = sp.iid_generate(traj, S, nu, l, seed=seed)
-    hist, read = sp._induced_histogram(traj, S, nu, l, seed=seed)
+    hist, read = sp._induced_histogram(traj, S, nu, l, np.random.default_rng(seed))
     if want is None:
         assert got is None and hist is None and read == len(traj) - 1
         return True
-    assert got.dtype == np.int64
-    assert got.tobytes() == want.tobytes()
+    assert got.dtype == np.int64 and len(got) == l
     S_idx = np.unique(np.asarray(S))
     n = len(S_idx)
-    assert hist.tolist() == np.bincount(want, minlength=n * n + 1).tolist()
+    want_hist = np.bincount(want, minlength=n * n + 1).tolist()
+    assert np.bincount(got, minlength=n * n + 1).tolist() == want_hist
+    assert hist.tolist() == want_hist
     # the prefix read ends just after the last visit the anchors take
-    counts = sp._anchored_visits(traj, S, nu, l, seed)[2]
+    weights = np.asarray(nu, dtype=float)[S_idx]
+    counts = np.random.default_rng(seed).multinomial(l, weights / weights.sum())
     X = traj.states[:-1]
     assert read == max((np.flatnonzero(X == s)[c - 1] + 1 for s, c in zip(S_idx, counts) if c), default=0)
     return False
@@ -374,7 +376,11 @@ class TestIidGenerate:
         l, seeds = 60, 4000
         traj = sp.Trajectory(d=5, states=np.arange(400) % 5)
         nu = np.append(w, 0.0)
-        counts = np.array([sp._anchored_visits(traj, range(4), nu, l, seed)[2] for seed in range(seeds)])
+        # state a < 3 steps to a + 1 in S, state 3 leaves S: the histogram
+        # holds each anchor count in one cell
+        hists = [sp._induced_histogram(traj, range(4), nu, l, np.random.default_rng(seed))[0]
+                 for seed in range(seeds)]
+        counts = np.array(hists)[:, [1, 6, 11, 16]]
         assert (counts.sum(axis=1) == l).all()
         mean, var = l * w, l * w * (1 - w)
         assert np.all(np.abs(counts.mean(axis=0) - mean) <= 5 * np.sqrt(var / seeds))
@@ -471,7 +477,21 @@ class TestIidGenerate:
         for a in anchors:
             succ = int(traj.states[next(visits[S[a]]) + 1])
             expected.append(a * 3 + S.index(succ) if succ in S else 9)
-        assert codes.tolist() == expected
+        assert sorted(codes.tolist()) == sorted(expected)
+
+    def test_order_is_a_uniform_shuffle(self):
+        # the first visits to 0 and 1 step inside S = {0, 1}, the later ones
+        # leave it: pairing anchors with visits in time order would put an
+        # inside code first and a leaving code last. Over many seeds the
+        # first and the last code have the same frequencies, within five
+        # standard errors.
+        traj = sp.Trajectory(d=3, states=[0, 1] * 50 + [0, 2, 1, 2] * 50 + [0])
+        nu = [0.5, 0.5, 0.0]
+        seeds = 2000
+        ends = np.array([sp.iid_generate(traj, [0, 1], nu, 150, s)[[0, -1]] for s in range(seeds)])
+        first, last = (np.bincount(ends[:, i], minlength=5) / seeds for i in (0, 1))
+        p = (first + last) / 2
+        assert np.all(np.abs(first - last) <= 5 * np.sqrt(2 * p * (1 - p) / seeds))
 
     def test_bad_nu(self, rng):
         P = cp.random_reversible(4, rng)
