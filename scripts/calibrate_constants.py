@@ -38,8 +38,7 @@ def tester_characteristics(seed, trials, c_iid_grid=(1.0, 2.0, 4.0, 8.0)):
             pv = np.ones(K) / K
             m = iid_sample_size(K, 0.25, 0.1, c_iid)
             fr = sum(
-                iid_test(rng.choice(K, size=m, p=pv), pv, 0.25, 0.1,
-                         seed=seed + t, c_iid=c_iid).decision
+                iid_test(rng.choice(K, size=m, p=pv), pv, 0.25, 0.1, c_iid=c_iid).decision
                 for t in range(trials)
             )
             sign = np.where(np.arange(K) % 2 == 0, 1.0, -1.0)
@@ -54,8 +53,7 @@ def tester_characteristics(seed, trials, c_iid_grid=(1.0, 2.0, 4.0, 8.0)):
             far = pv * (1 + sign * hi)
             far /= far.sum()
             fa = sum(
-                1 - iid_test(rng.choice(K, size=m, p=far), pv, 0.25, 0.1,
-                             seed=seed + t, c_iid=c_iid).decision
+                1 - iid_test(rng.choice(K, size=m, p=far), pv, 0.25, 0.1, c_iid=c_iid).decision
                 for t in range(trials)
             )
             rows.append(f"K={K} m={m} FR={fr/trials:.3f} FA={fa/trials:.3f}")

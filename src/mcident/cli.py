@@ -70,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--report")
 
     p = sub.add_parser("test", help="single-trajectory identity test against a reference chain")
@@ -165,7 +164,7 @@ def _cmd_iidtest(args) -> int:
         raise ChainTestError(
             f"{args.samples}: samples alphabet {d} != reference alphabet {pbar.d} of {args.pbar}"
         )
-    verdict = iid_test(samples, pbar.entries, args.eps, args.delta, args.seed)
+    verdict = iid_test(samples, pbar.entries, args.eps, args.delta)
     doc = {
         "manifest": _manifest(args, {"pbar": args.pbar, "samples": args.samples}),
         "decision": verdict.decision,

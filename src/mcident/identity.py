@@ -207,7 +207,6 @@ def identity_test(
                 induced_distribution(P_ref, pibar, S).p,
                 eps_hel,
                 delta_iid,
-                seed=int(derive_rng(cfg.seed, "tester", idx).integers(2**63)),
             )
         outcomes.append(ComponentOutcome(S, mass, l, verdict, prefix_read))
         if verdict is not None:

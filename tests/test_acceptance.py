@@ -198,8 +198,7 @@ class TestCriterion7IidTesterContract:
             pv = rng.dirichlet(np.full(K, 5.0))
             m = iid_sample_size(K, eps, delta)
             false_rej = sum(
-                iid_test(rng.choice(K, size=m, p=pv), pv, eps, delta,
-                         seed=120_000 + t).decision
+                iid_test(rng.choice(K, size=m, p=pv), pv, eps, delta).decision
                 for t in range(trials)
             )
             sign = np.where(np.arange(K) % 2 == 0, 1.0, -1.0)
@@ -214,8 +213,7 @@ class TestCriterion7IidTesterContract:
             w = pv * (1.0 + sign * hi)
             far = w / w.sum()
             false_acc = sum(
-                1 - iid_test(rng.choice(K, size=m, p=far), pv, eps, delta,
-                             seed=130_000 + t).decision
+                1 - iid_test(rng.choice(K, size=m, p=far), pv, eps, delta).decision
                 for t in range(trials)
             )
             ok = false_rej / trials <= delta + 0.04 and false_acc / trials <= delta + 0.04

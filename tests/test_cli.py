@@ -70,8 +70,7 @@ def run_with_bad_input(chain_file, tmp_path, command, flag, make_bad):
         "simulate": ({"--matrix": path, "--mu": mu},
                      ["simulate", "--steps", "10", "--seed", "1", "--out", str(out)]),
         "iidtest": ({"--pbar": pbar, "--samples": samples},
-                    ["iidtest", "--eps", "0.2", "--delta", "0.1", "--seed", "1",
-                     "--report", str(out)]),
+                    ["iidtest", "--eps", "0.2", "--delta", "0.1", "--report", str(out)]),
         "partition": ({"--matrix": path},
                       ["partition", "--beta", "0.1", "--seed", "1", "--out", str(out)]),
     }[command]
@@ -282,11 +281,11 @@ class TestCli:
         fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
         write_samples(tmp_path / "s.json", 4, np.arange(4000) % 4)
         argv = {
-            "test": ["test", "--reference", str(path), "--trajectory", str(traj)],
+            "test": ["test", "--reference", str(path), "--trajectory", str(traj), "--seed", "1"],
             "iidtest": ["iidtest", "--pbar", str(tmp_path / "pbar.json"),
                         "--samples", str(tmp_path / "s.json"), "--delta", "0.1"],
         }[command]
-        assert main(argv + ["--eps", eps, "--seed", "1", "--report", str(out)]) == 2
+        assert main(argv + ["--eps", eps, "--report", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and " is not finite " in err and err.count("\n") == 1
         assert not out.exists()
@@ -314,7 +313,7 @@ class TestCli:
         rc = main([
             "iidtest", "--pbar", str(tmp_path / "pbar.json"),
             "--samples", str(tmp_path / "s.json"),
-            "--eps", "0.2", "--delta", "0.1", "--seed", "5", "--report", str(rep),
+            "--eps", "0.2", "--delta", "0.1", "--report", str(rep),
         ])
         assert rc == 0
         assert json.loads(rep.read_text())["decision"] == 0
@@ -336,7 +335,7 @@ class TestCli:
         fio.save_probvector(cc.ProbVector(np.full(5, 0.2)), pbar)
         write_samples(samples, 4, np.arange(4000) % 4)
         rc = main(["iidtest", "--pbar", str(pbar), "--samples", str(samples),
-                   "--eps", "0.2", "--delta", "0.1", "--seed", "1"])
+                   "--eps", "0.2", "--delta", "0.1"])
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: {samples}: samples alphabet 4 != reference alphabet 5 of {pbar}\n"
@@ -398,6 +397,16 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "usage: mcident" in capsys.readouterr().err
+
+    def test_removed_iidtest_seed_is_usage_error(self, tmp_path, capsys):
+        # the iid tester draws nothing, so iidtest takes no seed
+        fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
+        write_samples(tmp_path / "s.json", 4, np.arange(4000) % 4)
+        with pytest.raises(SystemExit) as exc:
+            main(["iidtest", "--pbar", str(tmp_path / "pbar.json"), "--samples",
+                  str(tmp_path / "s.json"), "--eps", "0.2", "--delta", "0.1", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("c_iid, rc, reason", [
         (1e6, 1, "no_component_converted"),
@@ -461,7 +470,7 @@ class TestCli:
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"d": 2, "samples": [1, 2] * 500 + [2.5]}))
         rc = main(["iidtest", "--pbar", str(tmp_path / "pbar.json"), "--samples", str(path),
-                   "--eps", "0.2", "--delta", "0.1", "--seed", "1"])
+                   "--eps", "0.2", "--delta", "0.1"])
         assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
 
@@ -471,7 +480,7 @@ class TestCli:
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"d": 2, "samples": [1, 2] * 4000 + [False]}))
         rc = main(["iidtest", "--pbar", str(tmp_path / "pbar.json"), "--samples", str(path),
-                   "--eps", "0.2", "--delta", "0.1", "--seed", "1"])
+                   "--eps", "0.2", "--delta", "0.1"])
         assert rc == 2
         assert capsys.readouterr().err.count("\n") == 1
 
@@ -519,7 +528,7 @@ class TestCli:
                    "--seed", "4", "--lazify", "emulate", "--report", str(out)])
         assert rc == 0
         assert report_digest(out) == (
-            "0b818718a1dc748fd2e1a54134c49a4f9741cd6c10053c72a39278b70d3988d2"
+            "b2bd97b7cc42e98546555d48549516e9cedac427a5612d02ccc76cfd9cf54580"
         )
 
     def test_internal_error_exit_code(self, chain_file, monkeypatch, capsys):
@@ -562,31 +571,23 @@ class TestCli:
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "iidtest"])
+    @pytest.mark.parametrize("command", ["simulate"])
     def test_negative_seed_exit_code(self, chain_file, tmp_path, capsys, command):
         _, path = chain_file
-        fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
-        write_samples(tmp_path / "s.json", 4, np.arange(4000) % 4)
-        argv = {
-            "simulate": ["simulate", "--matrix", str(path), "--mu", "uniform",
-                         "--steps", "10", "--out", str(tmp_path / "t.json")],
-            "iidtest": ["iidtest", "--pbar", str(tmp_path / "pbar.json"),
-                        "--samples", str(tmp_path / "s.json"), "--eps", "0.2", "--delta", "0.1"],
-        }[command]
+        argv = [command, "--matrix", str(path), "--mu", "uniform",
+                "--steps", "10", "--out", str(tmp_path / "t.json")]
         assert main(argv + ["--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("command, seed", [
         (command, seed) for command in ("partition", "test", "props") for seed in ("-1", str(2**64))
-    ] + [("simulate", str(2**64)), ("iidtest", str(2**64))])
+    ] + [("simulate", str(2**64))])
     def test_seed_out_of_range_exit_code(self, chain_file, tmp_path, capsys, command, seed):
         # a seed outside [0, 2**64) would otherwise alias one inside it;
-        # test_negative_seed_exit_code covers simulate and iidtest at -1
+        # test_negative_seed_exit_code covers simulate at -1
         P, path = chain_file
         traj = tmp_path / "t.json"
         fio.save_trajectory(sp.simulate(P, P.stationary, 2000, seed=0), traj)
-        fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
-        write_samples(tmp_path / "s.json", 4, np.arange(4000) % 4)
         out = tmp_path / "out.json"
         argv = {
             "partition": ["partition", "--matrix", str(path), "--beta", "0.1", "--out", str(out)],
@@ -595,8 +596,6 @@ class TestCli:
             "props": ["props", "--pairs", "2", "--out", str(out)],
             "simulate": ["simulate", "--matrix", str(path), "--mu", "uniform",
                          "--steps", "10", "--out", str(out)],
-            "iidtest": ["iidtest", "--pbar", str(tmp_path / "pbar.json"),
-                        "--samples", str(tmp_path / "s.json"), "--eps", "0.2", "--delta", "0.1"],
         }[command]
         assert main(argv + ["--seed", seed]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -626,14 +625,16 @@ def run_cli(argv, timeout):
 
 class TestOutsizedRequests:
     def test_tiny_delta_exits_promptly(self, tmp_path):
-        # ceil(20/delta) bootstrap draws would never finish at delta = 1e-300
+        # the threshold costs the same at every delta: delta = 1e-300 gets a
+        # verdict, and 5e-324, whose delta/2 underflows to 0, a usage error
         fio.save_probvector(cc.ProbVector(np.full(4, 0.25)), tmp_path / "pbar.json")
         write_samples(tmp_path / "s.json", 4, np.arange(20000) % 4)
-        rc, err = run_cli(["iidtest", "--pbar", str(tmp_path / "pbar.json"), "--samples",
-                           str(tmp_path / "s.json"), "--eps", "0.9", "--delta", "1e-300",
-                           "--seed", "1"], timeout=30)
+        argv = ["iidtest", "--pbar", str(tmp_path / "pbar.json"), "--samples",
+                str(tmp_path / "s.json"), "--eps", "0.9", "--delta"]
+        assert run_cli(argv + ["1e-300"], timeout=30) == (0, "")
+        rc, err = run_cli(argv + ["5e-324"], timeout=30)
         assert rc == 2
-        assert err.startswith("error: delta=1e-300 ") and err.count("\n") == 1
+        assert err.startswith("error: delta=5e-324") and err.count("\n") == 1
 
     def test_steps_beyond_memory_exit_2(self, chain_file, tmp_path):
         _, path = chain_file

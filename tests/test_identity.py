@@ -238,8 +238,8 @@ class TestIdentityTest:
 
 def code_route(Pbar, traj, cfg, lazify):
     """identity_test's per-component verdicts rebuilt through the public
-    code-level API: iid_test(iid_generate(...)) with the anchors and tester
-    seeds identity_test derives; None where the conversion fails."""
+    code-level API: iid_test(iid_generate(...)) with the anchors seed
+    identity_test derives; None where the conversion fails."""
     alpha = cfg.eps**2 / (2.0 * np.sqrt(2.0))
     P_ref = cc.lazy_version(Pbar, alpha)
     pibar = cc.stationary_distribution(P_ref)
@@ -259,8 +259,7 @@ def code_route(Pbar, traj, cfg, lazify):
             verdicts.append(None)
             continue
         verdicts.append(iid_test(codes, induced_distribution(P_ref, pibar, S).p, eps_hel,
-                                 1.0 / (10.0 * Pbar.d),
-                                 seed=int(derive_rng(cfg.seed, "tester", idx).integers(2**63))))
+                                 1.0 / (10.0 * Pbar.d)))
         break
     return verdicts
 
