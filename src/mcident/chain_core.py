@@ -12,12 +12,12 @@ Conventions adopted here and relied on elsewhere:
   aperiodicity is restored via lazy_version when a chain is near-periodic.
 * Irreducibility and reversibility are decided with explicit numerical
   tolerances since exact set membership is meaningless in floating point.
-  Irreducibility and the period come from a breadth-first search over the
-  support graph (entries above SUPPORT_TOL) in numpy; this module, and the
+  Irreducibility comes from two breadth-first searches over the support
+  graph (entries above SUPPORT_TOL) in numpy; this module, and the
   package's import, load no scipy. Reversibility is detailed balance of
   Q within DETAILED_BALANCE_TOL. Each is decided once per matrix and cached
-  as TransitionMatrix.irreducible, .reversible and .ergodic (irreducible
-  and aperiodic); require_reversible reads .reversible.
+  as TransitionMatrix.irreducible and .reversible; require_reversible
+  reads .reversible.
 * Every refused argument raises ChainTestError with a message that says
   what was refused.
 """
@@ -42,7 +42,7 @@ class TransitionMatrix:
     """Row-stochastic d x d matrix over the state space {0, ..., d-1}.
 
     Entries must lie in [0, 1] and each row must sum to 1 within 1e-10.
-    Irreducibility, reversibility, ergodicity, pi and Q = diag(pi) P are
+    Irreducibility, reversibility, pi and Q = diag(pi) P are
     computed on first use and cached; like entries they are read-only, so
     the cache cannot go stale.
     """
@@ -72,9 +72,8 @@ class TransitionMatrix:
     def irreducible(self) -> bool:
         """Whether the support graph (entries above SUPPORT_TOL) is strongly
         connected: state 0 reaches every state, and every state reaches 0."""
-        if (self._levels < 0).any():
-            return False
-        return bool((_bfs_levels(_support(self.entries).T) >= 0).all())
+        supp = _support(self.entries)
+        return bool((_bfs_levels(supp) >= 0).all() and (_bfs_levels(supp.T) >= 0).all())
 
     @cached_property
     def reversible(self) -> bool:
@@ -84,16 +83,6 @@ class TransitionMatrix:
             return False
         Q = self.Q
         return bool(np.abs(Q - Q.T).max() <= DETAILED_BALANCE_TOL)
-
-    @cached_property
-    def ergodic(self) -> bool:
-        """Whether the chain is irreducible with an aperiodic support graph."""
-        return self.irreducible and _period(self) == 1
-
-    @cached_property
-    def _levels(self) -> np.ndarray:
-        """Breadth-first levels from state 0 on the support graph; see _bfs_levels."""
-        return _bfs_levels(_support(self.entries))
 
     @cached_property
     def stationary(self) -> "ProbVector":
@@ -197,19 +186,6 @@ def _bfs_levels(supp: np.ndarray) -> np.ndarray:
         frontier = reached[level[reached] < 0]
         level[frontier] = depth
     return level
-
-
-def _period(P: TransitionMatrix) -> int:
-    """Period of a strongly connected support graph (gcd of cycle lengths).
-
-    With the breadth-first levels from state 0 (P._levels), every cycle's
-    length is a sum of level[u] + 1 - level[v] over its edges (u, v), and a
-    tree edge contributes 0; so the gcd of that quantity over all edges is
-    the period.
-    """
-    level = P._levels
-    u, v = np.divmod(np.flatnonzero(_support(P.entries)), P.d)
-    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
 
 
 def require_reversible(P) -> TransitionMatrix:

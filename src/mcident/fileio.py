@@ -29,13 +29,15 @@ negatives, states outside [1, d] or a truncated file, is parsed with
 json.load, which accepts any JSON layout and words every error. Reports
 stay indented. All numbers in emitted reports are rounded to 12 significant
 digits, which keeps reports byte-identical across runs with the same
-manifest."""
+manifest, and a non-finite float is written as null, so a report is strict
+JSON (RFC 8259)."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import sys
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -130,15 +132,14 @@ def file_digest(path) -> str:
 
 
 def round12(obj):
-    """Recursively round floats to 12 significant digits for stable output."""
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+    """Recursively round floats to 12 significant digits for stable output;
+    a non-finite float becomes None, JSON's null."""
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{obj:.12g}") if isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [round12(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.12g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -146,7 +147,7 @@ def round12(obj):
 
 def write_report(doc: dict, path=None) -> str:
     """Serialize a report deterministically; write to path or stdout."""
-    text = json.dumps(round12(doc), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(round12(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

@@ -99,15 +99,16 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
       Meetings are looked for after 1, 2, 4, ... steps; the phase stops at
       the first look where no path has met, and the rest keep the path
       from s (on a periodic chain none ever meets);
-    - repair: the blocks are visited in order. A block whose true start
-      differs from the start its path was computed from is stepped one
-      state at a time until it meets a stored path of that block. When it
-      meets none (the true path has crossed into a part of a two-block
-      chain that no guess reached), the blocks after it are guessed again,
-      by the first two phases, from its true end, and their new paths are
-      kept next to the old ones. The r-th such restart of a window needs
-      2**r blocks since the last, and none is made on a chain where no
-      re-guessed path met.
+    - repair: one scan finishes the blocks in order. It follows a guess up
+      to the next block that guess has wrong, then steps that block one
+      state at a time from its true start until it meets a stored path of
+      the block, and follows the guess it met from there. When it meets
+      none (the true path has crossed into a part of a two-block chain that
+      no guess reached), the blocks after it are guessed again, by the
+      first two phases, from its true end, and the new guess is kept next
+      to the old ones. The r-th such restart of a window needs 2**r blocks
+      since the last, and none is made on a chain where no re-guessed path
+      met.
 
     The states are those of stepping the whole trajectory one at a time.
     They are written straight into an array of state_dtype(d); the lanes of
@@ -203,7 +204,20 @@ def _block_steps(span: int) -> int:
 
 def _window(stepper: _Stepper, rows: list, u: np.ndarray, path: np.ndarray, s: int, work) -> None:
     """Fill path with the len(u) states driven by u from state s; work holds
-    three flat arrays (float, int64, int64) large enough for the window."""
+    three flat arrays (float, int64, int64) large enough for the window.
+
+    Every guess is kept as (first block, paths, starts, breaks), where
+    breaks lists the blocks whose start in that guess is not its end for
+    the block before. path starts out holding the first guess, and one scan
+    finishes the blocks in order: block k, whose true start is x, and the
+    blocks after it are right in guess cur up to the next block j that cur
+    has wrong, k itself when cur starts block k elsewhere than x, else
+    cur's first break after k (the window's end when there is none). Blocks
+    k .. j - 1 are copied from cur unless cur is the first guess; block j is
+    repaired from its true start against every stored guess, all of which
+    start at or before j, and the guess it meets, or a restart's new guess,
+    becomes cur.
+    """
     span = len(u)
     steps = _block_steps(span)
     n_blocks = -(-span // steps)
@@ -219,63 +233,47 @@ def _window(stepper: _Stepper, rows: list, u: np.ndarray, path: np.ndarray, s: i
     np.multiply(lanes, GUIDE, out=buckets, casting="unsafe")
     buckets *= stepper.d
     origin, meets = _speculate(stepper, lanes, buckets, s, guess)
-    path[: full * steps].reshape(full, steps)[...] = guess[:, :full].T
-    path[full * steps :] = guess[:rest, full:].ravel()
-    # (first block, paths, starts they were computed from) of every guess,
-    # the guess each block takes (-1: path holds it already), and the start
-    # and end of each block's path
-    guesses = [(0, guess, origin)]
-    taken = np.zeros(n_blocks, dtype=np.intp)
-    origin = origin.copy()
-    ends = guess[-1].copy()
+    guesses = [(0, guess, origin, (np.flatnonzero(origin[1:] != guess[-1, :-1]) + 1).tolist())]
+    _copy_blocks(path, guess, 0, 0, n_blocks, steps)
+    k, x, cur = 0, s, 0
     restarts = last = 0
-    # blocks whose path starts elsewhere than the end of the one before,
-    # last one first; worked out again when the blocks after one change
-    wrong = (np.flatnonzero(origin[1:] != ends[:-1]) + 1).tolist()[::-1]
-    while wrong:
-        k = wrong.pop()
-        x = int(ends[k - 1])
-        if x == origin[k]:
-            continue
-        start = k * steps
-        stop = min(start + steps, span)
-        same = [i for i, (f, _, o) in enumerate(guesses) if o[k - f] == x]
-        if same:
-            i, k_from = same[-1], k
+    while k < n_blocks:
+        first, g, origin, breaks = guesses[cur]
+        if origin[k - first] != x:
+            j = k
         else:
-            taken[k] = -1
-            met = _repair(path, u, rows, x, start, stop, [g[:, k - f] for f, g, _ in guesses])
-            if met:
-                at, i = met
-                f, g, _ = guesses[i]
-                path[at:stop] = g[at - start : stop - start, k - f]
-            ends[k] = path[stop - 1]
-            if not met:
-                if not (meets and stop < span and (k + 1 - last) >> restarts):
-                    # no restart: only block k changed, and with it the
-                    # start that block k + 1 needs
-                    if stop < span and (not wrong or wrong[-1] != k + 1):
-                        wrong.append(k + 1)
-                    continue
-                restarts += 1
-                last = k + 1
-                guess = np.empty((steps, n_blocks - last), dtype=np.int64)
-                origin_new, _ = _speculate(stepper, lanes[:, last:], buckets[:, last:], ends[k], guess)
-                guesses.append((last, guess, origin_new))
-                i = len(guesses) - 1
-            k_from = k + 1
-        # the blocks from k_from on take guess i
-        f, g, o = guesses[i]
-        taken[k_from:] = i
-        origin[k_from:] = o[k_from - f :]
-        ends[k_from:] = g[-1, k_from - f :]
-        wrong = (np.flatnonzero(origin[k + 1 :] != ends[k:-1]) + k + 1).tolist()[::-1]
-    for i, (f, g, _) in enumerate(guesses[1:], 1):
-        blocks = np.flatnonzero(taken == i)
-        whole = blocks[blocks < full]
-        path[: full * steps].reshape(full, steps)[whole] = g[:, whole - f].T
-        if rest and taken[-1] == i:
-            path[full * steps :] = g[:rest, -1]
+            b = bisect_right(breaks, k)
+            j = breaks[b] if b < len(breaks) else n_blocks
+        if cur:
+            _copy_blocks(path, g, first, k, j, steps)
+        if j == n_blocks:
+            break
+        start = j * steps
+        stop = min(start + steps, span)
+        stored = [h[:, j - f] for f, h, _, _ in guesses]
+        met = _repair(path, u, rows, int(path[start - 1]), start, stop, stored)
+        if met:
+            at, cur = met
+            first, g = guesses[cur][:2]
+            path[at:stop] = g[at - start : stop - start, j - first]
+        elif meets and stop < span and (j + 1 - last) >> restarts:
+            # the true path reached states no guess of block j came from:
+            # guess the blocks after it again, from its true end
+            restarts += 1
+            last = j + 1
+            g = np.empty((steps, n_blocks - last), dtype=np.int64)
+            o, _ = _speculate(stepper, lanes[:, last:], buckets[:, last:], int(path[stop - 1]), g)
+            guesses.append((last, g, o, (np.flatnonzero(o[1:] != g[-1, :-1]) + last + 1).tolist()))
+            cur = len(guesses) - 1
+        k, x = j + 1, int(path[stop - 1])
+
+
+def _copy_blocks(path: np.ndarray, guess: np.ndarray, first: int, k: int, j: int, steps: int):
+    """Write blocks k .. j - 1 of guess, whose first block is first, into path."""
+    whole = min(j, len(path) // steps)
+    path[k * steps : whole * steps].reshape(-1, steps)[...] = guess[:, k - first : whole - first].T
+    if whole < j:
+        path[whole * steps :] = guess[: len(path) - whole * steps, whole - first]
 
 
 def _speculate(stepper: _Stepper, lanes: np.ndarray, buckets: np.ndarray, x: int, guess: np.ndarray):
@@ -313,11 +311,13 @@ def _speculate(stepper: _Stepper, lanes: np.ndarray, buckets: np.ndarray, x: int
 def _repair(path, u, rows, x, start, stop, stored):
     """Overwrite path[start:stop] with the path from state x driven by
     u[start:stop], up to where it meets one of the stored paths of the block
-    (arrays aligned with path[start:stop]): (that index, which stored path),
-    or None when it meets none.
+    (arrays aligned with path[start:stop], the oldest guess first): (that
+    index, the first stored path met), or None when it meets none.
 
     Compares after 1, 2, 4, ... steps: once the paths agree, they agree to
-    the end of the block.
+    the end of the block. A stored path computed from x itself is met at
+    the first comparison, so a guess that already starts the block at x
+    needs no check of its own.
     """
     draws = u[start:stop].tolist()
     seg = []

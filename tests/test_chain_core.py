@@ -1,5 +1,3 @@
-from math import gcd
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,10 +45,9 @@ class TestTypes:
             cc.ProbVector(np.array([0.5, 0.6]))
 
     def test_chain_class_consistency(self):
-        # ergodic implies irreducible: a reducible chain with self-loops on
-        # every state is not ergodic
+        # self-loops on every state do not make a reducible chain irreducible
         P = cc.TransitionMatrix(np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
-        assert not P.irreducible and not P.ergodic
+        assert not P.irreducible and not P.reversible
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -88,55 +85,40 @@ class TestValidate:
 
     def test_identity_two_absorbing_states(self):
         P = cc.TransitionMatrix(np.eye(2))
-        assert not P.irreducible and not P.ergodic
+        assert not P.irreducible
 
     def test_two_cycle_periodic(self):
         P = cc.TransitionMatrix(np.array(TWO_CYCLE, dtype=float))
-        assert P.irreducible and P.reversible and not P.ergodic
+        assert P.irreducible and P.reversible
 
     def test_positive_chain_ergodic(self):
         P = cc.TransitionMatrix(np.array(UNIFORM2))
-        assert P.irreducible and P.reversible and P.ergodic
+        assert P.irreducible and P.reversible
 
     def test_three_cycle_not_reversible(self):
         P = cc.TransitionMatrix(np.array(THREE_CYCLE, dtype=float))
-        assert P.irreducible and not P.reversible and not P.ergodic
+        assert P.irreducible and not P.reversible
 
     def test_single_state(self):
         P = cc.TransitionMatrix(np.array([[1.0]]))
-        assert P.irreducible and P.reversible and P.ergodic
+        assert P.irreducible and P.reversible
 
     def test_reversible_flag_on_the_matrix(self, rng):
         # each flag is decided once and cached; a reducible chain is not
         # reversible, and require_reversible says which part fails
         for entries, want in [(UNIFORM2, True), (THREE_CYCLE, False), (np.eye(2), False)]:
             P = cc.TransitionMatrix(np.array(entries, dtype=float))
-            assert P.reversible is want and P.ergodic is want
-            assert {"reversible", "ergodic"} <= P.__dict__.keys()
+            assert P.reversible is want
+            assert {"irreducible", "reversible"} <= P.__dict__.keys()
         with pytest.raises(ChainTestError, match="chain is not irreducible"):
             cc.require_reversible(np.eye(2))
         P = cp.random_reversible(5, rng)
         assert cc.require_reversible(P) is P and P.reversible
 
 
-def stack_period(P: np.ndarray) -> int:
-    """Period by a depth-first stack search and a Python loop over edges."""
-    supp = P > cc.SUPPORT_TOL
-    level = np.full(P.shape[0], -1, dtype=int)
-    level[0] = 0
-    stack = [0]
-    edges = []
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(supp[u]):
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                stack.append(int(v))
-            edges.append((u, int(v)))
-    g = 0
-    for u, v in edges:
-        g = gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 1
+def levels(P: cc.TransitionMatrix) -> np.ndarray:
+    """Breadth-first levels from state 0 over P's support graph."""
+    return cc._bfs_levels(cc._support(P.entries))
 
 
 def strongly_connected(P: np.ndarray) -> bool:
@@ -145,8 +127,7 @@ def strongly_connected(P: np.ndarray) -> bool:
 
 
 class TestClassification:
-    """Breadth-first irreducibility and period against scipy's strong
-    components and a depth-first stack search."""
+    """Breadth-first irreducibility against scipy's strong components."""
 
     def test_random_supports(self):
         r = np.random.default_rng(2024)
@@ -160,38 +141,26 @@ class TestClassification:
             W[(r.random((d, d)) < 0.1) & ~supp] = cc.SUPPORT_TOL
             P = cc.TransitionMatrix(W / W.sum(axis=1, keepdims=True))
             assert P.irreducible == strongly_connected(P.entries)
-            if P.irreducible:
-                irreducible += 1
-                assert cc._period(P) == stack_period(P.entries)
-            assert P.ergodic == (P.irreducible and stack_period(P.entries) == 1)
+            irreducible += P.irreducible
         assert 300 < irreducible < 2700
-
-    def test_bipartite_period_two(self, rng):
-        W = np.zeros((7, 7))
-        W[:3, 3:] = rng.uniform(0.1, 1.0, (3, 4))
-        W[3:, :3] = W[:3, 3:].T
-        P = cc.TransitionMatrix(W / W.sum(axis=1, keepdims=True))
-        assert P.irreducible and cc._period(P) == 2 == stack_period(P.entries)
-        assert P.reversible and not P.ergodic
 
     def test_long_cycle(self):
         P = cc.TransitionMatrix(np.roll(np.eye(257), 1, axis=1))
-        assert P.irreducible and cc._period(P) == 257 == stack_period(P.entries)
-        assert P._levels.max() == 256
+        assert P.irreducible
+        assert levels(P).max() == 256
 
     def test_long_path(self, rng):
         P = cp.birth_death(1000, rng)
         assert P.irreducible and strongly_connected(P.entries)
-        assert np.array_equal(P._levels, np.arange(1000))
-        assert cc._period(P) == 1 == stack_period(P.entries)
+        assert np.array_equal(levels(P), np.arange(1000))
         one_way = np.triu(P.entries)
         one_way[-1, -1] = 1.0
         Q = cc.TransitionMatrix(one_way / one_way.sum(axis=1, keepdims=True))
-        assert Q._levels.max() == 999 and not Q.irreducible
+        assert levels(Q).max() == 999 and not Q.irreducible
 
     def test_single_state(self):
         P = cc.TransitionMatrix([[1.0]])
-        assert P.irreducible and cc._period(P) == 1 and P._levels.tolist() == [0]
+        assert P.irreducible and levels(P).tolist() == [0]
 
 
 class TestStationaryDistribution:

@@ -44,6 +44,13 @@ def report_digest(path) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def strict_json(path):
+    """A report parsed as RFC 8259 JSON: Infinity, -Infinity and NaN are refused."""
+    def refuse(word):
+        raise ValueError(f"{word} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 INPUT_FLAGS = pytest.mark.parametrize("command, flag", [
     ("test", "--trajectory"), ("test", "--reference"), ("distance", "--a"),
     ("distance", "--b"), ("simulate", "--mu"), ("simulate", "--matrix"),
@@ -166,6 +173,7 @@ class TestFileFormats:
     def test_round12(self):
         assert fio.round12(0.12345678901234567) == 0.123456789012
         assert fio.round12({"x": [1 / 3]}) == {"x": [0.333333333333]}
+        assert fio.round12([np.inf, -np.inf, float("nan"), np.float32(2.5)]) == [None, None, None, 2.5]
 
 
 class TestCli:
@@ -317,6 +325,29 @@ class TestCli:
         ])
         assert rc == 0
         assert json.loads(rep.read_text())["decision"] == 0
+
+    def test_iidtest_impossible_code_report_is_strict_json(self, tmp_path, capsys):
+        # a sample of a zero-probability code makes the statistic inf, which
+        # the report writes as null
+        fio.save_probvector(cc.ProbVector([0.0, 0.2, 0.3, 0.5]), tmp_path / "pbar.json")
+        write_samples(tmp_path / "s.json", 4, np.arange(4000) % 4)
+        rep = tmp_path / "iid.json"
+        rc = main(["iidtest", "--pbar", str(tmp_path / "pbar.json"), "--samples",
+                   str(tmp_path / "s.json"), "--eps", "0.2", "--delta", "0.1", "--report", str(rep)])
+        doc = strict_json(rep)
+        assert rc == 0 and doc["statistic"] is None and doc["decision"] == 1
+
+    def test_test_impossible_code_report_is_strict_json(self, tmp_path, capsys):
+        # the uniform chain steps between states that the birth-death
+        # reference never joins
+        ref, traj, rep = tmp_path / "ref.json", tmp_path / "t.json", tmp_path / "rep.json"
+        fio.save_matrix(cp.birth_death(4, np.random.default_rng(0)), ref)
+        fio.save_trajectory(sp.simulate(np.full((4, 4), 0.25), np.full(4, 0.25), 300_000, 0), traj)
+        rc = main(["test", "--reference", str(ref), "--trajectory", str(traj),
+                   "--eps", "0.3", "--seed", "1", "--report", str(rep)])
+        doc = strict_json(rep)
+        assert rc == 1 and doc["verdict"] == "Reject" and doc["reason"] == "tester"
+        assert [(c["statistic"], c["decision"]) for c in doc["per_component"]] == [(None, 1)]
 
     def test_failed_certification_exit_code(self, tmp_path, rng, monkeypatch, capsys):
         # a cut ratio of 0 fails the brute-force check of every component

@@ -324,6 +324,18 @@ class TestPropertySuite:
         assert rep.passed, rep.violations[:3]
         assert rep.checks["time_reversal_equality"] == 150
         assert rep.checks["power_inequality"] == 600
+        assert rep.checks["power_limit"] == 150
+
+    def test_constructors_make_ergodic_pairs(self):
+        # why the power-limit check runs on every pair: metropolis keeps at
+        # least half of each row on the diagonal, and random_irreducible is
+        # entrywise positive, so both make irreducible aperiodic chains
+        r = np.random.default_rng(11)
+        for _ in range(200):
+            d = int(r.integers(2, 9))
+            P = cp.metropolis(cp.random_target(d, r), r)
+            assert P.irreducible and P.entries.diagonal().min() >= 0.5 - 1e-12
+            assert cp.random_irreducible(d, r).entries.min() > 0.0
 
     def test_family_separates_distance_from_stationary_gap(self):
         rep = idn.property_suite(seed=5, pairs=2)

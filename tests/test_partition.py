@@ -504,6 +504,22 @@ class TestSpectralCertification:
         _, ratio = pt.fiedler_sweep(P, np.arange(6))
         assert P.pi.sum() * ratio / 2.0 >= certs["component_threshold"]
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lp_splits_when_sweep_misses(self, seed):
+        # a weighted 6-cycle at beta 0.33: on the whole set the spectral
+        # bound is 24.5 % below tau_comp and the sweep's 11.6 % above, while
+        # the LP's is 11.8 % below, so the first split is the LP's rounded
+        # cut; which side of it the rounding names depends on the seed
+        W = np.diag([0.98, 0.97, 0.34, 0.82, 0.56, 0.40])
+        for i, w in enumerate([0.068, 0.0025, 0.0018, 0.00058, 0.023, 0.0016]):
+            W[i, (i + 1) % 6] = W[(i + 1) % 6, i] = w
+        part = pt.partition_states(cc.TransitionMatrix(W / W.sum(axis=1, keepdims=True)), 0.33, seed)
+        certs = part.certificates
+        first = certs["splits"][0]
+        assert first["by"] == "lp" and first["bound"] < certs["component_threshold"]
+        assert certs["certified"]
+        assert part.components == ((0, 1, 2), (4, 5), (3,)) and part.tail == ()
+
     def test_partition_leaves_scipy_optimize_unloaded(self):
         # a certified partition and one that splits by sweep solve no LP, so
         # they load no scipy module at all, scipy.optimize included
