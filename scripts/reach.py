@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """End-to-end reach: one trial of the whole pipeline per d, each in a fresh
-interpreter, and one CLI round trip.
+interpreter, and CLI round trips.
 
 A trial is simulate on the lazy random_reversible(d) chain at
 trajectory_budget length, then identity_test(..., lazify="assume"), eps 0.3.
 For each d the script prints the steps, the seconds of simulate and of
-identity_test, and the child's peak RSS (ru_maxrss). The CLI round trip runs
+identity_test, and the child's peak RSS (ru_maxrss). Each CLI round trip runs
 `mcident simulate --out` and `mcident test --lazify assume` on the same
 chain, each in its own interpreter, and adds the trajectory file's size.
 
-Every chain and run is seeded with 0, and the round trip is at d = 24.
+Every chain and run is seeded with 0, and the round trips are at d = 24
+and d = 32.
 
 Usage: python scripts/reach.py [--d 12 16 24] [--json out.json] [--workdir DIR] [--quick]
 --quick runs d = 4 at a tenth of its budget, trial and round trip alike, as a
@@ -36,7 +37,7 @@ from mcident import sampling as sp
 
 EPS = 0.3
 SEED = 0
-CLI_D = 24
+CLI_DS = (24, 32)
 QUICK_D = 4
 QUICK_SCALE = 0.1
 
@@ -118,7 +119,7 @@ def main():
         row["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(json.dumps(row))
         return
-    ds, cli_d = ([QUICK_D], QUICK_D) if args.quick else (args.d, CLI_D)
+    ds, cli_ds = ([QUICK_D], [QUICK_D]) if args.quick else (args.d, CLI_DS)
 
     trials = []
     print("== one trial per d: simulate + identity_test(lazify='assume'), eps 0.3")
@@ -131,12 +132,16 @@ def main():
               f"simulate {row['simulate_s']:7.2f} s  identity_test {row['identity_test_s']:6.2f} s  "
               f"peak RSS {row['peak_rss_mb']:7.1f} MB  {row['verdict']}")
     print("== CLI round trip: simulate --out, then test --lazify assume")
-    with tempfile.TemporaryDirectory(dir=args.workdir) as workdir:
-        row = cli_round_trip(cli_d, scale, Path(workdir))
-    rows = {"trials": trials, "cli": row}
-    print(f"d={row['d']:4d}  steps {row['steps']:>11,}  file {row['file_mb']:.1f} MB  "
-          f"simulate {row['simulate_s']:.2f} s, peak RSS {row['simulate_rss_mb']:.1f} MB  "
-          f"test {row['test_s']:.2f} s, peak RSS {row['test_rss_mb']:.1f} MB  {row['verdict']}")
+    cli_rows = []
+    for d in cli_ds:
+        # one round trip's files at a time: 1.1 GB of trajectory at d = 32
+        with tempfile.TemporaryDirectory(dir=args.workdir) as workdir:
+            row = cli_round_trip(d, scale, Path(workdir))
+        cli_rows.append(row)
+        print(f"d={row['d']:4d}  steps {row['steps']:>11,}  file {row['file_mb']:.1f} MB  "
+              f"simulate {row['simulate_s']:.2f} s, peak RSS {row['simulate_rss_mb']:.1f} MB  "
+              f"test {row['test_s']:.2f} s, peak RSS {row['test_rss_mb']:.1f} MB  {row['verdict']}")
+    rows = {"trials": trials, "cli": cli_rows}
     if args.json:
         Path(args.json).write_text(json.dumps(rows, indent=2) + "\n")
 

@@ -17,25 +17,32 @@ loaded samples are int64 codes.
 The writers save_matrix, save_probvector and save_trajectory write one line
 of JSON with sorted keys and no spaces, the bytes of json.dumps(doc,
 sort_keys=True, separators=(",", ":")) + "\n". Trajectory arrays are turned
-into digits with numpy, a chunk of values at a time, never into a Python
-list. Samples files are read, not written: no subcommand produces one, and
-json.dumps gives the same layout. A trajectory or samples file
-whose only array is its states or samples, written as non-negative integers
-of at most 18 digits with no whitespace, is parsed the same way (the rest of
-the file, the array emptied, goes through json.loads), and a trajectory's
-states are range-checked and cast to their narrow dtype a chunk at a time;
-any other file, such as the indented files of earlier versions, floats,
-negatives, states outside [1, d] or a truncated file, is parsed with
-json.load, which accepts any JSON layout and words every error. Reports
-stay indented. All numbers in emitted reports are rounded to 12 significant
-digits, which keeps reports byte-identical across runs with the same
-manifest, and a non-finite float is written as null, so a report is strict
-JSON (RFC 8259)."""
+into digits with numpy, a chunk of values at a time in the narrowest dtype
+that holds d, never into a Python list. Samples files are read, not
+written: no subcommand produces one, and json.dumps gives the same layout.
+
+A trajectory or samples file whose only array is its states or samples,
+written as non-negative integers of at most 18 digits with no whitespace,
+is read by the chunk reader: the rest of the file, the array emptied, goes
+through json.loads, and the array is parsed, range-checked and cast to its
+narrow dtype one block of about _CHUNK_BYTES at a time, straight from the
+open file. load_trajectory and load_samples join its chunks;
+stream_trajectory checks the whole file in one pass and keeps none of it,
+and its StateStream reads the file again for each scan, which stops at the
+last visit it needs. Any other file, such as the indented files of earlier
+versions, floats, negatives or a truncated file, is parsed with json.load,
+which accepts any JSON layout and words every error; either way a state
+outside [1, d] is refused with the same words. Reports stay indented. All
+numbers in emitted reports are rounded to 12 significant digits, which
+keeps reports byte-identical across runs with the same manifest, and a
+non-finite float is written as null, so a report is strict JSON (RFC 8259).
+file_digest hashes a file a block at a time."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from math import isfinite
 from pathlib import Path
@@ -44,15 +51,17 @@ import numpy as np
 
 from .chain_core import ProbVector, TransitionMatrix
 from .errors import ChainTestError
-from .sampling import Trajectory, state_dtype
+from .sampling import StateStream, Trajectory, state_dtype
 
 _FILE_TOL = 1e-8
 
-# Values per chunk of the integer writer, and bytes per chunk of the integer
-# reader: their temporaries stay this size however long the array is.
+# Values per chunk of the integer writer, and bytes per block of the integer
+# reader and of file_digest: their temporaries stay this size however long
+# the file is.
 _CHUNK_VALUES, _CHUNK_BYTES = 1 << 16, 1 << 17
-_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 _ZERO, _COMMA = ord("0"), ord(",")
+# the longest item the reader parses: 10**18 - 1 < 2**63, so none wraps
+_DIGITS = 18
 
 
 def load_matrix(path) -> TransitionMatrix:
@@ -97,27 +106,55 @@ def save_probvector(p: ProbVector, path) -> None:
 
 def load_trajectory(path) -> Trajectory:
     d, states = _load_integers(path, "states")
-    if d >= 1 and states.size and (int(states.min()) < 0 or int(states.max()) >= d):
-        raise ChainTestError(f"{path}: states outside [1, {d}]")
     try:
         return Trajectory(d=d, states=states)
     except ChainTestError as exc:
         raise ChainTestError(f"{path}: {exc}") from None
 
 
+def stream_trajectory(path) -> Trajectory | StateStream:
+    """The trajectory of a file, for scans that may stop early.
+
+    One pass of the chunk reader checks every state of the file and counts
+    them, keeping none, and so refuses what load_trajectory refuses, with
+    the same words; the StateStream it returns opens the file again for
+    each scan. A file the chunk reader does not parse is loaded whole by
+    load_trajectory instead."""
+    try:
+        with open(path, "rb") as fh:
+            d, start, stop = _compact_span(fh, "states")
+            length = sum(len(chunk) for chunk in _parse_chunks(fh, start, stop, d, path))
+    except _NotCompact:
+        return load_trajectory(path)
+    if not length:
+        raise ChainTestError(f"{path}: trajectory must contain at least one state")
+
+    def chunks():
+        try:
+            with open(path, "rb") as fh:
+                yield from _parse_chunks(fh, start, stop, d, path)
+        except _NotCompact:
+            raise ChainTestError(f"{path}: changed while it was read") from None
+
+    return StateStream(d, length, chunks)
+
+
 def save_trajectory(traj: Trajectory, path) -> None:
     """Write {"d": d, "states": states + 1} in the bytes json.dumps(doc,
     sort_keys=True, separators=(",", ":")) + "\n" gives, turning the 0-based
     states into 1-based digits with numpy, _CHUNK_VALUES at a time. Each
-    chunk is widened to uint64 before the + 1, so a narrow 255 is written
-    256, not 0."""
+    chunk is cast to np.min_scalar_type(d) before the + 1, which holds d,
+    so a uint8 255 is written 256, not 0."""
     states = traj.states
+    dtype = np.min_scalar_type(traj.d)
     text = json.dumps({"d": int(traj.d), "states": []}, sort_keys=True, separators=(",", ":"))
     cut = text.index("[]") + 1
     with open(path, "wb") as fh:
         fh.write(text[:cut].encode())
         for start in range(0, states.size, _CHUNK_VALUES):
-            ascii = _ascii(states[start : start + _CHUNK_VALUES].astype(np.uint64) + np.uint64(1))
+            values = states[start : start + _CHUNK_VALUES].astype(dtype)
+            values += 1
+            ascii = _ascii(values)
             fh.write(ascii if start + _CHUNK_VALUES < states.size else ascii[:-1])
         fh.write(text[cut:].encode() + b"\n")
 
@@ -128,7 +165,12 @@ def load_samples(path) -> tuple[int, np.ndarray]:
 
 
 def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of the file, read 8 * _CHUNK_BYTES at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(8 * _CHUNK_BYTES):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def round12(obj):
@@ -196,94 +238,151 @@ def _integers(doc: dict, key: str, path) -> np.ndarray:
 def _load_integers(path, key: str) -> tuple[int, np.ndarray]:
     """d and the 0-based array doc[key] of a trajectory or samples file,
     read-only and owning its data: int64, or for a trajectory's "states"
-    state_dtype(d) when the numpy reader reads them and uint64 when they
-    pass the int64 range."""
-    raw = Path(path).read_bytes()
-    compact = _read_compact(raw, key)
-    if compact is None:
+    state_dtype(d) when the chunk reader reads them and uint64 when they
+    pass the int64 range. A trajectory's states must lie in [1, d] when d
+    is positive."""
+    try:
+        with open(path, "rb") as fh:
+            d, start, stop = _compact_span(fh, key)
+            top = d if key == "states" else None
+            dtype = np.int64 if top is None else state_dtype(top)
+            values = np.concatenate([np.empty(0, dtype), *_parse_chunks(fh, start, stop, top, path)])
+    except _NotCompact:
         doc = _read(path)
         d = _dimension(doc, path)
         values = _integers(doc, key, path)
         values -= 1
-    else:
-        d, values = compact
+        if key == "states" and d >= 1 and values.size and (values.min() < 0 or int(values.max()) >= d):
+            raise ChainTestError(f"{path}: states outside [1, {d}]") from None
     values.setflags(write=False)
     return d, values
 
 
-def _read_compact(raw: bytes, key: str):
-    """(d, doc[key] - 1) without building a Python list, when the span from
-    the first '[' to the last ']' of raw is a list of non-negative JSON
-    integers of at most 18 digits with no whitespace, that list is doc[key]
-    and d is an integer; for "states", only when every value is also in
-    [1, d], and the result is then of state_dtype(d). None for any other
-    input, which json.load reads instead."""
-    lo, hi = raw.find(b"["), raw.rfind(b"]")
-    if lo < 0 or hi < lo:
-        return None
+class _NotCompact(Exception):
+    """The file is not in the layout the chunk reader parses; json.load
+    reads it instead."""
+
+
+def _compact_span(fh, key: str) -> tuple[int, int, int]:
+    """(d, start, stop) when the bytes of fh from its first '[' to its last
+    ']' are the list doc[key], and the rest of the file, the list emptied,
+    is a JSON object with an integer d (for "states", in [1, 2**64 - 1], the
+    alphabets Trajectory takes). The list's items are bytes [start, stop).
+    Only the first and the last block of the file are read. Raises
+    _NotCompact for any other file, and when the '[' or the ']' lies outside
+    those blocks."""
+    head = fh.read(_CHUNK_BYTES)
+    lo = head.find(b"[")
+    size = fh.seek(0, os.SEEK_END)
+    tail_at = max(size - _CHUNK_BYTES, 0)
+    fh.seek(tail_at)
+    tail = fh.read()
+    hi = tail.rfind(b"]")
+    if lo < 0 or hi < 0 or tail_at + hi <= lo:
+        raise _NotCompact
     try:
-        doc = json.loads((raw[: lo + 1] + raw[hi:]).decode("utf-8"))
+        doc = json.loads((head[: lo + 1] + tail[hi:]).decode("utf-8"))
     except (ValueError, RecursionError):  # not UTF-8 or not JSON
-        return None
+        raise _NotCompact from None
     # '[' and ']' occur nowhere else outside strings, so a list at key is this one
     if not isinstance(doc, dict) or doc.get(key) != []:
-        return None
+        raise _NotCompact
     d = doc.get("d")
-    if not isinstance(d, int) or isinstance(d, bool):
-        return None
-    values = _parse_digits(raw, lo + 1, hi, d if key == "states" else None)
-    return None if values is None else (d, values)
+    if not isinstance(d, int) or isinstance(d, bool) or key == "states" and not 1 <= d <= 2**64 - 1:
+        raise _NotCompact
+    return d, lo + 1, tail_at + hi
 
 
-def _parse_digits(raw: bytes, start: int, stop: int, top: int | None):
-    """raw[start:stop] less one when it is comma-separated JSON non-negative
-    integers of at most 18 digits (so none wraps), else None: int64, or
-    state_dtype(top) when every value lies in [1, top] (else None). Parsed
-    about _CHUNK_BYTES at a time, each chunk ending at a comma, and each
-    chunk range-checked before it is cast."""
+def _parse_chunks(fh, start: int, stop: int, top: int | None, path):
+    """Yield the items of bytes [start, stop) of fh less one, a block of
+    about _CHUNK_BYTES at a time, when they are comma-separated JSON
+    non-negative integers of at most _DIGITS digits: int64, or for a top,
+    state_dtype(top) after a check that every item lies in [1, top].
+
+    Each block is parsed between a comma put before it and its last comma
+    (the last block, a comma put after it); the bytes after that comma open
+    the next block. Raises _NotCompact at the first block that is not such a
+    list, and a ChainTestError after the last block when some item lies
+    outside [1, top]: no chunk is yielded after the first such item, and
+    every block is still parsed, so json.load's own errors come first."""
     dtype = np.int64 if top is None else state_dtype(top)
-    out = np.empty(raw.count(b",", start, stop) + (stop > start), dtype=dtype)
-    data = np.frombuffer(raw, dtype=np.uint8)
-    k = 0
-    while start < stop:
-        end = raw.find(b",", min(start + _CHUNK_BYTES, stop), stop)
-        end = stop if end < 0 else end
-        chunk = data[start:end]
-        digits = chunk - np.uint8(_ZERO)  # bytes below '0' wrap to above 9
-        ends = np.append(np.flatnonzero(chunk == _COMMA), chunk.size)
-        lengths = np.diff(ends, prepend=-1) - 1
-        longest = int(lengths.max())
-        if (np.count_nonzero(digits <= 9) != chunk.size - (ends.size - 1)  # not digits or commas
-                or lengths.min() < 1 or longest > 18  # empty item, or one that may wrap
-                or longest > 1 and np.any((digits[ends - lengths] == 0) & (lengths > 1))):  # 01
-            return None
-        values = digits[ends - 1].astype(np.int64)
-        for j in range(1, longest):
-            live = np.flatnonzero(lengths > j)
-            values[live] += digits[ends[live] - 1 - j].astype(np.int64) * 10**j
-        values -= 1
-        if top is not None and (values.min() < 0 or int(values.max()) >= top):
-            return None
-        out[k : k + ends.size] = values
-        k += ends.size
-        start = end + 1
-    # a trailing comma leaves an empty last item unparsed
-    return out if k == out.size else None
+    buf = bytearray(_CHUNK_BYTES + _DIGITS + 2)
+    text = np.frombuffer(buf, dtype=np.uint8)
+    buf[0] = _COMMA
+    fh.seek(start)
+    left, carry, outside = stop - start, 0, False
+    while left:
+        size = min(_CHUNK_BYTES, left)
+        if fh.readinto(memoryview(buf)[1 + carry : 1 + carry + size]) != size:
+            raise _NotCompact  # the file is shorter than it was
+        left -= size
+        end = 1 + carry + size
+        if not left:
+            buf[end] = _COMMA
+            end += 1
+        last = buf.rfind(b",", 0, end) + 1
+        carry = end - last
+        if carry > _DIGITS:  # an item too long for int64, or not an item
+            raise _NotCompact
+        values = _parse_items(text[:last])
+        buf[1 : 1 + carry] = buf[last:end]
+        if top is None:
+            values = values.astype(dtype, copy=False)
+        elif values.size and (values.min() < 1 or int(values.max()) > top):
+            outside = True
+        if not outside:
+            values -= 1
+            yield values.astype(dtype, copy=False)
+    if outside:
+        raise ChainTestError(f"{path}: states outside [1, {top}]")
+
+
+def _parse_items(text: np.ndarray) -> np.ndarray:
+    """The items of text, uint8 bytes that open and close with a comma, as
+    integers in the narrowest of uint8, uint16, uint32 and int64 that holds
+    their longest. Raises _NotCompact unless every item is one to _DIGITS
+    digits with no leading zero."""
+    if text.size % 2 and (text[::2] == _COMMA).all():  # one digit each
+        values = text[1::2] - np.uint8(_ZERO)
+        if values.size and values.max() > 9:  # bytes below '0' wrap to above 9
+            raise _NotCompact
+        return values
+    digits = text - np.uint8(_ZERO)
+    digit = digits <= 9
+    commas = np.flatnonzero(text == _COMMA)
+    lengths = np.diff(commas) - 1
+    longest = int(lengths.max())
+    if (np.count_nonzero(digit) != text.size - commas.size  # not digits or commas
+            or lengths.min() < 1 or longest > _DIGITS  # empty item, or one that may wrap
+            or np.any((text[:-2] == _COMMA) & (digits[1:-1] == 0) & digit[2:])):  # 01
+        raise _NotCompact
+    acc = np.uint8 if longest <= 2 else np.uint16 if longest <= 4 else np.uint32 if longest <= 9 else np.int64
+    # place[i]: the number that the digits from byte i back to its item's
+    # first spell, built up one place at a time over the whole block; run[i]:
+    # bytes i - j .. i are all digits
+    place = digits.astype(acc)
+    run = digit.copy()
+    for j in range(1, longest):
+        run[j:] &= digit[:-j]
+        run[:j] = False
+        place[j:] += (digits[:-j] * run[j:]).astype(acc, copy=False) * acc(10**j)
+    return place[commas[1:] - 1]
 
 
 def _ascii(values: np.ndarray) -> np.ndarray:
-    """The decimal digits of uint64 values as uint8 text, each followed by a
-    comma. Each value is laid out right-aligned in a row as wide as the
-    widest; the rows are joined, less their unused leading bytes."""
+    """The decimal digits of unsigned values as uint8 text, each followed by
+    a comma, worked out in the values' own dtype. Each value is laid out
+    right-aligned in a row as wide as the widest; the rows are joined, less
+    their unused leading bytes."""
+    widest = len(str(int(values.max())))
     ndigits = np.ones(values.size, dtype=np.int64)
-    for power in _POW10[_POW10 <= values.max()]:
-        ndigits += values >= power
-    widest = int(ndigits.max())
+    for k in range(1, widest):
+        ndigits += values >= 10**k
     rows = np.empty((values.size, widest + 1), dtype=np.uint8)
     rows[:, -1] = _COMMA
     for col in range(widest - 1, -1, -1):
-        quotient = values // np.uint64(10)  # numpy divides by a scalar faster than it takes %
-        rows[:, col] = values - quotient * np.uint64(10) + np.uint64(_ZERO)
+        quotient = values // 10  # numpy divides by a scalar faster than it takes %
+        rows[:, col] = values - quotient * 10 + _ZERO
         values = quotient
     if ndigits.min() == widest:
         return rows.ravel()

@@ -36,7 +36,7 @@ from .errors import ChainTestError
 from .iid_test import TestVerdict, _histogram_test, iid_sample_size
 from .metrics import chain_distance, hellinger, induced_distribution, ratio_distance
 from .partition import StatePartition, partition_states
-from .sampling import Trajectory, _induced_histogram
+from .sampling import StateStream, Trajectory, _induced_histogram
 
 ACCEPT = 0
 REJECT = 1
@@ -46,7 +46,7 @@ REJECT = 1
 #: Hellinger distance, so it receives sqrt of this.
 HELLINGER_SEPARATION_FACTOR = 128.0
 
-# Source states per chunk of lazify_trajectory's hold times.
+# Source states per draw of the hold times that give an emulated length.
 HOLD_CHUNK = 1 << 16
 
 
@@ -120,28 +120,43 @@ def lazify_trajectory(traj: Trajectory, alpha: float, seed: int) -> Trajectory:
     law exactly: holds are the lazy chain's self-loops, moves follow the
     original kernel.
 
-    The hold times are drawn HOLD_CHUNK at a time from one stream, which
-    gives the same draws as one call for all of them, and each chunk of
-    states is repeated as soon as its holds are drawn: the result keeps the
-    trajectory's narrow dtype, and no int64 array is longer than a chunk.
+    The result joins the chunks of _lazy_chunks: it keeps the trajectory's
+    narrow dtype, and no int64 array is longer than a chunk.
     """
     if not (0.0 <= alpha < 1.0):
         raise ChainTestError(f"alpha={alpha}")
     if alpha == 0.0:
         return traj
-    rng = derive_rng(seed, "hold-times")
-    pieces = []
-    for start in range(0, len(traj), HOLD_CHUNK):
-        chunk = traj.states[start : start + HOLD_CHUNK]
-        pieces.append(np.repeat(chunk, rng.geometric(1.0 - alpha, size=len(chunk))))
-    states = np.concatenate(pieces)
+    states = np.concatenate(list(_lazy_chunks(traj, alpha, seed)))
     states.setflags(write=False)
     return Trajectory(d=traj.d, states=states)
 
 
+def _lazy_chunks(traj, alpha: float, seed: int):
+    """The emulation as a chunk map: each chunk of traj's states is repeated
+    by its hold times as soon as they are drawn. Holds drawn from one stream
+    are the same draws however the calls cut them, so any chunking of traj
+    gives the same states."""
+    rng = derive_rng(seed, "hold-times")
+    for chunk in traj.chunks():
+        yield np.repeat(chunk, rng.geometric(1.0 - alpha, size=len(chunk)))
+
+
+def _lazy_stream(traj, alpha: float, seed: int) -> StateStream:
+    """lazify_trajectory of a Trajectory or StateStream, read again for each
+    scan. Its length is the sum of every hold, drawn HOLD_CHUNK at a time
+    without reading a state, so a scan that stops early repeats only the
+    states it reaches."""
+    rng = derive_rng(seed, "hold-times")
+    n = len(traj)
+    length = sum(int(rng.geometric(1.0 - alpha, size=min(HOLD_CHUNK, n - start)).sum())
+                 for start in range(0, n, HOLD_CHUNK))
+    return StateStream(traj.d, length, lambda: _lazy_chunks(traj, alpha, seed))
+
+
 def identity_test(
     Pbar,
-    traj: Trajectory,
+    traj: Trajectory | StateStream,
     cfg: TestConfig,
     lazify: str = "assume",
 ) -> TestReport:
@@ -150,7 +165,10 @@ def identity_test(
     lazify="assume" treats the trajectory as already generated by the
     alpha-lazy unknown chain (alpha = eps^2 / (2 sqrt 2)); "emulate"
     transforms a trajectory of the non-lazy chain into one of the lazy
-    chain by inserting geometric hold times.
+    chain by inserting geometric hold times, lazify_trajectory's, chunk by
+    chunk as each component's scan reads them. traj may be a StateStream,
+    such as fileio.stream_trajectory's; each component's scan reads it
+    again from its first state.
 
     Succeeds with probability at least 3/5 at trajectory_budget length:
     accepts when the unknown chain equals the reference, rejects when their
@@ -173,7 +191,7 @@ def identity_test(
     alpha = cfg.eps ** 2 / (2.0 * sqrt(2.0))
     P_ref = lazy_version(Pbar, alpha)
     if lazify == "emulate":
-        traj_l = lazify_trajectory(traj, alpha, seed=cfg.seed)
+        traj_l = _lazy_stream(traj, alpha, cfg.seed)
     elif lazify == "assume":
         traj_l = traj
     else:

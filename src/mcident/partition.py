@@ -88,14 +88,21 @@ def solve_spccc_lp(P, I) -> MetricLP:
     """Minimum of sum Q(i,j) delta_ij over metrics delta on I normalized by
     sum pi_i pi_j delta_ij = 1. Every triangle inequality is written out,
     and the LP is solved by HiGHS.
+
+    HiGHS solves it on the restricted chain, pi_I and Q_I divided by pi(I):
+    a metric x of that LP is delta = x / pi(I)^2 here, with objective
+    divided by pi(I). Posed on pi itself, a set of small mass gives HiGHS
+    coefficients near its feasibility tolerance, and it called such LPs
+    infeasible.
     """
     P = as_transition_matrix(P)
     I_idx = _as_subset(I, P.d)
     if len(I_idx) < 2:
         raise ChainTestError("need |I| >= 2")
     require_reversible(P)
-    pi_I = P.pi[I_idx]
-    Qs_I = (P.Q + P.Q.T)[np.ix_(I_idx, I_idx)]
+    mass = float(P.pi[I_idx].sum())
+    pi_I = P.pi[I_idx] / mass
+    Qs_I = (P.Q + P.Q.T)[np.ix_(I_idx, I_idx)] / mass
 
     n = len(I_idx)
     a, b = np.triu_indices(n, 1)
@@ -104,8 +111,8 @@ def solve_spccc_lp(P, I) -> MetricLP:
     x, obj = solve_lp(Qs_I[a, b], A_ub, np.zeros(A_ub.shape[0]), norm_row[None, :], np.array([1.0]))
 
     delta = np.zeros((n, n))
-    delta[a, b] = delta[b, a] = x
-    return MetricLP(I=tuple(int(i) for i in I_idx), T=(), delta=delta, objective=float(obj))
+    delta[a, b] = delta[b, a] = x / mass**2
+    return MetricLP(I=tuple(int(i) for i in I_idx), T=(), delta=delta, objective=float(obj) / mass)
 
 
 def _restriction(P: TransitionMatrix, I_idx: np.ndarray) -> np.ndarray:

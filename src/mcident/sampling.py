@@ -16,6 +16,7 @@ exception.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import ceil, isqrt, log
 
@@ -66,6 +67,26 @@ class Trajectory:
     def __len__(self) -> int:
         return int(self.states.shape[0])
 
+    def chunks(self) -> Iterable[np.ndarray]:
+        """The states as views, VISIT_CHUNK at a time."""
+        X = self.states
+        return (X[start : start + VISIT_CHUNK] for start in range(0, len(X), VISIT_CHUNK))
+
+
+@dataclass(frozen=True)
+class StateStream:
+    """A trajectory of length states over {0, ..., d-1} that is read again
+    from its source for every scan: each call chunks() yields its states
+    from the first, in consecutive arrays of state_dtype(d). A scan that
+    stops early reads only the chunks it needs."""
+
+    d: int
+    length: int
+    chunks: Callable[[], Iterable[np.ndarray]]
+
+    def __len__(self) -> int:
+        return self.length
+
 
 # Geometry of simulate's lockstep phase: a window of BLOCKS * BLOCK_STEPS
 # uniforms, and GUIDE buckets per row of the guide table. On one core of a
@@ -77,7 +98,8 @@ BLOCKS = 1024
 BLOCK_STEPS = 256
 GUIDE = 1024
 
-# States per chunk of the scan that bins anchored visits.
+# States per view of Trajectory.chunks: the chunks that the scan of anchored
+# visits reads from an array.
 VISIT_CHUNK = 1 << 14
 
 
@@ -363,18 +385,19 @@ def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | Non
     return rng.permutation(np.repeat(np.arange(hist.size, dtype=np.int64), hist))
 
 
-def _induced_histogram(traj: Trajectory, S, nu, l: int, rng: np.random.Generator) -> tuple:
+def _induced_histogram(traj, S, nu, l: int, rng: np.random.Generator) -> tuple:
     """The conversion: (the histogram of the l codes over |S|^2 + 1 cells,
     or None when too few usable visits; the prefix read, 1 + the time of
     the last visit the anchors take, or len(traj) - 1 when too few).
 
-    Checks the arguments, draws the anchor count of each state of S from
-    nu with one multinomial draw from rng (its own stream, so one
-    trajectory can be reused across components), and bins the first that
-    many visits to each state by successor with one _scan_visits. Nothing
-    is drawn when l exceeds the usable visits.
+    traj is a Trajectory or a StateStream. Checks the arguments, draws the
+    anchor count of each state of S from nu with one multinomial draw from
+    rng (its own stream, so one trajectory can be reused across
+    components), and bins the first that many visits to each state by
+    successor with one _scan_visits. Nothing is drawn or read when l
+    exceeds the usable visits.
     """
-    if not isinstance(traj, Trajectory):
+    if not isinstance(traj, (Trajectory, StateStream)):
         raise ChainTestError("expected a Trajectory")
     S_idx = _as_subset(S, traj.d)
     n = len(S_idx)
@@ -393,44 +416,45 @@ def _induced_histogram(traj: Trajectory, S, nu, l: int, rng: np.random.Generator
         raise ChainTestError(f"l={l} must be >= 0")
     scan = None
     if l <= len(traj) - 1:  # else more anchors than usable visits
-        scan = _scan_visits(traj, S_idx, rng.multinomial(l, weights / weights.sum()))
+        counts = rng.multinomial(l, weights / weights.sum())
+        scan = _scan_visits(traj.chunks(), traj.d, S_idx, counts)
     if scan is None:
         return None, len(traj) - 1
     cut, pairs = scan
     return np.append(pairs[:, :-1].ravel(), pairs[:, -1].sum()), int(cut.max(initial=0))
 
 
-def _scan_visits(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray):
+def _scan_visits(chunks: Iterable[np.ndarray], d: int, S_idx: np.ndarray, counts: np.ndarray):
     """(cut, pairs) of the visits the anchors take, the first counts[a]
     visits to S[a] that have a successor: cut[a] is 1 + the time of the
     last of them (0 when counts[a] = 0), and pairs[a, b] counts them by
     successor, S[b] or, for b = |S|, a state outside S. None when some
     state has fewer such visits.
 
-    The states are read VISIT_CHUNK at a time, up to the chunk that
-    completes every demand, and mapped once to their index in S (|S|
-    outside S) in a narrow dtype; the (state, successor) pairs of each
-    chunk are counted. A chunk where some demand completes is grouped by
-    state with a stable sort (a radix sort on the narrow dtype), which gives
-    the time of each completing visit, and its pairs are counted again up
-    to those times.
+    chunks yields the trajectory's states over {0, ..., d-1} in consecutive
+    arrays. They are taken one at a time, up to the chunk that completes
+    every demand, and mapped once to their index in S (|S| outside S) in a
+    narrow dtype; each chunk is scanned with the last state of the one
+    before, so every (state, successor) pair is counted once. A chunk where
+    some demand completes is grouped by state with a stable sort (a radix
+    sort on the narrow dtype), which gives the time of each completing
+    visit, and its pairs are counted again up to those times.
     """
-    X = traj.states
-    usable = len(X) - 1
     n = len(S_idx)
     cells = (n + 1) ** 2
-    local = np.full(traj.d, n, dtype=state_dtype(n + 1))
+    local = np.full(d, n, dtype=state_dtype(n + 1))
     local[S_idx] = np.arange(n)
-    times = np.arange(VISIT_CHUNK)
     need = counts.astype(np.intp)
     cut = np.zeros(n, dtype=np.intp)
     pairs = np.zeros((n, n + 1), dtype=np.intp)
-    start = 0
+    chunks = iter(chunks)
+    at = local[:0]
+    start = 0  # the time of at[0]
     while need.any():
-        if start >= usable:
+        chunk = next(chunks, None)
+        if chunk is None:
             return None
-        stop = min(start + VISIT_CHUNK, usable)
-        at = local.take(X[start : stop + 1])
+        at = np.concatenate((at[-1:], local.take(chunk)))
         code = at[:-1].astype(np.uint16 if cells <= 1 << 16 else np.intp)
         code *= n + 1
         code += at[1:]
@@ -444,13 +468,13 @@ def _scan_visits(traj: Trajectory, S_idx: np.ndarray, counts: np.ndarray):
             cut[done] = start + 1 + last
             # each state takes its visits of the chunk up to limit, which is
             # 0 outside S and for the states whose demand is already met
-            limit = np.append(np.where(active, stop - start, 0), 0)
+            limit = np.append(np.where(active, code.size, 0), 0)
             limit[done] = last + 1
-            taken = limit.take(at[:-1]) > times[: stop - start]
+            taken = limit.take(at[:-1]) > np.arange(code.size)
             seen = np.bincount(code[taken], minlength=cells).reshape(n + 1, n + 1)[:n]
         pairs[active] += seen[active]
         need -= np.minimum(visits, need)
-        start = stop
+        start += code.size
     return cut, pairs
 
 

@@ -244,6 +244,46 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {traj}: states outside [1, {d}]\n"
 
+    def test_last_state_out_of_range_exit_code(self, tmp_path, capsys):
+        # every scan stops long before the last state, which only the pass
+        # that checks the whole file reads: exit 2, and no report
+        d = 4
+        ref, traj, rep = tmp_path / "P.json", tmp_path / "traj.json", tmp_path / "rep.json"
+        fio.save_matrix(cc.TransitionMatrix(np.full((d, d), 1.0 / d)), ref)
+        states = np.random.default_rng(0).integers(0, d, 300_000)
+        fio.save_trajectory(sp.Trajectory(d=d, states=states), traj)
+        argv = ["test", "--reference", str(ref), "--trajectory", str(traj),
+                "--eps", "0.3", "--seed", "1", "--report", str(rep)]
+        assert main(argv) in (0, 1)
+        report = json.loads(rep.read_text())
+        assert report["reason"] == "tester"
+        assert report["per_component"][0]["prefix_read"] < 100_000
+        rep.unlink()
+        text = traj.read_bytes()
+        traj.write_bytes(text[: text.rindex(b",") + 1] + b"%d]}\n" % (d + 1))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {traj}: states outside [1, {d}]\n"
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("lazify", ["assume", "emulate"])
+    def test_streamed_report_matches_in_memory(self, tmp_path, monkeypatch, capsys, lazify):
+        # the first component fails to convert, so the second one's scan
+        # opens the file again; 4 KB blocks make every scan span several
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", 4096)
+        matrix, traj = tmp_path / "P.json", tmp_path / "t.json"
+        matrix.write_text(json.dumps(TWO_BLOCKS))
+        assert main(["simulate", "--matrix", str(matrix), "--mu", "uniform", "--steps", "60000",
+                     "--seed", "1", "--out", str(traj)]) == 0
+        argv = ["test", "--reference", str(matrix), "--trajectory", str(traj), "--eps", "0.5",
+                "--seed", "4", "--lazify", lazify, "--report"]
+        streamed, loaded = tmp_path / "streamed.json", tmp_path / "loaded.json"
+        rc = main(argv + [str(streamed)])
+        first, second = json.loads(streamed.read_text())["per_component"]
+        assert first["failed"] and not second["failed"]
+        monkeypatch.setattr(cli, "stream_trajectory", fio.load_trajectory)
+        assert main(argv + [str(loaded)]) == rc
+        assert report_digest(streamed) == report_digest(loaded)
+
     def test_d_beyond_uint64_exit_code(self, tmp_path, capsys):
         ref, traj = tmp_path / "P.json", tmp_path / "traj.json"
         fio.save_matrix(cc.TransitionMatrix(np.full((2, 2), 0.5)), ref)

@@ -1,5 +1,6 @@
 """Trajectory and samples files: the numpy writer and reader against json."""
 
+import hashlib
 import json
 from unittest import mock
 
@@ -42,7 +43,7 @@ def both_readers(load, path):
     """The loader's outcome as it reads the file, and with the numpy reader
     switched off so that json.load reads every file."""
     fast = outcome(load, path)
-    with mock.patch.object(fio, "_read_compact", return_value=None):
+    with mock.patch.object(fio, "_compact_span", side_effect=fio._NotCompact):
         return fast, outcome(load, path)
 
 
@@ -283,3 +284,99 @@ class TestReader:
         assert d == 4 and codes.tolist() == (np.arange(9) % 4).tolist()
         with pytest.raises(JsonLoadCalled):
             fio.load_trajectory(indented)
+
+
+def streamed(path):
+    """stream_trajectory's outcome in the form of outcome(): the states its
+    chunks yield, joined, for a file the chunk reader parses."""
+    try:
+        got = fio.stream_trajectory(path)
+    except Exception as exc:  # compared with load_trajectory's, whatever it is
+        return type(exc), str(exc)
+    states = got.states if isinstance(got, sp.Trajectory) else np.concatenate(list(got.chunks()))
+    assert len(states) == len(got)
+    return got.d, states.dtype, states.tolist()
+
+
+# Files for the chunk reader, each (kind, bytes, whether the chunk reader
+# parses it rather than json.load).
+STRADDLE = b",".join(b"%d" % v for v in np.random.default_rng(5).integers(1, 301, 200))
+CHUNK_READER_CASES = {
+    "straddling": ("trajectory", b'{"d":300,"states":[' + STRADDLE + b"]}\n", True),
+    "18-digits": ("samples", b'{"d":3,"samples":[1,' + b"9" * 18 + b",123456789012345678]}\n", True),
+    "18-digit-states": ("trajectory", b'{"d":%d,"states":[1,%d,7]}\n' % (10**18, 10**18 - 1), True),
+    "19-digits": ("samples", b'{"d":3,"samples":[1,' + b"1" * 19 + b",2]}\n", False),
+    "19-digit-states": ("trajectory", b'{"d":%d,"states":[1,%d]}\n' % (10**19, 10**18 + 5), False),
+    "leading-zero": ("trajectory", b'{"d":12,"states":[1,2,01,3]}\n', False),
+    "trailing-comma": ("trajectory", b'{"d":12,"states":[1,2,3,]}\n', False),
+    "states-first": ("trajectory", b'{"states":[3,1,2,' + b"1," * 40 + b'3],"d":3}\n', True),
+    "indented": ("trajectory", json.dumps({"d": 3, "states": [1, 3, 2] * 30}, indent=2).encode(), False),
+    "samples": ("samples", b'{"d":9,"samples":[' + b"5,1,0,9," * 30 + b"12]}\n", True),
+}
+
+
+class TestChunkReader:
+    @pytest.mark.parametrize("block", [48, 49, 1 << 17])
+    @pytest.mark.parametrize("case", CHUNK_READER_CASES)
+    def test_reads_as_json_load(self, tmp_path, monkeypatch, case, block):
+        # blocks of 48 and 49 bytes put items across every kind of boundary; the
+        # head, up to the "[", fits in the first
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", block)
+        kind, text, compact = CHUNK_READER_CASES[case]
+        load = fio.load_trajectory if kind == "trajectory" else fio.load_samples
+        path = tmp_path / "f.json"
+        path.write_bytes(text)
+        fast, slow = both_readers(load, path)
+        assert fast == slow
+        loads = []
+        with mock.patch.object(json, "load", side_effect=lambda fh: loads.append(1) or json.loads(fh.read())):
+            assert outcome(load, path) == slow
+            if kind == "trajectory":
+                assert streamed(path) == slow
+        assert (not loads) == compact
+
+    def test_chunks_stay_small(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", 64)
+        states = np.random.default_rng(3).integers(0, 12, 1000)
+        path = tmp_path / "t.json"
+        fio.save_trajectory(sp.Trajectory(d=12, states=states), path)
+        stream = fio.stream_trajectory(path)
+        assert isinstance(stream, sp.StateStream) and len(stream) == 1000
+        for _ in range(2):  # each call reads the file again, from the first state
+            chunks = list(stream.chunks())
+            assert max(map(len, chunks)) <= 64 // 2 + 1
+            assert np.concatenate(chunks).tolist() == states.tolist()
+            assert all(c.dtype == np.uint8 for c in chunks)
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_refusals_match_load_trajectory(self, tmp_path, monkeypatch, where):
+        # a state outside [1, d] anywhere, the last one included, refused in
+        # load_trajectory's words; a float after it is refused first, as
+        # json.load's reading refuses it
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", 64)
+        values = np.ones(500, dtype=np.int64)
+        values[where] = 4
+        path = tmp_path / "t.json"
+        path.write_bytes(dumps(3, "states", values))
+        assert streamed(path) == outcome(fio.load_trajectory, path) == (
+            ChainTestError, f"{path}: states outside [1, 3]")
+        path.write_bytes(dumps(3, "states", values).replace(b"]", b",1.5]"))
+        assert streamed(path) == outcome(fio.load_trajectory, path) == (
+            ChainTestError, f"{path}: states must be a list of integers")
+
+    def test_file_changed_between_reads(self, tmp_path):
+        path = tmp_path / "t.json"
+        fio.save_trajectory(sp.Trajectory(d=3, states=np.arange(3000) % 3), path)
+        stream = fio.stream_trajectory(path)
+        path.write_bytes(b'{"d":3,"states":[1,2]}\n')
+        with pytest.raises(ChainTestError, match="changed while it was read"):
+            list(stream.chunks())
+
+
+class TestFileDigest:
+    def test_matches_one_read(self, tmp_path):
+        path = tmp_path / "f.bin"
+        for size in (0, 1, 8 * fio._CHUNK_BYTES, 8 * fio._CHUNK_BYTES + 3):
+            data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+            path.write_bytes(data)
+            assert fio.file_digest(path) == hashlib.sha256(data).hexdigest()

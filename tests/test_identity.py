@@ -122,6 +122,19 @@ class TestLazifyTrajectory:
         assert out.states.dtype == np.uint8 and not out.states.flags.writeable
         assert np.array_equal(out.states, want)
 
+    @pytest.mark.parametrize("alpha", [0.03, 0.9])
+    @pytest.mark.parametrize("extra", [-1, 1, idn.HOLD_CHUNK + 1])
+    def test_stream_matches_lazify_trajectory(self, alpha, extra):
+        # the length drawn without reading a state, and the states of each
+        # scan, chunk by chunk, are lazify_trajectory's
+        states = np.random.default_rng(8).integers(0, 5, idn.HOLD_CHUNK + extra)
+        traj = sp.Trajectory(d=5, states=states)
+        want = idn.lazify_trajectory(traj, alpha, seed=12).states
+        stream = idn._lazy_stream(traj, alpha, 12)
+        assert len(stream) == len(want)
+        for _ in range(2):
+            assert np.array_equal(np.concatenate(list(stream.chunks())), want)
+
 
 class TestIdentityTest:
     def test_rejects_bad_reference(self, rng):

@@ -57,6 +57,28 @@ class TestSpcccLP:
         with pytest.raises(ChainTestError, match="detailed balance violated"):
             call([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
+    def test_wide_pi_is_feasible(self):
+        # a random walk whose pi spans about 1e11: on {0, 1, 2, 6}, where it
+        # spans 1e3 below 4e-5, HiGHS called the LP posed on pi itself
+        # infeasible, though a constant metric is always feasible
+        upper = [[2e-8, 3e-11, 1e-8, 5e-12, 2e-13, 3e-12, 2e-9],
+                 [4e-5, 3e-9, 7e-10, 3e-12, 8e-13, 2e-13],
+                 [4e-7, 1e-9, 1e-12, 8e-11, 5e-11], [1, 2e-8, 9e-7, 4e-11],
+                 [4e-10, 6e-8, 2e-9], [6e-9, 3e-14], [8e-6]]
+        W = np.zeros((7, 7))
+        for i, row in enumerate(upper):
+            W[i, i:] = row
+        W += np.triu(W, 1).T
+        P = cc.TransitionMatrix(W / W.sum(axis=1, keepdims=True))
+        I = [0, 1, 2, 6]
+        lp = pt.solve_spccc_lp(P, I)
+        assert lp.objective == pytest.approx(mt.min_cut_metric_ratio(P, I), rel=1e-6)
+        norm = float(np.einsum("i,j,ij->", P.pi[I], P.pi[I], lp.delta))
+        assert norm == pytest.approx(1.0, abs=1e-7)
+        part = pt.partition_states(P, beta=0.03, seed=1)
+        assert part.components == ((3, 4, 5), (0, 1, 2, 6)) and part.tail == ()
+        assert part.certificates["certified"]
+
     def test_bad_subsets(self, rng):
         P = cp.random_reversible(4, rng)
         with pytest.raises(ChainTestError, match=r"need \|I\| >= 2"):

@@ -334,6 +334,20 @@ class TestIidGenerate:
                 results.add(matches_loop(traj, S, nu, l, l))
         assert results == {True, False}
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scan_reads_any_chunking(self, seed):
+        # chunks of any length, empty ones included, as a file's blocks or
+        # their emulation give them: the scan of the array's own views
+        rng = np.random.default_rng(seed)
+        traj = scan_trajectory(6, 5000, seed)
+        cuts = np.sort(rng.integers(0, len(traj), 40))
+        pieces = np.split(traj.states, cuts)
+        for S in ([0, 1, 2, 3, 4, 5], [1, 4], [5]):
+            for counts in (np.full(len(S), 1), rng.integers(0, 700, len(S)), np.full(len(S), 5000)):
+                want = sp._scan_visits(traj.chunks(), 6, np.array(S), counts)
+                got = sp._scan_visits(iter(pieces), 6, np.array(S), counts)
+                assert (want is None and got is None) or all(np.array_equal(a, b) for a, b in zip(want, got))
+
     @pytest.mark.parametrize("chunk", [1, 7, 4096])
     def test_cutoff_edges(self, monkeypatch, chunk):
         monkeypatch.setattr(sp, "VISIT_CHUNK", chunk)
@@ -344,7 +358,7 @@ class TestIidGenerate:
             zeros = sp.Trajectory(d=4, states=np.zeros(m, dtype=np.uint8))
             # l == len(traj) - 1 takes every visit, up to the last usable one
             assert not matches_loop(zeros, [0], ones, m - 1, 1)
-            assert sp._scan_visits(zeros, np.array([0]), np.array([m - 1]))[0].tolist() == [m - 1]
+            assert sp._scan_visits(zeros.chunks(), zeros.d, np.array([0]), np.array([m - 1]))[0].tolist() == [m - 1]
             # the last visit has no successor
             if m > 1:
                 assert matches_loop(zeros, [0], ones, m, 1)
@@ -352,13 +366,13 @@ class TestIidGenerate:
             for l in {chunk - 1, chunk, chunk + 1, 2 * chunk} - {0}:
                 if l <= m - 1:
                     assert not matches_loop(zeros, [0], ones, l, 1)
-                    assert sp._scan_visits(zeros, np.array([0]), np.array([l]))[0].tolist() == [l]
+                    assert sp._scan_visits(zeros.chunks(), zeros.d, np.array([0]), np.array([l]))[0].tolist() == [l]
         # the last usable visit to a state followed by its last, unusable one
         traj = sp.Trajectory(d=2, states=np.array([0, 1] * chunk + [0, 0], dtype=np.uint8))
         half = np.array([0.5, 0.5])
-        assert sp._scan_visits(traj, np.array([0, 1]), np.array([chunk + 1, chunk]))[0].tolist() == \
+        assert sp._scan_visits(traj.chunks(), traj.d, np.array([0, 1]), np.array([chunk + 1, chunk]))[0].tolist() == \
             [2 * chunk + 1, 2 * chunk]
-        assert sp._scan_visits(traj, np.array([0, 1]), np.array([chunk + 2, 0])) is None
+        assert sp._scan_visits(traj.chunks(), traj.d, np.array([0, 1]), np.array([chunk + 2, 0])) is None
         for l in (chunk, 2 * chunk, 2 * chunk + 1):
             matches_loop(traj, [0, 1], half, l, l)
         # many states completing in one chunk and across chunks
