@@ -51,6 +51,7 @@ from .partition import (
     tail_occupancy_check,
 )
 from .sampling import (
+    StateStream,
     Trajectory,
     iid_generate,
     required_visits,
@@ -63,6 +64,7 @@ __all__ = [
     "MetricLP",
     "ProbVector",
     "StatePartition",
+    "StateStream",
     "TestConfig",
     "TestReport",
     "TestVerdict",

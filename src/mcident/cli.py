@@ -27,9 +27,9 @@ from .fileio import (
     load_matrix,
     load_probvector,
     load_samples,
+    load_trajectory,
     round12,
     save_trajectory,
-    stream_trajectory,
     write_report,
 )
 from .identity import TestConfig, identity_test, property_suite
@@ -179,7 +179,7 @@ def _cmd_iidtest(args) -> int:
 def _cmd_test(args) -> int:
     Pbar = load_matrix(args.reference)
     # every state is read and checked here; each scan reads the file again
-    traj = stream_trajectory(args.trajectory)
+    traj = load_trajectory(args.trajectory)
     if traj.d != Pbar.d:
         raise ChainTestError(
             f"{args.trajectory}: trajectory alphabet {traj.d} != {Pbar.d} states of {args.reference}"

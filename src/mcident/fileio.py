@@ -6,13 +6,13 @@ Formats (all JSON):
   trajectory  {"d": n, "states": [...]}              states are 1-based
   samples     {"d": K, "samples": [...]}             codes are 1-based
 
-d is a JSON integer, and states and samples are lists of JSON integers;
-anything else is a ChainTestError, and so is a file that is not UTF-8 text
-or not JSON, with the file's name in front of the message. Rows are
-validated at 1e-8 and then renormalized exactly, so files produced by other
-tools with print-rounded floats still load. A loaded trajectory holds its
-states in sampling.state_dtype(d), one byte per state up to d = 256;
-loaded samples are int64 codes.
+d is a JSON integer, states and samples are lists of JSON integers, and
+rows and p hold JSON numbers; anything else is a ChainTestError, and so is
+a file that is not UTF-8 text or not JSON, with the file's name in front of
+the message. Rows are validated at 1e-8 and then renormalized exactly, so
+files produced by other tools with print-rounded floats still load. A
+loaded trajectory's chunks hold its states in sampling.state_dtype(d), one
+byte per state up to d = 256; loaded samples are int64 codes.
 
 The writers save_matrix, save_probvector and save_trajectory write one line
 of JSON with sorted keys and no spaces, the bytes of json.dumps(doc,
@@ -26,17 +26,17 @@ written as non-negative integers of at most 18 digits with no whitespace,
 is read by the chunk reader: the rest of the file, the array emptied, goes
 through json.loads, and the array is parsed, range-checked and cast to its
 narrow dtype one block of about _CHUNK_BYTES at a time, straight from the
-open file. load_trajectory and load_samples join its chunks;
-stream_trajectory checks the whole file in one pass and keeps none of it,
-and its StateStream reads the file again for each scan, which stops at the
-last visit it needs. Any other file, such as the indented files of earlier
-versions, floats, negatives or a truncated file, is parsed with json.load,
-which accepts any JSON layout and words every error; either way a state
-outside [1, d] is refused with the same words. Reports stay indented. All
-numbers in emitted reports are rounded to 12 significant digits, which
-keeps reports byte-identical across runs with the same manifest, and a
-non-finite float is written as null, so a report is strict JSON (RFC 8259).
-file_digest hashes a file a block at a time."""
+open file. load_samples joins its chunks. load_trajectory returns a
+StateStream: one pass checks the whole file and keeps none of it, and each
+scan reads the file again and may stop at the last visit it needs. Any
+other file, such as the indented files of earlier versions, floats,
+negatives or a truncated file, is parsed once with json.load, which accepts
+any JSON layout and words every error; either way a state outside [1, d] is
+refused with the same words. Reports stay indented. All numbers in emitted
+reports are rounded to 12 significant digits, which keeps reports
+byte-identical across runs with the same manifest, and a non-finite float
+is written as null, so a report is strict JSON (RFC 8259). file_digest
+hashes a file a block at a time."""
 
 from __future__ import annotations
 
@@ -67,10 +67,7 @@ _DIGITS = 18
 def load_matrix(path) -> TransitionMatrix:
     doc = _read(path)
     d = _dimension(doc, path)
-    try:
-        rows = np.asarray(doc.get("rows"), dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ChainTestError(f"{path}: rows are not numeric: {exc}") from None
+    rows = _numbers(doc, "rows", path)
     if rows.ndim != 2 or rows.shape != (d, d):
         raise ChainTestError(f"{path}: rows shape {rows.shape} does not match d={d}")
     sums = rows.sum(axis=1)
@@ -88,10 +85,7 @@ def save_matrix(P: TransitionMatrix, path) -> None:
 def load_probvector(path) -> ProbVector:
     doc = _read(path)
     d = _dimension(doc, path)
-    try:
-        p = np.asarray(doc.get("p"), dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ChainTestError(f"{path}: p is not numeric: {exc}") from None
+    p = _numbers(doc, "p", path)
     if p.ndim != 1 or p.shape[0] != d:
         raise ChainTestError(f"{path}: p shape {p.shape} does not match d={d}")
     if not (abs(p.sum() - 1.0) <= _FILE_TOL and p.min() >= -_FILE_TOL):  # NaN fails
@@ -104,34 +98,38 @@ def save_probvector(p: ProbVector, path) -> None:
     _write(path, round12({"d": p.d, "p": [float(x) for x in p.entries]}))
 
 
-def load_trajectory(path) -> Trajectory:
-    d, states = _load_integers(path, "states")
-    try:
-        return Trajectory(d=d, states=states)
-    except ChainTestError as exc:
-        raise ChainTestError(f"{path}: {exc}") from None
+def load_trajectory(path) -> StateStream:
+    """The trajectory of a file, for scans that may stop early; join its
+    chunks() with np.concatenate for the whole array.
 
-
-def stream_trajectory(path) -> Trajectory | StateStream:
-    """The trajectory of a file, for scans that may stop early.
-
-    One pass of the chunk reader checks every state of the file and counts
-    them, keeping none, and so refuses what load_trajectory refuses, with
-    the same words; the StateStream it returns opens the file again for
-    each scan. A file the chunk reader does not parse is loaded whole by
-    load_trajectory instead."""
+    A file the chunk reader parses is checked whole in one pass, which
+    counts the states and keeps none, and each chunks() call opens the file
+    again; a re-open whose file differs in size or modification time from
+    the checked one is refused. Any other file is loaded once by json.load
+    into a Trajectory, whose chunks() the stream yields. Either way every
+    state is checked before this returns, and a refusal names the file."""
     try:
         with open(path, "rb") as fh:
+            checked = _stamp(fh)
             d, start, stop = _compact_span(fh, "states")
             length = sum(len(chunk) for chunk in _parse_chunks(fh, start, stop, d, path))
     except _NotCompact:
-        return load_trajectory(path)
+        d, states = _json_integers(path, "states")
+        if d >= 1 and states.size and (states.min() < 0 or int(states.max()) >= d):
+            raise ChainTestError(f"{path}: states outside [1, {d}]") from None
+        try:
+            traj = Trajectory(d=d, states=states)
+        except ChainTestError as exc:
+            raise ChainTestError(f"{path}: {exc}") from None
+        return StateStream(d, len(traj), traj.chunks)
     if not length:
         raise ChainTestError(f"{path}: trajectory must contain at least one state")
 
     def chunks():
         try:
             with open(path, "rb") as fh:
+                if _stamp(fh) != checked:
+                    raise _NotCompact
                 yield from _parse_chunks(fh, start, stop, d, path)
         except _NotCompact:
             raise ChainTestError(f"{path}: changed while it was read") from None
@@ -160,8 +158,17 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def load_samples(path) -> tuple[int, np.ndarray]:
-    """Integer-alphabet samples; returns (alphabet size, 0-based int64 codes)."""
-    return _load_integers(path, "samples")
+    """Integer-alphabet samples; returns (alphabet size, 0-based int64 codes),
+    read-only and owning their data."""
+    try:
+        with open(path, "rb") as fh:
+            d, start, stop = _compact_span(fh, "samples")
+            chunks = _parse_chunks(fh, start, stop, None, path)
+            codes = np.concatenate([np.empty(0, np.int64), *chunks])
+    except _NotCompact:
+        d, codes = _json_integers(path, "samples")
+    codes.setflags(write=False)
+    return d, codes
 
 
 def file_digest(path) -> str:
@@ -205,7 +212,7 @@ def _read(path) -> dict:
             doc = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ChainTestError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, over 4300 digits, deep nesting
         raise ChainTestError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ChainTestError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -219,43 +226,43 @@ def _dimension(doc: dict, path) -> int:
     return d
 
 
-def _integers(doc: dict, key: str, path) -> np.ndarray:
-    """The list doc[key] as an int64 array, read exactly; positive "states"
-    past the int64 range, up to 2**64 - 1, as a uint64 one. Anything but a
-    flat list of integers is an error (floats would otherwise be truncated
-    silently)."""
+def _numbers(doc: dict, key: str, path) -> np.ndarray:
+    """doc[key] as a float array. Every entry must be a JSON number: numpy
+    would turn the string "0.5" and the boolean true into floats too."""
+    items = doc.get(key)
+    try:
+        values = np.asarray(items, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:  # ragged, or past float range
+        raise ChainTestError(f"{path}: {key} are not numeric: {exc}") from None
+    # type() is not isinstance(): true and false are not numbers here
+    if not set(map(type, np.asarray(items, dtype=object).ravel())) <= {int, float}:
+        raise ChainTestError(f"{path}: {key} must be JSON numbers")
+    return values
+
+
+def _json_integers(path, key: str) -> tuple[int, np.ndarray]:
+    """d and the 0-based array doc[key] of a trajectory or samples file, read
+    exactly by json.load: int64, or for positive "states" past the int64
+    range, up to 2**64 - 1, uint64. Anything but a flat list of integers is
+    an error (floats would otherwise be truncated silently)."""
+    doc = _read(path)
+    d = _dimension(doc, path)
     items = doc.get(key, [])
     # type() is not isinstance(): true and false are not integers here
     if not isinstance(items, list) or any(type(x) is not int for x in items):
         raise ChainTestError(f"{path}: {key} must be a list of integers")
     wide = key == "states" and items and min(items) >= 1 and max(items) >= 2**63
     try:
-        return np.array(items, dtype=np.uint64 if wide else np.int64)
+        values = np.array(items, dtype=np.uint64 if wide else np.int64)
     except OverflowError:
         raise ChainTestError(f"{path}: {key} holds an integer out of range") from None
-
-
-def _load_integers(path, key: str) -> tuple[int, np.ndarray]:
-    """d and the 0-based array doc[key] of a trajectory or samples file,
-    read-only and owning its data: int64, or for a trajectory's "states"
-    state_dtype(d) when the chunk reader reads them and uint64 when they
-    pass the int64 range. A trajectory's states must lie in [1, d] when d
-    is positive."""
-    try:
-        with open(path, "rb") as fh:
-            d, start, stop = _compact_span(fh, key)
-            top = d if key == "states" else None
-            dtype = np.int64 if top is None else state_dtype(top)
-            values = np.concatenate([np.empty(0, dtype), *_parse_chunks(fh, start, stop, top, path)])
-    except _NotCompact:
-        doc = _read(path)
-        d = _dimension(doc, path)
-        values = _integers(doc, key, path)
-        values -= 1
-        if key == "states" and d >= 1 and values.size and (values.min() < 0 or int(values.max()) >= d):
-            raise ChainTestError(f"{path}: states outside [1, {d}]") from None
-    values.setflags(write=False)
+    values -= 1
     return d, values
+
+
+def _stamp(fh) -> tuple[int, int]:
+    st = os.fstat(fh.fileno())  # the open file's size and modification time
+    return st.st_size, st.st_mtime_ns
 
 
 class _NotCompact(Exception):

@@ -36,7 +36,7 @@ from .errors import ChainTestError
 from .iid_test import TestVerdict, _histogram_test, iid_sample_size
 from .metrics import chain_distance, hellinger, induced_distribution, ratio_distance
 from .partition import StatePartition, partition_states
-from .sampling import StateStream, Trajectory, _induced_histogram
+from .sampling import VISIT_CHUNK, StateStream, Trajectory, _induced_histogram
 
 ACCEPT = 0
 REJECT = 1
@@ -45,9 +45,6 @@ REJECT = 1
 #: the chains are eps-far: eps^2 / 128. The iid tester works in unsquared
 #: Hellinger distance, so it receives sqrt of this.
 HELLINGER_SEPARATION_FACTOR = 128.0
-
-# Source states per draw of the hold times that give an emulated length.
-HOLD_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,46 +109,37 @@ def trajectory_budget(d: int, pibar_star: float, eps: float, c_len: float = C_LE
     return int(ceil(size))
 
 
-def lazify_trajectory(traj: Trajectory, alpha: float, seed: int) -> Trajectory:
+def lazify_trajectory(traj: Trajectory | StateStream, alpha: float,
+                      seed: int) -> Trajectory | StateStream:
     """Emulate the alpha-lazy chain's trajectory from a non-lazy one.
 
     Each step of the source is held for an independent Geometric(1 - alpha)
     number of ticks (support 1, 2, ...), which reproduces the lazy chain's
     law exactly: holds are the lazy chain's self-loops, moves follow the
-    original kernel.
+    original kernel. alpha = 0 returns traj itself.
 
-    The result joins the chunks of _lazy_chunks: it keeps the trajectory's
-    narrow dtype, and no int64 array is longer than a chunk.
+    Otherwise the result is a StateStream in traj's dtype; join its chunks()
+    with np.concatenate for the whole array. Its length is the sum of every
+    hold, drawn VISIT_CHUNK at a time without reading a state. Each scan
+    reads traj again and repeats each chunk by its holds as it draws them:
+    a scan that stops early repeats only the states it reaches, and one
+    stream's draws are the same however they are cut.
     """
     if not (0.0 <= alpha < 1.0):
         raise ChainTestError(f"alpha={alpha}")
     if alpha == 0.0:
         return traj
-    states = np.concatenate(list(_lazy_chunks(traj, alpha, seed)))
-    states.setflags(write=False)
-    return Trajectory(d=traj.d, states=states)
-
-
-def _lazy_chunks(traj, alpha: float, seed: int):
-    """The emulation as a chunk map: each chunk of traj's states is repeated
-    by its hold times as soon as they are drawn. Holds drawn from one stream
-    are the same draws however the calls cut them, so any chunking of traj
-    gives the same states."""
-    rng = derive_rng(seed, "hold-times")
-    for chunk in traj.chunks():
-        yield np.repeat(chunk, rng.geometric(1.0 - alpha, size=len(chunk)))
-
-
-def _lazy_stream(traj, alpha: float, seed: int) -> StateStream:
-    """lazify_trajectory of a Trajectory or StateStream, read again for each
-    scan. Its length is the sum of every hold, drawn HOLD_CHUNK at a time
-    without reading a state, so a scan that stops early repeats only the
-    states it reaches."""
-    rng = derive_rng(seed, "hold-times")
     n = len(traj)
-    length = sum(int(rng.geometric(1.0 - alpha, size=min(HOLD_CHUNK, n - start)).sum())
-                 for start in range(0, n, HOLD_CHUNK))
-    return StateStream(traj.d, length, lambda: _lazy_chunks(traj, alpha, seed))
+    rng = derive_rng(seed, "hold-times")
+    length = sum(int(rng.geometric(1.0 - alpha, size=min(VISIT_CHUNK, n - start)).sum())
+                 for start in range(0, n, VISIT_CHUNK))
+
+    def chunks():
+        rng = derive_rng(seed, "hold-times")
+        for chunk in traj.chunks():
+            yield np.repeat(chunk, rng.geometric(1.0 - alpha, size=len(chunk)))
+
+    return StateStream(traj.d, length, chunks)
 
 
 def identity_test(
@@ -167,7 +155,7 @@ def identity_test(
     transforms a trajectory of the non-lazy chain into one of the lazy
     chain by inserting geometric hold times, lazify_trajectory's, chunk by
     chunk as each component's scan reads them. traj may be a StateStream,
-    such as fileio.stream_trajectory's; each component's scan reads it
+    such as fileio.load_trajectory's; each component's scan reads it
     again from its first state.
 
     Succeeds with probability at least 3/5 at trajectory_budget length:
@@ -191,7 +179,7 @@ def identity_test(
     alpha = cfg.eps ** 2 / (2.0 * sqrt(2.0))
     P_ref = lazy_version(Pbar, alpha)
     if lazify == "emulate":
-        traj_l = _lazy_stream(traj, alpha, cfg.seed)
+        traj_l = lazify_trajectory(traj, alpha, cfg.seed)
     elif lazify == "assume":
         traj_l = traj
     else:

@@ -361,11 +361,13 @@ def _repair(path, u, rows, x, start, stop, stored):
     return None
 
 
-def iid_generate(traj: Trajectory, S, nu, l: int, seed: int) -> np.ndarray | None:
+def iid_generate(traj: Trajectory | StateStream, S, nu, l: int, seed: int) -> np.ndarray | None:
     """Turn a trajectory into l iid draws from the induced law on S.
 
-    Draws are int64 codes a*|S| + b for the pair (S[a], S[b]) of sorted S,
-    and |S|^2 for a successor outside S. They are the histogram of
+    traj is a Trajectory or a StateStream, such as fileio.load_trajectory's;
+    the codes are the same either way. Draws are int64 codes a*|S| + b for
+    the pair (S[a], S[b]) of sorted S, and |S|^2 for a successor outside S.
+    They are the histogram of
     _induced_histogram, with a generator seeded with seed, in a uniform
     random order drawn from that generator after its anchor-count draw: l
     iid draws given their histogram are in a uniform random order.

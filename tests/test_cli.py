@@ -116,7 +116,7 @@ class TestFileFormats:
         doc = json.loads(path.read_text())
         assert doc["states"] == [1, 3, 2, 1]
         back = fio.load_trajectory(path)
-        assert back.states.tolist() == [0, 2, 1, 0]
+        assert np.concatenate(list(back.chunks())).tolist() == [0, 2, 1, 0]
 
     def test_probvector_round_trip(self, tmp_path):
         p = cc.ProbVector(np.array([0.25, 0.75]))
@@ -162,7 +162,7 @@ class TestFileFormats:
             got = load(path)
             if kind == "samples":
                 return got
-            return got.d, got.states if kind == "trajectory" else got.entries
+            return got.d, np.concatenate(list(got.chunks())) if kind == "trajectory" else got.entries
 
         want_d, want = arrays(compact)
         for path in (indented, spaced):
@@ -225,7 +225,7 @@ class TestCli:
         assert main(["simulate", "--matrix", str(matrix), "--mu", str(mu), "--steps", "3000",
                      "--seed", "5", "--out", str(traj_path)]) == 0
         assert traj_path.read_text().startswith('{"d":256,"states":[256,')
-        states = fio.load_trajectory(traj_path).states
+        states = np.concatenate(list(fio.load_trajectory(traj_path).chunks()))
         assert states.dtype == np.uint8 and states[0] == d - 1
         rc = main(["test", "--reference", str(matrix), "--trajectory", str(traj_path),
                    "--eps", "0.99", "--seed", "1", "--report", str(rep_path)])
@@ -268,21 +268,29 @@ class TestCli:
     @pytest.mark.parametrize("lazify", ["assume", "emulate"])
     def test_streamed_report_matches_in_memory(self, tmp_path, monkeypatch, capsys, lazify):
         # the first component fails to convert, so the second one's scan
-        # opens the file again; 4 KB blocks make every scan span several
+        # opens the file again; 4 KB blocks make every scan span several.
+        # The report is identity_test's on the trajectory simulate wrote.
         monkeypatch.setattr(fio, "_CHUNK_BYTES", 4096)
-        matrix, traj = tmp_path / "P.json", tmp_path / "t.json"
+        matrix, traj, rep = tmp_path / "P.json", tmp_path / "t.json", tmp_path / "rep.json"
         matrix.write_text(json.dumps(TWO_BLOCKS))
         assert main(["simulate", "--matrix", str(matrix), "--mu", "uniform", "--steps", "60000",
                      "--seed", "1", "--out", str(traj)]) == 0
-        argv = ["test", "--reference", str(matrix), "--trajectory", str(traj), "--eps", "0.5",
-                "--seed", "4", "--lazify", lazify, "--report"]
-        streamed, loaded = tmp_path / "streamed.json", tmp_path / "loaded.json"
-        rc = main(argv + [str(streamed)])
-        first, second = json.loads(streamed.read_text())["per_component"]
+        rc = main(["test", "--reference", str(matrix), "--trajectory", str(traj), "--eps", "0.5",
+                   "--seed", "4", "--lazify", lazify, "--report", str(rep)])
+        got = json.loads(rep.read_text())
+        first, second = got["per_component"]
         assert first["failed"] and not second["failed"]
-        monkeypatch.setattr(cli, "stream_trajectory", fio.load_trajectory)
-        assert main(argv + [str(loaded)]) == rc
-        assert report_digest(streamed) == report_digest(loaded)
+        P = fio.load_matrix(matrix)
+        in_memory = sp.simulate(P, np.full(P.d, 1.0 / P.d), 60000, seed=1)
+        want = idn.identity_test(P, in_memory, idn.TestConfig(eps=0.5, seed=4), lazify=lazify)
+        assert rc == want.verdict and got["reason"] == want.reason
+        assert got["trajectory_length"] == want.trajectory_length
+        for c, o in zip(got["per_component"], want.per_component, strict=True):
+            assert c["states"] == [s + 1 for s in o.states] and c["failed"] == o.failed
+            assert c["prefix_read"] == o.prefix_read
+            if o.verdict:
+                assert [c["statistic"], c["threshold"]] == fio.round12([o.verdict.statistic,
+                                                                        o.verdict.threshold])
 
     def test_d_beyond_uint64_exit_code(self, tmp_path, capsys):
         ref, traj = tmp_path / "P.json", tmp_path / "traj.json"
@@ -303,7 +311,15 @@ class TestCli:
         ("test", "--trajectory", '{"d": 0, "states": [1]}', "d=0 must be >= 1 and < 2**64"),
         ("test", "--trajectory", '{"d": 4, "states": []}',
          "trajectory must contain at least one state"),
-    ], ids=["nan-matrix", "nan-mu", "zero-d", "no-states"])
+        # numpy would read "0.5" as 0.5 and true as 1.0
+        ("distance", "--a", '{"d":2,"rows":[["0.5","0.5"],["0.5","0.5"]]}', "rows must be JSON numbers"),
+        ("distance", "--a", '{"d":2,"rows":[[true,false],[false,true]]}', "rows must be JSON numbers"),
+        ("simulate", "--mu", '{"d":4,"p":["0.25","0.25","0.25","0.25"]}', "p must be JSON numbers"),
+        ("simulate", "--mu", '{"d":4,"p":[true,false,false,false]}', "p must be JSON numbers"),
+        ("distance", "--a", '{"d":2,"rows":[[1%s,0],[0.5,0.5]]}' % ("0" * 400),
+         "rows are not numeric: int too large to convert to float"),
+    ], ids=["nan-matrix", "nan-mu", "zero-d", "no-states", "matrix-strings", "matrix-booleans",
+            "mu-strings", "mu-booleans", "matrix-huge-int"])
     def test_load_refusals_name_the_file(self, chain_file, tmp_path, capsys, command, flag,
                                          content, message):
         rc, bad, out = run_with_bad_input(chain_file, tmp_path, command, flag,
@@ -637,6 +653,20 @@ class TestCli:
                                        truncate):
         # a JSON syntax error names the file, like every other input error
         rc, bad, out = run_with_bad_input(chain_file, tmp_path, command, flag, truncate)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        b'{"d":1' + b"0" * 5000 + b',"states":[1,2]}', b'{"d":2,"x":' + b"[" * 100_000 + b"}",
+    ], ids=["5001-digit-d", "deep-nesting"])
+    @INPUT_FLAGS
+    def test_unreadable_json_exit_code(self, chain_file, tmp_path, capsys, command, flag,
+                                       content):
+        # json.load refuses an integer past 4300 digits with a plain ValueError,
+        # and deep nesting with a RecursionError: each is an input error too
+        rc, bad, out = run_with_bad_input(chain_file, tmp_path, command, flag, lambda good: content)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1

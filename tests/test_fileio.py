@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -28,13 +29,23 @@ def dumps(d, key, values) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+def joined(stream) -> np.ndarray:
+    """The states of a StateStream, its chunks() joined."""
+    states = np.concatenate(list(stream.chunks()))
+    assert len(states) == len(stream)
+    return states
+
+
 def outcome(load, path):
-    """What a loader makes of a file: (d, dtype, array) or (error class, message)."""
+    """What a loader makes of a file: (d, dtype, array) or (error class,
+    message); the array of a trajectory is its stream's chunks joined."""
     try:
         got = load(path)
     except Exception as exc:  # compared across the two readers, whatever it is
         return type(exc), str(exc)
-    d, values = (got.d, got.states) if isinstance(got, sp.Trajectory) else got
+    if isinstance(got, sp.StateStream):
+        return got.d, joined(got).dtype, joined(got).tolist()
+    d, values = got
     assert not values.flags.writeable and values.flags.owndata
     return d, values.dtype, values.tolist()
 
@@ -226,7 +237,7 @@ class TestReader:
         path = tmp_path / "t.json"
         fio.save_trajectory(sp.Trajectory(d=256, states=states), path)
         assert path.read_bytes() == dumps(256, "states", states + 1)
-        back = fio.load_trajectory(path).states
+        back = joined(fio.load_trajectory(path))
         assert back.dtype == np.uint8 and np.array_equal(back, states)
 
     def test_states_past_int64_round_trip(self, tmp_path):
@@ -279,23 +290,11 @@ class TestReader:
             raise JsonLoadCalled
 
         monkeypatch.setattr(json, "load", refuse)
-        assert fio.load_trajectory(traj).states.tolist() == [0, 2, 1]
+        assert joined(fio.load_trajectory(traj)).tolist() == [0, 2, 1]
         d, codes = fio.load_samples(samples)
         assert d == 4 and codes.tolist() == (np.arange(9) % 4).tolist()
         with pytest.raises(JsonLoadCalled):
             fio.load_trajectory(indented)
-
-
-def streamed(path):
-    """stream_trajectory's outcome in the form of outcome(): the states its
-    chunks yield, joined, for a file the chunk reader parses."""
-    try:
-        got = fio.stream_trajectory(path)
-    except Exception as exc:  # compared with load_trajectory's, whatever it is
-        return type(exc), str(exc)
-    states = got.states if isinstance(got, sp.Trajectory) else np.concatenate(list(got.chunks()))
-    assert len(states) == len(got)
-    return got.d, states.dtype, states.tolist()
 
 
 # Files for the chunk reader, each (kind, bytes, whether the chunk reader
@@ -331,8 +330,6 @@ class TestChunkReader:
         loads = []
         with mock.patch.object(json, "load", side_effect=lambda fh: loads.append(1) or json.loads(fh.read())):
             assert outcome(load, path) == slow
-            if kind == "trajectory":
-                assert streamed(path) == slow
         assert (not loads) == compact
 
     def test_chunks_stay_small(self, tmp_path, monkeypatch):
@@ -340,7 +337,7 @@ class TestChunkReader:
         states = np.random.default_rng(3).integers(0, 12, 1000)
         path = tmp_path / "t.json"
         fio.save_trajectory(sp.Trajectory(d=12, states=states), path)
-        stream = fio.stream_trajectory(path)
+        stream = fio.load_trajectory(path)
         assert isinstance(stream, sp.StateStream) and len(stream) == 1000
         for _ in range(2):  # each call reads the file again, from the first state
             chunks = list(stream.chunks())
@@ -350,27 +347,56 @@ class TestChunkReader:
 
     @pytest.mark.parametrize("where", [0, -1])
     def test_refusals_match_load_trajectory(self, tmp_path, monkeypatch, where):
-        # a state outside [1, d] anywhere, the last one included, refused in
-        # load_trajectory's words; a float after it is refused first, as
-        # json.load's reading refuses it
+        # a state outside [1, d] anywhere, the last one included, refused by
+        # the checking pass in json.load's words; a float after it is
+        # refused first, as json.load's reading refuses it
         monkeypatch.setattr(fio, "_CHUNK_BYTES", 64)
         values = np.ones(500, dtype=np.int64)
         values[where] = 4
         path = tmp_path / "t.json"
         path.write_bytes(dumps(3, "states", values))
-        assert streamed(path) == outcome(fio.load_trajectory, path) == (
-            ChainTestError, f"{path}: states outside [1, 3]")
+        fast, slow = both_readers(fio.load_trajectory, path)
+        assert fast == slow == (ChainTestError, f"{path}: states outside [1, 3]")
         path.write_bytes(dumps(3, "states", values).replace(b"]", b",1.5]"))
-        assert streamed(path) == outcome(fio.load_trajectory, path) == (
-            ChainTestError, f"{path}: states must be a list of integers")
+        fast, slow = both_readers(fio.load_trajectory, path)
+        assert fast == slow == (ChainTestError, f"{path}: states must be a list of integers")
 
     def test_file_changed_between_reads(self, tmp_path):
         path = tmp_path / "t.json"
         fio.save_trajectory(sp.Trajectory(d=3, states=np.arange(3000) % 3), path)
-        stream = fio.stream_trajectory(path)
+        stream = fio.load_trajectory(path)
         path.write_bytes(b'{"d":3,"states":[1,2]}\n')
         with pytest.raises(ChainTestError, match="changed while it was read"):
             list(stream.chunks())
+
+    def test_same_size_rewrite_between_scans(self, tmp_path):
+        # states 0, 1, 2, ... rewritten as 1, 2, 0, ...: the same bytes in
+        # another order, which the chunk reader would read without a word
+        path = tmp_path / "t.json"
+        fio.save_trajectory(sp.Trajectory(d=3, states=np.arange(3000) % 3), path)
+        stream = fio.load_trajectory(path)
+        assert joined(stream).tolist()[:3] == [0, 1, 2]
+        written = os.stat(path)
+        fio.save_trajectory(sp.Trajectory(d=3, states=(np.arange(3000) + 1) % 3), path)
+        assert os.path.getsize(path) == written.st_size
+        # a file system stamps times coarsely; a rewrite a second later shows
+        os.utime(path, ns=(written.st_atime_ns, written.st_mtime_ns + 10**9))
+        with pytest.raises(ChainTestError, match="changed while it was read"):
+            list(stream.chunks())
+
+    def test_iid_generate_reads_stream(self, tmp_path, monkeypatch):
+        # the codes from the file's stream, read in 64-byte blocks, are those
+        # from the Trajectory in memory
+        monkeypatch.setattr(fio, "_CHUNK_BYTES", 64)
+        traj = sp.Trajectory(d=5, states=np.random.default_rng(4).integers(0, 5, 3000))
+        path = tmp_path / "t.json"
+        fio.save_trajectory(traj, path)
+        stream = fio.load_trajectory(path)
+        nu = np.array([0.0, 0.5, 0.3, 0.2, 0.0])
+        for l in (10, 500):
+            want = sp.iid_generate(traj, [1, 2, 3], nu, l, seed=9)
+            got = sp.iid_generate(stream, [1, 2, 3], nu, l, seed=9)
+            assert want is not None and np.array_equal(got, want)
 
 
 class TestFileDigest:

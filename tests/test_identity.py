@@ -102,38 +102,30 @@ class TestLazifyTrajectory:
         traj = sp.simulate(P, cc.stationary_distribution(P), 400_000, seed=5)
         out = idn.lazify_trajectory(traj, alpha, seed=6)
         lazy = cc.lazy_version(P, alpha).entries
-        emp = empirical_transition_matrix(out.states, 3)
+        emp = empirical_transition_matrix(np.concatenate(list(out.chunks())), 3)
         assert np.abs(emp - lazy).max() < 0.01
 
 
     @pytest.mark.parametrize("alpha", [0.03, 0.5, 0.9])
-    @pytest.mark.parametrize("extra", [-1, 0, 1, idn.HOLD_CHUNK + 1])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 4 * sp.VISIT_CHUNK + 1])
     def test_chunked_holds_match_one_draw(self, alpha, extra):
         # Geometric(1 - alpha) draws by numpy's search branch (alpha 0.03 and
         # 0.5) and its inversion branch (alpha 0.9, success probability below
-        # 1/3), for lengths below, at and above one chunk
+        # 1/3), for lengths below, at and above one chunk, and one state past
+        # five: the length drawn without reading a state, and the states of
+        # each scan, chunk by chunk, are those of one draw for all of them
         d = 256
-        states = np.random.default_rng(7).integers(0, d, idn.HOLD_CHUNK + extra)
+        states = np.random.default_rng(7).integers(0, d, sp.VISIT_CHUNK + extra)
         states[-1] = d - 1
         traj = sp.Trajectory(d=d, states=states)
         rng = derive_rng(11, "hold-times")
         want = np.repeat(traj.states, rng.geometric(1.0 - alpha, size=len(states)))
         out = idn.lazify_trajectory(traj, alpha, seed=11)
-        assert out.states.dtype == np.uint8 and not out.states.flags.writeable
-        assert np.array_equal(out.states, want)
-
-    @pytest.mark.parametrize("alpha", [0.03, 0.9])
-    @pytest.mark.parametrize("extra", [-1, 1, idn.HOLD_CHUNK + 1])
-    def test_stream_matches_lazify_trajectory(self, alpha, extra):
-        # the length drawn without reading a state, and the states of each
-        # scan, chunk by chunk, are lazify_trajectory's
-        states = np.random.default_rng(8).integers(0, 5, idn.HOLD_CHUNK + extra)
-        traj = sp.Trajectory(d=5, states=states)
-        want = idn.lazify_trajectory(traj, alpha, seed=12).states
-        stream = idn._lazy_stream(traj, alpha, 12)
-        assert len(stream) == len(want)
+        assert isinstance(out, sp.StateStream) and len(out) == len(want)
         for _ in range(2):
-            assert np.array_equal(np.concatenate(list(stream.chunks())), want)
+            chunks = list(out.chunks())
+            assert all(chunk.dtype == np.uint8 for chunk in chunks)
+            assert np.array_equal(np.concatenate(chunks), want)
 
 
 class TestIdentityTest:
