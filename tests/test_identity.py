@@ -127,6 +127,23 @@ class TestLazifyTrajectory:
             assert all(chunk.dtype == np.uint8 for chunk in chunks)
             assert np.array_equal(np.concatenate(chunks), want)
 
+    @pytest.mark.parametrize("alpha", [0.03, 0.9])
+    @pytest.mark.parametrize("extra", [-1, 1, 4 * sp.VISIT_CHUNK + 1])
+    def test_stream_matches_lazify_trajectory(self, alpha, extra):
+        # a StateStream source cut into chunks of other sizes than a
+        # Trajectory's is lazified to the same length and the same states,
+        # scan after scan
+        states = np.random.default_rng(8).integers(0, 5, sp.VISIT_CHUNK + extra)
+        traj = sp.Trajectory(d=5, states=states)
+        want = np.concatenate(list(idn.lazify_trajectory(traj, alpha, seed=12).chunks()))
+        cuts = np.cumsum(np.resize([1000, 7, 3001], len(states)))
+        cuts = cuts[cuts < len(states)]
+        source = sp.StateStream(5, len(states), lambda: iter(np.split(traj.states, cuts)))
+        stream = idn.lazify_trajectory(source, alpha, seed=12)
+        assert len(stream) == len(want)
+        for _ in range(2):
+            assert np.array_equal(np.concatenate(list(stream.chunks())), want)
+
 
 class TestIdentityTest:
     def test_rejects_bad_reference(self, rng):
