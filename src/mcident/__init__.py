@@ -19,7 +19,6 @@ from .chain_core import (
     matrix_power,
     multiplicative_reversibilization,
     spectral_gap,
-    spectral_radius_nonneg,
     stationary_distribution,
     time_reversal,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "simulate",
     "solve_spccc_lp",
     "spectral_gap",
-    "spectral_radius_nonneg",
     "stationary_distribution",
     "tail_occupancy_check",
     "time_reversal",

@@ -336,19 +336,3 @@ def _symmetrized(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
 def _symmetrized_spectrum(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of _symmetrized(M, pi)."""
     return np.linalg.eigvalsh(_symmetrized(M, pi))
-
-
-def spectral_radius_nonneg(M) -> float:
-    """Perron root of an entrywise nonnegative matrix: the largest eigenvalue
-    modulus of the full spectrum, which stays exact for the periodic and
-    reducible matrices on which a power iteration stalls.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ChainTestError(f"expected a square matrix, got {M.shape}")
-    if M.min() < -1e-12:
-        raise ChainTestError(f"min entry {M.min():.3e}")
-    M = np.clip(M, 0.0, None)
-    if not M.any():
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(M))))

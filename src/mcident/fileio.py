@@ -65,16 +65,7 @@ _DIGITS = 18
 
 
 def load_matrix(path) -> TransitionMatrix:
-    doc = _read(path)
-    d = _dimension(doc, path)
-    rows = _numbers(doc, "rows", path)
-    if rows.ndim != 2 or rows.shape != (d, d):
-        raise ChainTestError(f"{path}: rows shape {rows.shape} does not match d={d}")
-    sums = rows.sum(axis=1)
-    if not (np.abs(sums - 1.0).max() <= _FILE_TOL and rows.min() >= -_FILE_TOL):  # NaN fails
-        raise ChainTestError(f"{path}: rows must sum to 1 within {_FILE_TOL}")
-    rows = np.clip(rows, 0.0, None)
-    return TransitionMatrix(rows / rows.sum(axis=1, keepdims=True))
+    return TransitionMatrix(_law(path, "rows", 2))
 
 
 def save_matrix(P: TransitionMatrix, path) -> None:
@@ -83,15 +74,7 @@ def save_matrix(P: TransitionMatrix, path) -> None:
 
 
 def load_probvector(path) -> ProbVector:
-    doc = _read(path)
-    d = _dimension(doc, path)
-    p = _numbers(doc, "p", path)
-    if p.ndim != 1 or p.shape[0] != d:
-        raise ChainTestError(f"{path}: p shape {p.shape} does not match d={d}")
-    if not (abs(p.sum() - 1.0) <= _FILE_TOL and p.min() >= -_FILE_TOL):  # NaN fails
-        raise ChainTestError(f"{path}: p must sum to 1 within {_FILE_TOL}")
-    p = np.clip(p, 0.0, None)
-    return ProbVector(p / p.sum())
+    return ProbVector(_law(path, "p", 1))
 
 
 def save_probvector(p: ProbVector, path) -> None:
@@ -238,6 +221,22 @@ def _numbers(doc: dict, key: str, path) -> np.ndarray:
     if not set(map(type, np.asarray(items, dtype=object).ravel())) <= {int, float}:
         raise ChainTestError(f"{path}: {key} must be JSON numbers")
     return values
+
+
+def _law(path, key: str, ndim: int) -> np.ndarray:
+    """doc[key] of a matrix (ndim 2) or probvector (ndim 1) file: d^ndim
+    numbers whose last axis sums to 1 within _FILE_TOL, clipped at 0 and
+    renormalized along that axis."""
+    doc = _read(path)
+    d = _dimension(doc, path)
+    arr = _numbers(doc, key, path)
+    if arr.shape != (d,) * ndim:
+        raise ChainTestError(f"{path}: {key} shape {arr.shape} does not match d={d}")
+    sums = arr.sum(axis=-1)
+    if not (np.abs(sums - 1.0).max() <= _FILE_TOL and arr.min() >= -_FILE_TOL):  # NaN fails
+        raise ChainTestError(f"{path}: {key} must sum to 1 within {_FILE_TOL}")
+    arr = np.clip(arr, 0.0, None)
+    return arr / arr.sum(axis=-1, keepdims=True)
 
 
 def _json_integers(path, key: str) -> tuple[int, np.ndarray]:

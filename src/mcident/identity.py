@@ -38,7 +38,6 @@ from .metrics import chain_distance, hellinger, induced_distribution, ratio_dist
 from .partition import StatePartition, partition_states
 from .sampling import VISIT_CHUNK, StateStream, Trajectory, _induced_histogram
 
-ACCEPT = 0
 REJECT = 1
 
 #: Squared-Hellinger separation guaranteed on a well-retained component when

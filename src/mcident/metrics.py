@@ -16,7 +16,6 @@ from .chain_core import (
     TransitionMatrix,
     as_prob_vector,
     as_transition_matrix,
-    spectral_radius_nonneg,
     _as_subset,
 )
 from .errors import ChainTestError
@@ -39,15 +38,15 @@ def hellinger(p, q) -> float:
 def chain_distance(P, Pbar) -> float:
     """Spectral geometric-mean distance 1 - rho(sqrt(P o Pbar)).
 
-    The Hadamard square-root matrix can be reducible even when both factors
-    are irreducible, which is why spectral_radius_nonneg reads the full
-    spectrum.
+    rho is the largest eigenvalue modulus of the full spectrum: the Hadamard
+    square-root matrix can be reducible or periodic even when neither chain
+    is, and a power iteration stalls on such a matrix.
     """
     P = as_transition_matrix(P)
     Pbar = as_transition_matrix(Pbar)
     if P.d != Pbar.d:
         raise ChainTestError(f"{P.d} != {Pbar.d}")
-    rho = spectral_radius_nonneg(np.sqrt(P.entries * Pbar.entries))
+    rho = float(np.abs(np.linalg.eigvals(np.sqrt(P.entries * Pbar.entries))).max())
     val = min(max(1.0 - rho, 0.0), 1.0)
     return 0.0 if val < 1e-12 else float(val)
 

@@ -142,6 +142,8 @@ def simulate(P, mu, m: int, seed: int) -> Trajectory:
         raise ChainTestError(f"initial law of length {mu.d} for a {P.d}-state chain")
     if m < 1:
         raise ChainTestError(f"m={m} must be >= 1")
+    if m > np.iinfo(np.intp).max:  # numpy cannot index that many states
+        raise ChainTestError(f"m={m} exceeds the largest array length {np.iinfo(np.intp).max}")
     rng = np.random.default_rng(require_seed(seed))
     cum = np.cumsum(P.entries, axis=1)
     # guard against downward float drift; with cum[s, -1] >= 1 > u every

@@ -449,27 +449,3 @@ class TestSpectralGap:
         with pytest.raises(ChainTestError, match="detailed balance violated"):
             cc.spectral_gap(THREE_CYCLE)
 
-
-class TestSpectralRadius:
-    def test_stochastic_is_one(self, rng):
-        P = cp.random_reversible(6, rng)
-        assert cc.spectral_radius_nonneg(P.entries) == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_matrix(self):
-        assert cc.spectral_radius_nonneg(np.zeros((4, 4))) == 0.0
-
-    def test_antidiagonal(self):
-        assert cc.spectral_radius_nonneg(np.array([[0.0, 2], [2, 0]])) == pytest.approx(2.0, abs=1e-10)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ChainTestError, match="min entry"):
-            cc.spectral_radius_nonneg([[0.5, -0.5], [0.5, 0.5]])
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_matches_eigendecomposition(self, seed):
-        r = np.random.default_rng(seed)
-        d = int(r.integers(2, 9))
-        M = r.uniform(0, 1, (d, d)) * r.integers(0, 2, (d, d))
-        expected = np.max(np.abs(np.linalg.eigvals(M)))
-        assert cc.spectral_radius_nonneg(M) == pytest.approx(expected, abs=1e-9)

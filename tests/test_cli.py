@@ -745,3 +745,14 @@ class TestOutsizedRequests:
         assert rc == 2
         assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("steps", [10**19, 10**20])
+    def test_steps_beyond_array_length_exit_2(self, chain_file, tmp_path, steps):
+        # past the intp range numpy raises ValueError, not MemoryError
+        _, path = chain_file
+        out = tmp_path / "t.json"
+        rc, err = run_cli(["simulate", "--matrix", str(path), "--mu", "uniform", "--steps",
+                           str(steps), "--seed", "1", "--out", str(out)], timeout=30)
+        assert rc == 2
+        assert err.startswith(f"error: m={steps} exceeds ") and err.count("\n") == 1
+        assert not out.exists()

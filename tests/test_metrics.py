@@ -20,6 +20,14 @@ def two_state_distance_oracle(P, Pbar):
     return 1.0 - lam
 
 
+def masked_chain(d, r):
+    """A random d-state chain with random zero entries and at least one
+    nonzero entry per row."""
+    M = r.uniform(0, 1, (d, d)) * r.integers(0, 2, (d, d))
+    M[np.arange(d), r.integers(0, d, d)] += r.uniform(0.1, 1, d)
+    return M / M.sum(axis=1, keepdims=True)
+
+
 def dists_from_seed(seed, d_lo=2, d_hi=10):
     r = np.random.default_rng(seed)
     d = int(r.integers(d_lo, d_hi + 1))
@@ -79,6 +87,22 @@ class TestChainDistance:
         P = [[1.0, 0.0], [0.0, 1.0]]
         Q = [[0.0, 1.0], [1.0, 0.0]]
         assert mt.chain_distance(P, Q) == pytest.approx(1.0)
+
+    def test_periodic(self):
+        # sqrt(P o P) of the two-cycle is the two-cycle: eigenvalues +1 and -1
+        assert mt.chain_distance([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_eigendecomposition(self, seed):
+        # the zero masks make sqrt(P o Pbar) often reducible or periodic
+        r = np.random.default_rng(seed)
+        d = int(r.integers(2, 9))
+        P, Pbar = masked_chain(d, r), masked_chain(d, r)
+        rho = np.abs(np.linalg.eigvals(np.sqrt(P * Pbar))).max()
+        expected = min(max(1.0 - rho, 0.0), 1.0)
+        expected = 0.0 if expected < 1e-12 else expected
+        assert mt.chain_distance(P, Pbar) == pytest.approx(expected, abs=1e-9)
 
     def test_symmetry(self, rng):
         for _ in range(20):
